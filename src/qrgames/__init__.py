@@ -74,6 +74,7 @@ from .repeated10 import (
     play_sequential,
     rep_bimatrix,
     rep_component_tables,
+    sequential_component_tables,
     strategy_qubit_map,
     two_term_amplitudes,
 )
@@ -142,6 +143,7 @@ __all__ = [
     "play_sequential",
     "rep_bimatrix",
     "rep_component_tables",
+    "sequential_component_tables",
     "strategy_qubit_map",
     "two_term_amplitudes",
     "CooperationAnalysis",

@@ -52,9 +52,9 @@ from .qstate import (
 from .repeated10 import (
     RepGame,
     factor_pairs,
-    play_sequential,
     rep_bimatrix,
     rep_component_tables,
+    sequential_component_tables,
 )
 from .stagegames import (
     Bimatrix,
@@ -139,6 +139,13 @@ def _parse_payoffs(raw: object) -> StageGame:
     raise ConfigError("payoffs must be a {T,R,P,S} mapping or a 2x2 cell table")
 
 
+def _number(raw: object, what: str) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {raw!r}") from None
+
+
 def _parse_terms(raw: Sequence, num_qubits: int, where: str) -> PureState:
     amps = np.zeros(2 ** num_qubits, dtype=complex)
     for position, term in enumerate(raw):
@@ -157,17 +164,18 @@ def _parse_terms(raw: Sequence, num_qubits: int, where: str) -> PureState:
         if "prob" in term:
             if "re" in term or "im" in term:
                 raise ConfigError(f"{name}: give either prob or re/im, not both")
-            probability = float(term["prob"])
+            probability = _number(term["prob"], f"{name}: prob")
             if probability < 0:
                 raise ConfigError(f"{name}: prob must be nonnegative")
             amplitude = complex(math.sqrt(probability))
         else:
             amplitude = complex(
-                float(term.get("re", 0.0)), float(term.get("im", 0.0))
+                _number(term.get("re", 0.0), f"{name}: re"),
+                _number(term.get("im", 0.0), f"{name}: im"),
             )
         amps[int(basis, 2)] += amplitude
     total = float(np.sum(np.abs(amps) ** 2))
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ConfigError(
             f"{where}: amplitudes give total probability {total!r}, not 1"
         )
@@ -203,17 +211,11 @@ def _parse_state(raw: object, protocol: str) -> PureState:
             return _example_state()
         match = _GHZ_PATTERN.match(raw)
         if match:
-            try:
-                weight = float(match.group(1))
-            except ValueError:
-                raise ConfigError(
-                    f"ghz weight must be a number, got {match.group(1)!r}"
-                ) from None
-            return _ghz_state(num_qubits, weight)
+            return _ghz_state(num_qubits, _number(match.group(1), "ghz weight"))
         raise ConfigError(f"unknown initial_state preset {raw!r}")
     if isinstance(raw, Mapping):
         if "ghz" in raw:
-            return _ghz_state(num_qubits, float(raw["ghz"]))
+            return _ghz_state(num_qubits, _number(raw["ghz"], "ghz weight"))
         if "pair_product" in raw:
             pairs = raw["pair_product"]
             wanted = num_qubits // 2
@@ -347,20 +349,15 @@ def cmd_dominance(args: argparse.Namespace) -> int:
 def _mw10_deviation(stage: StageGame, samples: int, seed: int) -> tuple[float, int]:
     """Max |batch - sequential| over random states and all pure profiles."""
     rng = np.random.default_rng(seed)
-    strategies = all_strategies()
     worst = 0.0
     checked = 0
     for _ in range(samples):
         game = RepGame(random_state(10, rng), stage)
-        tables = rep_component_tables(game)
-        batch = np.stack(
-            [tables[key] for key in ((1, 1), (1, 2), (2, 1), (2, 2))], axis=-1
-        )
-        for i, t1 in enumerate(strategies):
-            for j, t2 in enumerate(strategies):
-                sequential = play_sequential(game, t1, t2).expected.as_array()
-                worst = max(worst, float(np.abs(batch[i, j] - sequential).max()))
-                checked += 1
+        batch = rep_component_tables(game)
+        sequential = sequential_component_tables(game)
+        for key, table in batch.items():
+            worst = max(worst, float(np.abs(table - sequential[key]).max()))
+        checked += batch[(1, 1)].size
     return worst, checked
 
 

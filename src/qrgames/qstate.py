@@ -61,7 +61,7 @@ class PureState:
                 f"expected 2**{self.num_qubits} amplitudes, got shape {amps.shape}"
             )
         total = float(np.sum(np.abs(amps) ** 2))
-        if abs(total - 1.0) > NORM_ATOL:
+        if not abs(total - 1.0) <= NORM_ATOL:
             raise ValueError(f"state is not normalized: sum |amp|^2 = {total!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -233,7 +233,7 @@ class Ensemble:
         total = sum(p for p, _ in members)
         if any(p < 0 for p, _ in members):
             raise ValueError("ensemble probabilities must be nonnegative")
-        if abs(total - 1.0) > NORM_ATOL:
+        if not abs(total - 1.0) <= NORM_ATOL:
             raise ValueError(f"ensemble probabilities sum to {total!r}, not 1")
         sizes = {state.num_qubits for _, state in members}
         if len(sizes) != 1:

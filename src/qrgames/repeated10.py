@@ -11,7 +11,10 @@ flips up front and reads gated payoff observables off the final state.
 The sequential path plays the game in real time: flip the first pair,
 measure it, then flip only the pair matching the observed outcome.
 Both yield identical expected payoffs on every initial state, entangled
-or not, and the tests exercise that equivalence heavily.
+or not, and the tests exercise that equivalence heavily.  The
+sequential path has a per-profile form (``play_sequential``, with its
+transcript) and a whole-table form (``sequential_component_tables``)
+that shares each stage-1 measurement across all profiles using it.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ from .stagegames import (
 
 NUM_QUBITS = 10
 _ACTION_LABELS = ("0", "1")
+# (player, stage) keys of the component tables, in ExpectedPayoffs order.
+_COMPONENT_KEYS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 def outcome_qubit_pair(outcome: tuple[int, int]) -> tuple[int, int]:
@@ -143,7 +148,7 @@ class MixedRepStrategy:
         if any(p < 0 for p, _ in support):
             raise ValueError("mixture probabilities must be nonnegative")
         total = sum(p for p, _ in support)
-        if abs(total - 1.0) > NORM_ATOL:
+        if not abs(total - 1.0) <= NORM_ATOL:
             raise ValueError(f"mixture probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "support", support)
 
@@ -196,6 +201,31 @@ class OutcomeBranch:
         return self.post_state is not None
 
 
+def _check_branch_total(total: float) -> None:
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"branch probabilities sum to {total!r}, not 1")
+
+
+def _measure_stage1(
+    game: RepGame, k1: int, k2: int
+) -> list[tuple[tuple[int, int], float, PureState]]:
+    """Flip qubits 1-2 by (k1, k2) and measure them.
+
+    Returns the ``measure_pair`` branches: outcomes at or below
+    ``PROB_FLOOR`` are pruned, the rest carry their post states.
+    """
+    after_first = apply_flips(game.initial, FlipLayer({1: k1, 2: k2}))
+    return measure_pair(after_first, 1, 2)
+
+
+def _continue(
+    post: PureState, outcome: tuple[int, int], a1: int, a2: int
+) -> PureState:
+    """Apply the stage-2 flips (a1, a2) to the pair reserved for ``outcome``."""
+    qubit_a, qubit_b = outcome_qubit_pair(outcome)
+    return apply_flips(post, FlipLayer({qubit_a: a1, qubit_b: a2}))
+
+
 @dataclass(frozen=True)
 class PlayTranscript:
     """Full record of one sequential play of a pure profile."""
@@ -205,9 +235,7 @@ class PlayTranscript:
     expected: ExpectedPayoffs
 
     def __post_init__(self) -> None:
-        total = sum(branch.probability for branch in self.branches)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"branch probabilities sum to {total!r}, not 1")
+        _check_branch_total(sum(branch.probability for branch in self.branches))
 
     @property
     def outcome_distribution(self) -> tuple[tuple[tuple[int, int], float], ...]:
@@ -232,12 +260,9 @@ def play_sequential(game: RepGame, t1: RepStrategy, t2: RepStrategy) -> PlayTran
     payoffs.
     """
     stage1_choices = (t1.stage1, t2.stage1)
-    after_first = apply_flips(
-        game.initial, FlipLayer({1: t1.stage1, 2: t2.stage1})
-    )
     observed = {
         outcome: (probability, post)
-        for outcome, probability, post in measure_pair(after_first, 1, 2)
+        for outcome, probability, post in _measure_stage1(game, *stage1_choices)
     }
     branches = []
     members = []
@@ -250,10 +275,7 @@ def play_sequential(game: RepGame, t1: RepStrategy, t2: RepStrategy) -> PlayTran
             )
             continue
         probability, post = observed[outcome]
-        qubit_a, qubit_b = outcome_qubit_pair(outcome)
-        final = apply_flips(
-            post, FlipLayer({qubit_a: choices[0], qubit_b: choices[1]})
-        )
+        final = _continue(post, outcome, *choices)
         obs = _observables(game.stage)
         stage2 = tuple(
             expectation(final, obs[(player, 2, outcome)]) for player in (1, 2)
@@ -279,8 +301,12 @@ def rep_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarray]:
     Every pure profile's batch state is the initial state with basis
     indices XOR-ed by the profile's flip mask, so the expectation of a
     diagonal observable W under profile mask m is sum_y W[y ^ m] p[y].
-    Gathering W over the full 1024x1024 index-XOR grid turns the whole
-    strategy space into one matrix-vector product per observable.
+    Gathering W over the index-XOR grid turns each row of a table (one
+    player-1 strategy against all 32 replies) into one matrix-vector
+    product per observable.  Going row by row keeps the gathered blocks
+    at 32x1024 (256 KB) instead of one 1024x1024 grid (8 MB per array),
+    which keeps them in cache and keeps large short-lived arrays from
+    fragmenting the heap.
     """
     strategies = all_strategies()
     mask1 = np.array(
@@ -289,14 +315,67 @@ def rep_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarray]:
     mask2 = np.array(
         [strategy_qubit_map(2, t).mask(NUM_QUBITS) for t in strategies]
     )
-    masks = (mask1[:, None] | mask2[None, :]).reshape(-1, 1)
-    gather = np.arange(2 ** NUM_QUBITS)[None, :] ^ masks
+    indices = np.arange(2 ** NUM_QUBITS)
     probs = game.initial.probabilities
     obs = _observables(game.stage)
-    return {
-        key: (obs[key].weights[gather] @ probs).reshape(32, 32)
-        for key in ((1, 1), (1, 2), (2, 1), (2, 2))
+    tables = {key: np.empty((32, 32)) for key in _COMPONENT_KEYS}
+    for row, m1 in enumerate(mask1):
+        gather = indices[None, :] ^ (m1 | mask2)[:, None]
+        for key, table in tables.items():
+            table[row] = obs[key].weights[gather] @ probs
+    return tables
+
+
+def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarray]:
+    """The four 32x32 per-stage tables of ``play_sequential``, in one pass.
+
+    A sequential play depends on the profile only through the stage-1
+    flip pair and, per observed outcome, the continuation flip pair.  So
+    the four stage-1 measurements and the (at most 64) continuation
+    states they lead to cover all 1024 profiles: each continuation's
+    four payoff expectations are read once, and a cell is the
+    renormalized branch weights times the values its continuation bits
+    pick, summed over the outcomes in the order ``play_sequential``
+    sums its ensemble, so cells equal its ``expected`` bit for bit.
+    Keys and layout match :func:`rep_component_tables`.
+    """
+    strategies = all_strategies()
+    stage1 = np.array([t.stage1 for t in strategies])
+    after = {
+        outcome: np.array([t.after(outcome) for t in strategies])
+        for outcome in OUTCOMES
     }
+    table = np.empty((32, 32, 4))
+    for k1 in (0, 1):
+        for k2 in (0, 1):
+            branches = _measure_stage1(game, k1, k2)
+            kept = sum(probability for _, probability, _ in branches)
+            _check_branch_total(kept)
+            # Every profile with these stage-1 flips ends in an ensemble
+            # with these weights; building it once runs the ensemble's
+            # checks once.
+            ensemble = Ensemble(
+                tuple((probability / kept, post) for _, probability, post in branches)
+            )
+            rows = np.flatnonzero(stage1 == k1)
+            cols = np.flatnonzero(stage1 == k2)
+            cells = 0.0
+            for (weight, _), (outcome, _, post) in zip(ensemble.members, branches):
+                values = np.array(
+                    [
+                        [
+                            _expected_from(
+                                _continue(post, outcome, a1, a2), game.stage
+                            ).as_array()
+                            for a2 in (0, 1)
+                        ]
+                        for a1 in (0, 1)
+                    ]
+                )
+                picked = values[after[outcome][rows][:, None], after[outcome][cols]]
+                cells = cells + weight * picked
+            table[np.ix_(rows, cols)] = cells
+    return {key: table[:, :, position] for position, key in enumerate(_COMPONENT_KEYS)}
 
 
 def rep_bimatrix(game: RepGame) -> Bimatrix:
@@ -387,7 +466,7 @@ class ExtensiveTree:
         for node in self.nodes:
             if node.kind == "chance":
                 total = sum(node.probabilities)
-                if abs(total - 1.0) > 1e-9:
+                if not abs(total - 1.0) <= 1e-9:
                     raise ValueError(
                         f"chance node {node.node_id} probabilities sum to {total!r}"
                     )
@@ -580,9 +659,8 @@ def _tree_from_two_term(game: RepGame) -> ExtensiveTree:
     distributions: dict[tuple[int, int], dict[tuple[int, int], float]] = {}
     for k1 in (0, 1):
         for k2 in (0, 1):
-            after_first = apply_flips(game.initial, FlipLayer({1: k1, 2: k2}))
             dist = {}
-            for outcome, probability, post in measure_pair(after_first, 1, 2):
+            for outcome, probability, post in _measure_stage1(game, k1, k2):
                 dist[outcome] = probability
                 post_states[(k1, k2) + outcome] = post
             distributions[(k1, k2)] = dist
@@ -598,8 +676,7 @@ def _tree_from_two_term(game: RepGame) -> ExtensiveTree:
         post = post_states.get((k1, k2) + outcome)
         if post is None:
             return None
-        qubit_a, qubit_b = outcome_qubit_pair(outcome)
-        final = apply_flips(post, FlipLayer({qubit_a: a1, qubit_b: a2}))
+        final = _continue(post, outcome, a1, a2)
         base = game.stage.pair(*outcome)
         return (
             base[0] + expectation(final, obs[(1, 2, outcome)]),

@@ -105,6 +105,34 @@ def test_config_errors_name_the_problem(document, message):
         parse_config(document)
 
 
+@pytest.mark.parametrize(
+    "initial_state, message",
+    [
+        ({"ghz": "abc"}, "ghz weight must be a number, got 'abc'"),
+        (
+            [{"basis": "0" * 10, "prob": "x"}],
+            "term 0: prob must be a number, got 'x'",
+        ),
+        (
+            [{"basis": "0" * 10, "re": "x"}],
+            "term 0: re must be a number, got 'x'",
+        ),
+        (
+            [{"basis": "0" * 10, "prob": float("nan")}],
+            "total probability nan, not 1",
+        ),
+    ],
+)
+def test_malformed_numbers_exit_with_two(tmp_path, capsys, initial_state, message):
+    path = write_config(tmp_path, mw10_document(initial_state))
+    code, out, err = run_cli(capsys, "bimatrix", "--config", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_protocol_override_beats_the_document():
     config = parse_config(mw10_document(), protocol="classical")
     assert config.protocol == "classical"

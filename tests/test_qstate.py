@@ -72,6 +72,13 @@ def test_from_terms_rejects_unnormalized_input():
         PureState.from_terms(2, {"00": 0.5})
 
 
+def test_nan_weights_fail_the_normalization_checks():
+    with pytest.raises(ValueError, match="not normalized"):
+        PureState.from_terms(2, {"00": float("nan")})
+    with pytest.raises(ValueError, match="sum to"):
+        Ensemble(((float("nan"), PureState.basis(2, 0)),))
+
+
 def test_from_terms_rejects_out_of_range_index():
     with pytest.raises(ValueError, match="out of range"):
         PureState.from_terms(2, {7: 1.0})

@@ -19,6 +19,7 @@ from qrgames.repeated10 import (
     play_sequential,
     rep_bimatrix,
     rep_component_tables,
+    sequential_component_tables,
     strategy_qubit_map,
     two_term_amplitudes,
 )
@@ -227,6 +228,54 @@ def test_sequential_play_on_basis_start_has_one_branch():
 
 
 # ---------------------------------------------------------------------------
+# sequential table
+
+TABLE_KEYS = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+
+def assert_table_matches_sequential_play(game: RepGame, seed: int) -> None:
+    tables = sequential_component_tables(game)
+    rng = np.random.default_rng(seed)
+    for profile in rng.choice(1024, size=64, replace=False):
+        i, j = divmod(int(profile), 32)
+        expected = play_sequential(game, ALL[i], ALL[j]).expected.as_array()
+        cell = np.array([tables[key][i, j] for key in TABLE_KEYS])
+        assert np.abs(cell - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [51, 52, 53])
+def test_sequential_table_matches_play_sequential(seed):
+    game = pd_game(random_state(10, np.random.default_rng(seed)))
+    assert_table_matches_sequential_play(game, seed)
+
+
+@pytest.mark.parametrize("make_game", [all_zero_game, ghz_game])
+def test_sequential_table_skips_pruned_outcomes(make_game):
+    game = make_game()
+    transcript = play_sequential(game, ALL[0], ALL[0])
+    assert not all(branch.reachable for branch in transcript.branches)
+    assert_table_matches_sequential_play(game, 54)
+
+
+@pytest.mark.parametrize(
+    "make_game",
+    [
+        all_zero_game,
+        ghz_game,
+        lambda: pd_game(random_state(10, np.random.default_rng(55))),
+    ],
+)
+def test_sequential_table_matches_the_batch_tables(make_game):
+    game = make_game()
+    batch = rep_component_tables(game)
+    sequential = sequential_component_tables(game)
+    assert sequential.keys() == batch.keys()
+    for key in TABLE_KEYS:
+        assert sequential[key].shape == (32, 32)
+        assert np.abs(sequential[key] - batch[key]).max() <= 1e-9
+
+
+# ---------------------------------------------------------------------------
 # mixed strategies
 
 
@@ -256,6 +305,11 @@ def test_mixed_strategy_validation():
         MixedRepStrategy(((-0.5, ALL[0]), (1.5, ALL[1])))
     with pytest.raises(ValueError, match="sum to"):
         MixedRepStrategy(((0.5, ALL[0]),))
+
+
+def test_mixed_strategy_rejects_nan_weights():
+    with pytest.raises(ValueError, match="sum to"):
+        MixedRepStrategy(((float("nan"), ALL[0]),))
 
 
 # ---------------------------------------------------------------------------

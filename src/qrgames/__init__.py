@@ -29,6 +29,7 @@ from .qstate import (
     basis_index,
     bits_of,
     expectation,
+    flip_table,
     measure_pair,
     random_state,
     tensor_all,
@@ -102,6 +103,7 @@ __all__ = [
     "basis_index",
     "bits_of",
     "expectation",
+    "flip_table",
     "measure_pair",
     "random_state",
     "tensor_all",

@@ -16,6 +16,7 @@ import re
 import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +147,11 @@ def _number(raw: object, what: str) -> float:
         raise ConfigError(f"{what} must be a number, got {raw!r}") from None
 
 
-def _parse_terms(raw: Sequence, num_qubits: int, where: str) -> PureState:
+def _parse_terms(raw: object, num_qubits: int, where: str) -> PureState:
+    if not isinstance(raw, Sequence) or isinstance(raw, str):
+        raise ConfigError(
+            f"{where} must be a list of terms, got {type(raw).__name__}"
+        )
     amps = np.zeros(2 ** num_qubits, dtype=complex)
     for position, term in enumerate(raw):
         name = f"{where} term {position}"
@@ -701,8 +706,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser unchanged, so one serves every call in a
+    # process; a fresh one per call would leave a reference cycle behind.
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except ConfigError as err:

@@ -111,13 +111,10 @@ def strictly_dominated(bm: Bimatrix, player: int) -> list[tuple[int, int]]:
     if player not in (1, 2):
         raise ValueError(f"player must be 1 or 2, got {player!r}")
     own_by_row = bm.payoffs1 if player == 1 else bm.payoffs2.T
-    count = own_by_row.shape[0]
-    return [
-        (a, b)
-        for a in range(count)
-        for b in range(count)
-        if a != b and bool(np.all(own_by_row[b] > own_by_row[a]))
-    ]
+    # beats[a, b]: row b pays more than row a in every column.
+    beats = (own_by_row[None, :, :] > own_by_row[:, None, :]).all(axis=2)
+    np.fill_diagonal(beats, False)
+    return [(int(a), int(b)) for a, b in np.argwhere(beats)]
 
 
 def _stage1_distribution(

@@ -13,13 +13,19 @@ dominates and no pure equilibrium cooperates there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .qstate import Ensemble, FlipLayer, PureState, apply_flips, expectation
+from .qstate import (
+    Ensemble,
+    FlipLayer,
+    PureState,
+    apply_flips,
+    expectation,
+    flip_table,
+)
 from .stagegames import Bimatrix, ExpectedPayoffs, StageGame
-from .mw import payoff_observable
+from .mw import payoff_observable, stage_weights
 
 
 @dataclass(frozen=True)
@@ -141,22 +147,17 @@ def it_pure_bimatrix(game: ITGame) -> Bimatrix:
     """4x4 bimatrix of total payoffs over both players' pure strategies.
 
     Rows and columns are labeled ``stage1_bit stage2_bit``; the cell
-    holds (E11 + E12, E21 + E22).
+    holds (E11 + E12, E21 + E22).  Each stage's payoffs read one qubit
+    pair, so both stage tables come from the marginals of qubits 1-2
+    and 3-4 (:func:`~.qstate.flip_table`), indexed by the flips there.
     """
-    cells = []
-    for s1 in IT_PURE_STRATEGIES:
-        row = []
-        for s2 in IT_PURE_STRATEGIES:
-            payoffs = it_batch_expected(
-                game,
-                int(s1.stage1_flip_prob),
-                int(s2.stage1_flip_prob),
-                int(s1.stage2_flip_prob),
-                int(s2.stage2_flip_prob),
-            )
-            row.append(payoffs.totals)
-        cells.append(row)
-    return Bimatrix.from_cells(cells, IT_STRATEGY_LABELS, IT_STRATEGY_LABELS)
+    weights = stage_weights(game.stage)
+    stage1 = flip_table(game.initial, (1, 2), weights).reshape(2, 2, 1, 2, 1)
+    stage2 = flip_table(game.initial, (3, 4), weights).reshape(2, 1, 2, 1, 2)
+    # Axes: player, then k1, k3 (player 1's bits) and k2, k4 (player 2's),
+    # so the row index is 2*k1 + k3 and the column index 2*k2 + k4.
+    totals = (stage1 + stage2).reshape(2, 4, 4)
+    return Bimatrix(totals[0], totals[1], IT_STRATEGY_LABELS, IT_STRATEGY_LABELS)
 
 
 @dataclass(frozen=True)
@@ -187,19 +188,13 @@ def it_stage1_pattern(game: ITGame, tol: float = 1e-9) -> Stage1Pattern:
     Stage-2 choices are irrelevant here because the stage-1 observables
     act as the identity on qubits 3 and 4.
     """
-    obs = _observables(game.stage)
-    e1 = {}
-    e2 = {}
-    for k1, k2 in product((0, 1), repeat=2):
-        final = apply_flips(game.initial, FlipLayer({1: k1, 2: k2}))
-        e1[(k1, k2)] = expectation(final, obs[(1, 1)])
-        e2[(k1, k2)] = expectation(final, obs[(2, 1)])
-    r, s, t, p = e1[(0, 0)], e1[(0, 1)], e1[(1, 0)], e1[(1, 1)]
+    e1, e2 = flip_table(game.initial, (1, 2), stage_weights(game.stage)).tolist()
+    r, s, t, p = e1
     symmetric = (
-        abs(e2[(0, 0)] - r) <= tol
-        and abs(e2[(0, 1)] - t) <= tol
-        and abs(e2[(1, 0)] - s) <= tol
-        and abs(e2[(1, 1)] - p) <= tol
+        abs(e2[0] - r) <= tol
+        and abs(e2[1] - t) <= tol
+        and abs(e2[2] - s) <= tol
+        and abs(e2[3] - p) <= tol
     )
     ordered = t > r > p > s and 2 * r > t + s
     return Stage1Pattern(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DiagonalObservable, FlipLayer, PureState, apply_flips, expectation
+from .qstate import DiagonalObservable, PureState, flip_table
 from .stagegames import Bimatrix, StageGame
 
 
@@ -31,6 +31,16 @@ def payoff_observable(
     bits_b = (indices >> (num_qubits - qubit_b)) & 1
     table = stage.payoff_table(player)
     return DiagonalObservable(num_qubits, table[bits_a, bits_b])
+
+
+def stage_weights(stage: StageGame) -> np.ndarray:
+    """Both players' payoffs as weights over a qubit pair's four patterns.
+
+    Row ``player - 1`` holds the payoffs at bit patterns 00, 01, 10, 11
+    of the pair (first qubit most significant), the layout
+    :func:`~.qstate.flip_table` reads.
+    """
+    return np.stack([stage.payoff_table(player).reshape(4) for player in (1, 2)])
 
 
 @dataclass(frozen=True)
@@ -53,14 +63,6 @@ def mw_bimatrix(game: MWGame) -> Bimatrix:
     this is a relabeling of the stage table; on a superposition each
     cell mixes outcome entries with the Born weights.
     """
-    observables = tuple(
-        payoff_observable(game.stage, player, 2, (1, 2)) for player in (1, 2)
-    )
-    cells = []
-    for k1 in (0, 1):
-        row = []
-        for k2 in (0, 1):
-            final = apply_flips(game.initial, FlipLayer({1: k1, 2: k2}))
-            row.append(tuple(expectation(final, obs) for obs in observables))
-        cells.append(row)
-    return Bimatrix.from_cells(cells, row_labels=("0", "1"), col_labels=("0", "1"))
+    values = flip_table(game.initial, (1, 2), stage_weights(game.stage))
+    u1, u2 = values.reshape(2, 2, 2)
+    return Bimatrix(u1, u2, row_labels=("0", "1"), col_labels=("0", "1"))

@@ -4,7 +4,10 @@ Every protocol in this package reduces to three primitives on dense
 complex amplitude vectors: tensor-factor bit flips (pure index
 permutations), projective measurement of a qubit pair in the
 computational basis, and expectations of observables that are diagonal
-in that basis.  There is no general gate machinery and none is needed.
+in that basis.  :func:`flip_table` combines the first and last: the
+expectation of an observable on a few qubits under every flip pattern
+of those qubits, read off their marginal.  There is no general gate
+machinery and none is needed.
 
 Qubit 1 is the most significant bit of the basis index, matching the
 left-to-right order of ket labels, so qubit ``j`` of basis index ``x``
@@ -172,6 +175,50 @@ def apply_flips(state: PureState, layer: FlipLayer) -> PureState:
         return state
     indices = np.arange(state.amplitudes.shape[0]) ^ mask
     return PureState(state.num_qubits, state.amplitudes[indices])
+
+
+def flip_table(
+    state: PureState, qubits: Sequence[int], weights: np.ndarray
+) -> np.ndarray:
+    """Expectations of an observable on a few qubits under every flip of them.
+
+    Args:
+        state: register to read (not modified).
+        qubits: the ``k`` distinct 1-based qubits the observable reads.
+        weights: array whose last axis has ``2**k`` entries: the
+            observable's value at each bit pattern of ``qubits``, first
+            listed qubit most significant.  Leading axes stack several
+            observables on the same qubits.
+
+    Returns:
+        Array shaped like ``weights`` whose entry ``f`` is the expectation
+        after flipping the qubits whose bits are set in ``f``:
+        ``sum_z weights[..., z ^ f] * marginal[z]``, where ``marginal`` is
+        the state's Born distribution on ``qubits``.  Flips of other
+        qubits leave that marginal alone, so one call covers every
+        profile that differs only there.  The gather is ``2**k`` by
+        ``2**k``, meant for the two or four qubits a payoff reads.  On a
+        basis state the marginal is one-hot, so every entry is a weight
+        read exactly.
+    """
+    n = state.num_qubits
+    for qubit in qubits:
+        if not 1 <= qubit <= n:
+            raise ValueError(f"qubit {qubit} out of range for {n}-qubit state")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"read qubits must be distinct, got {tuple(qubits)}")
+    size = 2 ** len(qubits)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape[-1:] != (size,):
+        raise ValueError(
+            f"expected {size} weights on the last axis, got shape {weights.shape}"
+        )
+    others = tuple(q - 1 for q in range(1, n + 1) if q not in qubits)
+    kept = state.probabilities.reshape((2,) * n).sum(axis=others)
+    ascending = sorted(qubits)
+    marginal = kept.transpose([ascending.index(q) for q in qubits]).reshape(size)
+    patterns = np.arange(size)
+    return weights[..., patterns[:, None] ^ patterns[None, :]] @ marginal
 
 
 def measure_pair(

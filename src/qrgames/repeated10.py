@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mw import MWGame, mw_bimatrix, payoff_observable
+from .mw import MWGame, mw_bimatrix, payoff_observable, stage_weights
 from .qstate import (
     NORM_ATOL,
     OUTCOMES,
@@ -35,6 +35,7 @@ from .qstate import (
     PureState,
     apply_flips,
     expectation,
+    flip_table,
     measure_pair,
 )
 from .stagegames import (
@@ -295,35 +296,75 @@ def play_sequential(game: RepGame, t1: RepStrategy, t2: RepStrategy) -> PlayTran
     )
 
 
+@lru_cache(maxsize=1)
+def _strategy_bits() -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray]]:
+    """Each strategy's stage-1 bit and its contingency bit per outcome.
+
+    Arrays are indexed like the rows of every 32x32 table and read-only,
+    since the cache hands the same ones to every caller.
+    """
+    strategies = all_strategies()
+    stage1 = np.array([t.stage1 for t in strategies])
+    after = {
+        outcome: np.array([t.after(outcome) for t in strategies])
+        for outcome in OUTCOMES
+    }
+    for bits in (stage1, *after.values()):
+        bits.setflags(write=False)
+    return stage1, after
+
+
+@lru_cache(maxsize=1)
+def _profile_indices() -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray]]:
+    """Per profile, the flip pattern of the qubits each observable reads.
+
+    The stage-1 observable reads qubits 1-2, where profile (row, col)
+    flips by the two stage-1 bits: pattern ``2*k1 + k2``.  The stage-2
+    piece of outcome o reads qubits 1-2 and o's pair, flipped by the
+    stage-1 bits and both players' contingency bits for o: pattern
+    ``8*k1 + 4*k2 + 2*a1 + a2``.  Each array is 32x32 and read-only.
+    """
+    stage1, after = _strategy_bits()
+    rows, cols = stage1[:, None], stage1[None, :]
+    first = 2 * rows + cols
+    second = {
+        outcome: 8 * rows + 4 * cols + 2 * bits[:, None] + bits[None, :]
+        for outcome, bits in after.items()
+    }
+    for index in (first, *second.values()):
+        index.setflags(write=False)
+    return first, second
+
+
 def rep_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarray]:
     """All four 32x32 per-stage payoff tables, computed in one sweep.
 
-    Every pure profile's batch state is the initial state with basis
-    indices XOR-ed by the profile's flip mask, so the expectation of a
-    diagonal observable W under profile mask m is sum_y W[y ^ m] p[y].
-    Gathering W over the index-XOR grid turns each row of a table (one
-    player-1 strategy against all 32 replies) into one matrix-vector
-    product per observable.  Going row by row keeps the gathered blocks
-    at 32x1024 (256 KB) instead of one 1024x1024 grid (8 MB per array),
-    which keeps them in cache and keeps large short-lived arrays from
-    fragmenting the heap.
+    Every payoff observable reads few qubits: stage 1 reads qubits 1-2,
+    and the stage-2 piece of outcome o reads qubits 1-2 (the gate) and
+    the pair reserved for o.  One :func:`~.qstate.flip_table` call per
+    observable gives its value under every flip pattern of its qubits,
+    from the state's marginal there: a 4-entry stage-1 table and one
+    16-entry table per outcome.  A cell is the stage-1 entry its
+    profile's pattern picks, plus the stage-2 entries its patterns pick,
+    summed over the outcomes in ``OUTCOMES`` order.
     """
-    strategies = all_strategies()
-    mask1 = np.array(
-        [strategy_qubit_map(1, t).mask(NUM_QUBITS) for t in strategies]
-    )
-    mask2 = np.array(
-        [strategy_qubit_map(2, t).mask(NUM_QUBITS) for t in strategies]
-    )
-    indices = np.arange(2 ** NUM_QUBITS)
-    probs = game.initial.probabilities
-    obs = _observables(game.stage)
-    tables = {key: np.empty((32, 32)) for key in _COMPONENT_KEYS}
-    for row, m1 in enumerate(mask1):
-        gather = indices[None, :] ^ (m1 | mask2)[:, None]
-        for key, table in tables.items():
-            table[row] = obs[key].weights[gather] @ probs
-    return tables
+    first_index, second_index = _profile_indices()
+    weights = stage_weights(game.stage)
+    first = flip_table(game.initial, (1, 2), weights)[:, first_index]
+    second = 0.0
+    for position, outcome in enumerate(OUTCOMES):
+        # Zero weight unless qubits 1-2 spell the outcome.
+        gated = np.zeros((2, 4, 4))
+        gated[:, position] = weights
+        piece = flip_table(
+            game.initial, (1, 2) + outcome_qubit_pair(outcome), gated.reshape(2, 16)
+        )
+        second = second + piece[:, second_index[outcome]]
+    by_stage = {1: first, 2: second}
+    return {
+        (player, stage): by_stage[stage][player - 1]
+        for player, stage in _COMPONENT_KEYS
+    }
 
 
 def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarray]:
@@ -339,12 +380,7 @@ def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarr
     sums its ensemble, so cells equal its ``expected`` bit for bit.
     Keys and layout match :func:`rep_component_tables`.
     """
-    strategies = all_strategies()
-    stage1 = np.array([t.stage1 for t in strategies])
-    after = {
-        outcome: np.array([t.after(outcome) for t in strategies])
-        for outcome in OUTCOMES
-    }
+    stage1, after = _strategy_bits()
     table = np.empty((32, 32, 4))
     for k1 in (0, 1):
         for k2 in (0, 1):

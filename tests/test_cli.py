@@ -121,6 +121,21 @@ def test_config_errors_name_the_problem(document, message):
             [{"basis": "0" * 10, "prob": float("nan")}],
             "total probability nan, not 1",
         ),
+        (
+            {"pair_product": [1, 2, 3, 4, 5]},
+            "pair_product[0] must be a list of terms, got int",
+        ),
+        (
+            {"pair_product": [[{"basis": "00", "prob": 1}], "00"] + [[]] * 3},
+            "pair_product[1] must be a list of terms, got str",
+        ),
+        (
+            {
+                "pair_product": [[{"basis": "00", "prob": 1}]] * 2
+                + [{"basis": "00"}] * 3
+            },
+            "pair_product[2] must be a list of terms, got dict",
+        ),
     ],
 )
 def test_malformed_numbers_exit_with_two(tmp_path, capsys, initial_state, message):
@@ -325,6 +340,27 @@ def test_paper_repro_detects_an_injected_value_drift(capsys):
 
 # ---------------------------------------------------------------------------
 # process-level behavior
+
+
+def test_one_process_serves_many_calls_without_carrying_state(tmp_path, capsys):
+    config = write_config(tmp_path, mw10_document("ghz(0.3)"))
+    _, loose, _ = run_cli(capsys, "nash", "--config", config, "--tol", "0.5")
+    _, plain, _ = run_cli(capsys, "nash", "--config", config)
+    assert json.loads(loose)["tolerance"] == 0.5
+    assert json.loads(plain)["tolerance"] == 1e-09
+
+    commands = ("bimatrix", "dominance")
+    in_process = [run_cli(capsys, name, "--config", config)[1] for name in commands]
+    separate = [
+        subprocess.run(
+            [sys.executable, "-m", "qrgames.cli", name, "--config", config],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for name in commands
+    ]
+    assert in_process == separate
 
 
 def test_missing_config_file_exits_with_two(capsys):

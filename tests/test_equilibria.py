@@ -144,6 +144,31 @@ def test_stage_dominance_in_the_dilemma():
     assert strictly_dominated(make_bos(3, 2, 1).stage_bimatrix(), 1) == []
 
 
+_ROWS, _COLS = np.arange(32)[:, None], np.arange(32)[None, :]
+# Rows in one block of four tie exactly; a higher block wins in every column.
+_BLOCKS = (_ROWS // 4) * 1.1 + (_COLS % 3) * 0.7
+# One column where every row ties: nothing is strictly dominated.
+_ONE_TIED_COLUMN = np.where(_COLS == 5, 2.2, _BLOCKS)
+
+
+@pytest.mark.parametrize(
+    "table, pairs",
+    [
+        (_BLOCKS, 32 * 28 // 2),
+        (_ONE_TIED_COLUMN, 0),
+        (classical_twice_repeated(make_pd(5.7, 3.3, 1.1, -0.4)).payoffs1, 32),
+    ],
+    ids=["blocks", "one-tied-column", "classical"],
+)
+def test_dominance_on_32x32_tables_with_exact_ties(table, pairs):
+    labels = tuple(str(i) for i in range(32))
+    bm = Bimatrix(table, table.T, labels, labels)
+    for player in (1, 2):
+        got = strictly_dominated(bm, player)
+        assert got == brute_force_dominated(bm, player)
+        assert len(got) == pairs
+
+
 def test_classical_repeated_equilibria_all_pay_double_defection():
     """Equilibrium payoffs are pinned even though off-path bits are free."""
     report = pure_nash(classical_twice_repeated(PD))

@@ -17,10 +17,13 @@ from qrgames.iqbaltoor import (
     it_stage1_pattern,
     sample_dilemma_state,
 )
+from qrgames.mw import payoff_observable
 from qrgames.qstate import PureState, random_state
 from qrgames.stagegames import make_pd
 
 PD = make_pd(5, 3, 1, 0)
+# Payoffs whose sums round, so only exact arithmetic keeps ties exact.
+FRACTIONAL = make_pd(5.7, 3.3, 1.1, -0.4)
 
 
 def pd_game(state: PureState) -> ITGame:
@@ -177,6 +180,48 @@ def test_bimatrix_totals_match_batch_runs():
         for col, s2 in enumerate(IT_PURE_STRATEGIES):
             totals = it_expected(game, s1, s2).totals
             assert np.allclose(bm.cell(row, col), totals, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bimatrix_matches_the_xor_gather(seed):
+    """Cell totals are sum_y W[y ^ m] p[y] for each stage's observable W."""
+    state = random_state(4, np.random.default_rng(200 + seed))
+    probs = state.probabilities
+    bm = it_pure_bimatrix(ITGame(state, FRACTIONAL))
+    indices = np.arange(16)
+    for player, table in ((1, bm.payoffs1), (2, bm.payoffs2)):
+        stage1 = payoff_observable(FRACTIONAL, player, 4, (1, 2)).weights
+        stage2 = payoff_observable(FRACTIONAL, player, 4, (3, 4)).weights
+        for row, s1 in enumerate(IT_PURE_STRATEGIES):
+            for col, s2 in enumerate(IT_PURE_STRATEGIES):
+                mask = (
+                    8 * int(s1.stage1_flip_prob)
+                    + 4 * int(s2.stage1_flip_prob)
+                    + 2 * int(s1.stage2_flip_prob)
+                    + int(s2.stage2_flip_prob)
+                )
+                gathered = (
+                    stage1[indices ^ mask] @ probs + stage2[indices ^ mask] @ probs
+                )
+                assert abs(table[row, col] - gathered) <= 1e-12
+
+
+@pytest.mark.parametrize("index", range(16))
+def test_basis_start_bimatrix_is_exact(index):
+    x1, x2, x3, x4 = (int(bit) for bit in format(index, "04b"))
+    bm = it_pure_bimatrix(ITGame(PureState.basis(4, index), FRACTIONAL))
+    for player, table in ((1, bm.payoffs1), (2, bm.payoffs2)):
+        want = np.array(
+            [
+                [
+                    FRACTIONAL.payoff(player, x1 ^ k1, x2 ^ k2)
+                    + FRACTIONAL.payoff(player, x3 ^ k3, x4 ^ k4)
+                    for k2, k4 in ((0, 0), (0, 1), (1, 0), (1, 1))
+                ]
+                for k1, k3 in ((0, 0), (0, 1), (1, 0), (1, 1))
+            ]
+        )
+        assert np.array_equal(table, want)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from qrgames.qstate import PureState, expectation, random_state
 from qrgames.stagegames import make_bos, make_pd
 
 PD = make_pd(5, 3, 1, 0)
+# Payoffs whose sums round, so only exact arithmetic keeps ties exact.
+FRACTIONAL = make_pd(5.7, 3.3, 1.1, -0.4)
 
 
 def test_payoff_observable_reads_the_designated_pair():
@@ -115,3 +117,26 @@ def test_bimatrix_labels_are_operator_bits():
     bm = mw_bimatrix(MWGame(PureState.basis(2, 0), PD))
     assert bm.row_labels == ("0", "1")
     assert bm.col_labels == ("0", "1")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bimatrix_matches_the_xor_gather(seed):
+    """Cell (k1, k2) is sum_y W[y ^ m] p[y] for the flip mask m = k1 k2."""
+    state = random_state(2, np.random.default_rng(100 + seed))
+    probs = state.probabilities
+    bm = mw_bimatrix(MWGame(state, FRACTIONAL))
+    for player, table in ((1, bm.payoffs1), (2, bm.payoffs2)):
+        weights = payoff_observable(FRACTIONAL, player, 2, (1, 2)).weights
+        for k1 in (0, 1):
+            for k2 in (0, 1):
+                gathered = weights[np.arange(4) ^ (2 * k1 + k2)] @ probs
+                assert abs(table[k1, k2] - gathered) <= 1e-12
+
+
+@pytest.mark.parametrize("label", ["00", "01", "10", "11"])
+def test_basis_start_relabels_fractional_payoffs_exactly(label):
+    bm = mw_bimatrix(MWGame(PureState.basis(2, label), FRACTIONAL))
+    x1, x2 = int(label[0]), int(label[1])
+    relabel = np.ix_([x1, 1 - x1], [x2, 1 - x2])
+    assert np.array_equal(bm.payoffs1, FRACTIONAL.payoff_table(1)[relabel])
+    assert np.array_equal(bm.payoffs2, FRACTIONAL.payoff_table(2)[relabel])

@@ -17,6 +17,7 @@ from qrgames.qstate import (
     basis_index,
     bits_of,
     expectation,
+    flip_table,
     measure_pair,
     random_state,
     tensor_all,
@@ -327,3 +328,49 @@ def test_expectation_is_affine_in_the_mixture(alpha, seed):
 def test_expectation_checks_register_sizes():
     with pytest.raises(ValueError, match="acts on 3 qubits"):
         expectation(PureState.basis(2, 0), DiagonalObservable(3, np.zeros(8)))
+
+
+# ---------------------------------------------------------------------------
+# flip tables
+
+
+def test_flip_table_matches_flipping_then_reading_every_pattern():
+    state = seeded_state(5, 11)
+    qubits = (4, 2, 5)
+    weights = np.random.default_rng(12).standard_normal((2, 8))
+    table = flip_table(state, qubits, weights)
+    assert table.shape == (2, 8)
+    # Bit pattern of the read qubits at each basis index, qubit 4 on top.
+    indices = np.arange(32)
+    pattern = sum(
+        ((indices >> (5 - qubit)) & 1) << (2 - position)
+        for position, qubit in enumerate(qubits)
+    )
+    for flips in range(8):
+        layer = FlipLayer(
+            {
+                qubit: (flips >> (2 - position)) & 1
+                for position, qubit in enumerate(qubits)
+            }
+        )
+        final = apply_flips(state, layer)
+        for row in range(2):
+            obs = DiagonalObservable(5, weights[row][pattern])
+            assert abs(table[row, flips] - expectation(final, obs)) <= 1e-12
+
+
+def test_flip_table_reads_weights_exactly_on_a_basis_state():
+    # Qubit 3 of |0110> is 1 and qubit 1 is 0, so the start pattern is 0b10.
+    weights = np.array([5.7, 3.3, 1.1, -0.4])
+    table = flip_table(PureState.basis(4, "0110"), (3, 1), weights)
+    assert table.tolist() == [weights[2 ^ flips] for flips in range(4)]
+
+
+def test_flip_table_argument_checks():
+    state = seeded_state(3, 13)
+    with pytest.raises(ValueError, match="out of range"):
+        flip_table(state, (1, 4), np.zeros(4))
+    with pytest.raises(ValueError, match="distinct"):
+        flip_table(state, (2, 2), np.zeros(4))
+    with pytest.raises(ValueError, match="expected 4 weights"):
+        flip_table(state, (1, 2), np.zeros(8))

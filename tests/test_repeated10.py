@@ -7,6 +7,8 @@ import json
 import numpy as np
 import pytest
 
+from qrgames.equilibria import pure_nash, strictly_dominated
+from qrgames.mw import payoff_observable
 from qrgames.qstate import OUTCOMES, PureState, random_state, tensor_all
 from qrgames.repeated10 import (
     MixedRepStrategy,
@@ -23,10 +25,18 @@ from qrgames.repeated10 import (
     strategy_qubit_map,
     two_term_amplitudes,
 )
-from qrgames.stagegames import RepStrategy, all_strategies, make_pd
+from qrgames.stagegames import (
+    RepStrategy,
+    all_strategies,
+    classical_twice_repeated,
+    make_pd,
+)
 
 PD = make_pd(5, 3, 1, 0)
+# Payoffs whose sums round, so only exact arithmetic keeps ties exact.
+FRACTIONAL = make_pd(5.7, 3.3, 1.1, -0.4)
 ALL = all_strategies()
+SEEDED_BASIS_INDEX = int(np.random.default_rng(20261018).integers(1, 1024))
 
 
 def pd_game(state: PureState) -> RepGame:
@@ -154,6 +164,82 @@ def test_component_tables_agree_with_single_runs():
                     tables[(player, stage_index)][i, j]
                     - single.component(player, stage_index)
                 ) <= 1e-12
+
+
+def gather_tables(game: RepGame) -> dict[tuple[int, int], np.ndarray]:
+    """The four tables by the 1024x1024 XOR gather, one row at a time.
+
+    Profile mask m gives sum_y W[y ^ m] p[y] for the dense observable W:
+    stage 1 reads qubits 1-2, stage 2 sums the outcome pairs' payoffs
+    gated on qubits 1-2 spelling that outcome.
+    """
+    indices = np.arange(1024)
+    first, second = (indices >> 9) & 1, (indices >> 8) & 1
+    masks1 = np.array([strategy_qubit_map(1, t).mask(10) for t in ALL])
+    masks2 = np.array([strategy_qubit_map(2, t).mask(10) for t in ALL])
+    probs = game.initial.probabilities
+    tables = {}
+    for player in (1, 2):
+        dense = {
+            1: payoff_observable(game.stage, player, 10, (1, 2)).weights,
+            2: sum(
+                np.where(
+                    (first == outcome[0]) & (second == outcome[1]),
+                    payoff_observable(
+                        game.stage, player, 10, outcome_qubit_pair(outcome)
+                    ).weights,
+                    0.0,
+                )
+                for outcome in OUTCOMES
+            ),
+        }
+        for stage_index, weights in dense.items():
+            tables[(player, stage_index)] = np.array(
+                [
+                    weights[indices[None, :] ^ (m1 | masks2)[:, None]] @ probs
+                    for m1 in masks1
+                ]
+            )
+    return tables
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_component_tables_match_the_xor_gather(seed):
+    game = RepGame(random_state(10, np.random.default_rng(seed)), FRACTIONAL)
+    got = rep_component_tables(game)
+    for key, table in gather_tables(game).items():
+        assert np.abs(got[key] - table).max() <= 1e-12
+
+
+@pytest.mark.parametrize("index", [0, SEEDED_BASIS_INDEX])
+def test_basis_start_is_the_classical_table_with_exact_ties(index):
+    """A basis start relabels the classical table, ties and all.
+
+    Player 1's strategy bits sit on qubits 1, 3, 5, 7, 9 and player 2's
+    on 2, 4, ..., 10, so the start bits there XOR the strategy indices.
+    Off-path contingencies must tie exactly, so no equilibrium is strict
+    and dominance is the classical one under the same relabelling.
+    """
+    bits = format(index, "010b")
+    relabel1 = int(bits[0::2], 2)
+    relabel2 = int(bits[1::2], 2)
+    bm = rep_bimatrix(RepGame(PureState.basis(10, index), FRACTIONAL))
+    classical = classical_twice_repeated(FRACTIONAL)
+    order = np.arange(32)
+    cells = np.ix_(order ^ relabel1, order ^ relabel2)
+    assert np.array_equal(bm.payoffs1, classical.payoffs1[cells])
+    assert np.array_equal(bm.payoffs2, classical.payoffs2[cells])
+
+    report = pure_nash(bm)
+    assert report.equilibria
+    assert not any(eq.strict for eq in report.equilibria)
+    for player, relabel in ((1, relabel1), (2, relabel2)):
+        want = sorted(
+            (a ^ relabel, b ^ relabel)
+            for a, b in strictly_dominated(classical, player)
+        )
+        assert want
+        assert strictly_dominated(bm, player) == want
 
 
 def test_full_bimatrix_sums_the_component_tables():

@@ -112,6 +112,19 @@ class GameConfig:
 
 
 def _parse_payoffs(raw: object) -> StageGame:
+    stage = _stage_game(raw)
+    for row in stage.outcomes:
+        for pair in row:
+            for value in pair:
+                # Keeps every two-stage sum and payoff difference finite.
+                if not abs(value) <= 1e300:
+                    raise ConfigError(
+                        f"payoffs must not exceed 1e300 in magnitude, got {value!r}"
+                    )
+    return stage
+
+
+def _stage_game(raw: object) -> StageGame:
     if isinstance(raw, Mapping):
         missing = [key for key in ("T", "R", "P", "S") if key not in raw]
         if missing:
@@ -122,7 +135,7 @@ def _parse_payoffs(raw: object) -> StageGame:
             return make_pd(
                 float(raw["T"]), float(raw["R"]), float(raw["P"]), float(raw["S"])
             )
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"payoffs must be numbers: {err}") from None
     if isinstance(raw, Sequence) and not isinstance(raw, str):
         try:
@@ -133,7 +146,7 @@ def _parse_payoffs(raw: object) -> StageGame:
             if len(cells) != 2 or any(len(row) != 2 for row in cells):
                 raise ValueError
             return StageGame(cells)
-        except (TypeError, ValueError, IndexError):
+        except (TypeError, ValueError, OverflowError, IndexError):
             raise ConfigError(
                 "explicit payoffs must be a 2x2 nesting of [u1, u2] pairs"
             ) from None
@@ -143,8 +156,14 @@ def _parse_payoffs(raw: object) -> StageGame:
 def _number(raw: object, what: str) -> float:
     try:
         return float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{what} must be a number, got {raw!r}") from None
+
+
+@lru_cache(maxsize=4)
+def _basis_indices(num_qubits: int) -> dict[str, int]:
+    """Index of every ``num_qubits``-bit basis string."""
+    return {format(i, f"0{num_qubits}b"): i for i in range(2 ** num_qubits)}
 
 
 def _parse_terms(raw: object, num_qubits: int, where: str) -> PureState:
@@ -152,39 +171,49 @@ def _parse_terms(raw: object, num_qubits: int, where: str) -> PureState:
         raise ConfigError(
             f"{where} must be a list of terms, got {type(raw).__name__}"
         )
-    amps = np.zeros(2 ** num_qubits, dtype=complex)
+    indices = _basis_indices(num_qubits)
+    # Python complex adds component-wise like numpy's complex128, so terms
+    # with the same basis sum to the same bits when the array is built last.
+    amps = [0j] * len(indices)
     for position, term in enumerate(raw):
-        name = f"{where} term {position}"
-        if not isinstance(term, Mapping):
-            raise ConfigError(f"{name} must be an object")
+        if not isinstance(term, dict) and not isinstance(term, Mapping):
+            raise ConfigError(f"{where} term {position} must be an object")
         basis = term.get("basis")
-        if (
-            not isinstance(basis, str)
-            or len(basis) != num_qubits
-            or set(basis) - {"0", "1"}
-        ):
+        index = indices.get(basis) if isinstance(basis, str) else None
+        if index is None:
             raise ConfigError(
-                f"{name}: basis must be a {num_qubits}-bit string, got {basis!r}"
+                f"{where} term {position}: basis must be a {num_qubits}-bit "
+                f"string, got {basis!r}"
             )
         if "prob" in term:
             if "re" in term or "im" in term:
-                raise ConfigError(f"{name}: give either prob or re/im, not both")
-            probability = _number(term["prob"], f"{name}: prob")
+                raise ConfigError(
+                    f"{where} term {position}: give either prob or re/im, not both"
+                )
+            try:
+                probability = float(term["prob"])
+            except (TypeError, ValueError, OverflowError):
+                probability = _number(term["prob"], f"{where} term {position}: prob")
             if probability < 0:
-                raise ConfigError(f"{name}: prob must be nonnegative")
+                raise ConfigError(f"{where} term {position}: prob must be nonnegative")
             amplitude = complex(math.sqrt(probability))
         else:
-            amplitude = complex(
-                _number(term.get("re", 0.0), f"{name}: re"),
-                _number(term.get("im", 0.0), f"{name}: im"),
-            )
-        amps[int(basis, 2)] += amplitude
-    total = float(np.sum(np.abs(amps) ** 2))
+            re, im = term.get("re", 0.0), term.get("im", 0.0)
+            try:
+                amplitude = complex(float(re), float(im))
+            except (TypeError, ValueError, OverflowError):
+                amplitude = complex(
+                    _number(re, f"{where} term {position}: re"),
+                    _number(im, f"{where} term {position}: im"),
+                )
+        amps[index] += amplitude
+    vector = np.array(amps)
+    total = float(np.sum(np.abs(vector) ** 2))
     if not abs(total - 1.0) <= 1e-9:
         raise ConfigError(
             f"{where}: amplitudes give total probability {total!r}, not 1"
         )
-    return PureState(num_qubits, amps / math.sqrt(total))
+    return PureState(num_qubits, vector / math.sqrt(total))
 
 
 def _ghz_state(num_qubits: int, zero_weight: float) -> PureState:

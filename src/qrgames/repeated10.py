@@ -91,7 +91,9 @@ class RepGame:
             raise ValueError("the twice-played protocol runs on exactly 10 qubits")
 
 
-@lru_cache(maxsize=None)
+# Each entry holds about 96 KB of dense weights.  Sixteen games cover the
+# four stage games of a benchmark pool, so those never evict.
+@lru_cache(maxsize=16)
 def _observables(stage: StageGame) -> dict[tuple, DiagonalObservable]:
     """Payoff observables for one stage game, keyed by (player, stage).
 

@@ -15,6 +15,7 @@ import io
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -279,16 +280,16 @@ class Bimatrix:
     def to_csv(self) -> str:
         """CSV text: header row of column labels, cells as ``u1;u2``."""
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow([""] + list(self.col_labels))
-        for r, label in enumerate(self.row_labels):
-            writer.writerow(
-                [label]
-                + [
-                    f"{_fmt(self.payoffs1[r, c])};{_fmt(self.payoffs2[r, c])}"
-                    for c in range(self.cols)
-                ]
+        header = [[""] + list(self.col_labels)]
+        # "%.12g" on Python floats writes what format(x, ".12g") writes,
+        # signed zeros, NaN and infinities included.
+        body = (
+            [label] + ["%.12g;%.12g" % cell for cell in zip(row1, row2)]
+            for label, row1, row2 in zip(
+                self.row_labels, self.payoffs1.tolist(), self.payoffs2.tolist()
             )
+        )
+        csv.writer(buffer, lineterminator="\n").writerows(chain(header, body))
         return buffer.getvalue()
 
     def to_json(self) -> str:
@@ -303,10 +304,6 @@ class Bimatrix:
             ],
         }
         return json.dumps(document, indent=2)
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".12g")
 
 
 def classical_twice_repeated(stage: StageGame) -> Bimatrix:

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 import pytest
 
-from qrgames.cli import ConfigError, main, parse_config
+from qrgames.cli import ConfigError, _number, _parse_terms, main, parse_config
+from qrgames.qstate import PureState, tensor_all
 from qrgames.stagegames import classical_twice_repeated, make_pd
 
 
@@ -146,6 +149,196 @@ def test_malformed_numbers_exit_with_two(tmp_path, capsys, initial_state, messag
     assert err.startswith("error: ")
     assert message in err
     assert "Traceback" not in err
+
+
+def parse_terms_oracle(raw, num_qubits, where):
+    """The term-list parser as first written: one numpy add per term."""
+    if not isinstance(raw, Sequence) or isinstance(raw, str):
+        raise ConfigError(
+            f"{where} must be a list of terms, got {type(raw).__name__}"
+        )
+    amps = np.zeros(2 ** num_qubits, dtype=complex)
+    for position, term in enumerate(raw):
+        name = f"{where} term {position}"
+        if not isinstance(term, Mapping):
+            raise ConfigError(f"{name} must be an object")
+        basis = term.get("basis")
+        if (
+            not isinstance(basis, str)
+            or len(basis) != num_qubits
+            or set(basis) - {"0", "1"}
+        ):
+            raise ConfigError(
+                f"{name}: basis must be a {num_qubits}-bit string, got {basis!r}"
+            )
+        if "prob" in term:
+            if "re" in term or "im" in term:
+                raise ConfigError(f"{name}: give either prob or re/im, not both")
+            probability = _number(term["prob"], f"{name}: prob")
+            if probability < 0:
+                raise ConfigError(f"{name}: prob must be nonnegative")
+            amplitude = complex(math.sqrt(probability))
+        else:
+            amplitude = complex(
+                _number(term.get("re", 0.0), f"{name}: re"),
+                _number(term.get("im", 0.0), f"{name}: im"),
+            )
+        amps[int(basis, 2)] += amplitude
+    total = float(np.sum(np.abs(amps) ** 2))
+    if not abs(total - 1.0) <= 1e-9:
+        raise ConfigError(
+            f"{where}: amplitudes give total probability {total!r}, not 1"
+        )
+    return PureState(num_qubits, amps / math.sqrt(total))
+
+
+def seeded_terms(rng, num_qubits):
+    """A shuffled term list with every form of term and repeated bases.
+
+    Each amplitude of a random state is split into one to three pieces;
+    a piece of a nonnegative real amplitude may be written as ``prob``.
+    """
+    size = 2 ** num_qubits
+    support = rng.choice(size, size=int(rng.integers(1, size + 1)), replace=False)
+    amps = rng.normal(size=support.size) + 1j * rng.normal(size=support.size)
+    real = rng.random(support.size) < 0.3
+    amps[real] = np.abs(amps[real])
+    amps /= np.linalg.norm(amps)
+    terms = []
+    for index, amp in zip(support.tolist(), amps.tolist()):
+        basis = format(index, f"0{num_qubits}b")
+        weights = rng.dirichlet(np.ones(int(rng.integers(1, 4))))
+        for piece in (amp * w for w in weights.tolist()):
+            form = int(rng.integers(4))
+            if piece.imag == 0 and form == 0:
+                terms.append({"basis": basis, "prob": piece.real**2})
+            elif form == 1 and piece.imag == 0:
+                terms.append({"basis": basis, "re": piece.real})
+            else:
+                terms.append({"basis": basis, "re": piece.real, "im": piece.imag})
+        if rng.random() < 0.2:
+            terms.append({"basis": basis})
+        if rng.random() < 0.1:
+            terms.append({"basis": basis, "prob": 0})
+    return [terms[i] for i in rng.permutation(len(terms)).tolist()]
+
+
+@pytest.mark.parametrize("num_qubits", [2, 4, 10])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_term_parser_matches_the_per_term_oracle(num_qubits, seed):
+    rng = np.random.default_rng(1000 * num_qubits + seed)
+    terms = seeded_terms(rng, num_qubits)
+    got = _parse_terms(terms, num_qubits, "initial_state")
+    want = parse_terms_oracle(terms, num_qubits, "initial_state")
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+@pytest.mark.parametrize("protocol, pairs", [("mw10", 5), ("iqbal-toor", 2)])
+def test_pair_product_matches_the_per_term_oracle(protocol, pairs):
+    rng = np.random.default_rng(77 + pairs)
+    factors = [seeded_terms(rng, 2) for _ in range(pairs)]
+    document = {
+        "protocol": protocol,
+        "payoffs": {"T": 5, "R": 3, "P": 1, "S": 0},
+        "initial_state": {"pair_product": factors},
+    }
+    want = tensor_all(
+        [
+            parse_terms_oracle(pair, 2, f"pair_product[{i}]")
+            for i, pair in enumerate(factors)
+        ]
+    )
+    assert np.array_equal(parse_config(document).initial.amplitudes, want.amplitudes)
+
+
+GOOD_TERM = {"basis": "0" * 10, "prob": 1.0}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        "0000000000",
+        {"basis": "0" * 10},
+        7,
+        [5],
+        ["0" * 10],
+        [None],
+        [[GOOD_TERM]],
+        [{"re": 1.0}],
+        [{"basis": None, "re": 1.0}],
+        [{"basis": 0, "re": 1.0}],
+        [{"basis": "0", "re": 1.0}],
+        [{"basis": "0" * 11, "re": 1.0}],
+        [{"basis": ["0"] * 10, "re": 1.0}],
+        [{"basis": "0" * 9 + "2", "re": 1.0}],
+        [{"basis": "0" * 9 + "a", "re": 1.0}],
+        [{"basis": "0" * 9 + " ", "re": 1.0}],
+        [{"basis": "0" * 10, "prob": 0.5, "re": 0.1}],
+        [{"basis": "0" * 10, "prob": 0.5, "im": 0.1}],
+        [{"basis": "0" * 10, "prob": -0.5}],
+        [{"basis": "0" * 10, "prob": "x"}],
+        [{"basis": "0" * 10, "prob": None}],
+        [{"basis": "0" * 10, "re": "x"}],
+        [{"basis": "0" * 10, "re": [1.0]}],
+        [{"basis": "0" * 10, "re": 1.0, "im": "x"}],
+        [{"basis": "0" * 10, "re": "x", "im": {}}],
+        [{"basis": "0" * 10, "prob": 0.25}],
+        [{"basis": "0" * 10, "prob": float("nan")}],
+        [{"basis": "0" * 10, "re": float("inf")}],
+        [GOOD_TERM, GOOD_TERM, {"basis": "1" * 10, "im": "?"}],
+        [GOOD_TERM, {"basis": "01" * 5, "prob": 0.5}, "term"],
+        [],
+    ],
+)
+def test_malformed_terms_give_the_oracle_message(raw):
+    with pytest.raises(ConfigError) as want:
+        parse_terms_oracle(raw, 10, "initial_state")
+    with pytest.raises(ConfigError) as got:
+        _parse_terms(raw, 10, "initial_state")
+    assert str(got.value) == str(want.value)
+
+
+def test_numbers_too_large_for_a_float_exit_with_two(tmp_path, capsys):
+    huge = 10**400
+    documents = [
+        mw10_document([{"basis": "0" * 10, "re": huge}]),
+        mw10_document([{"basis": "0" * 10, "prob": huge}]),
+        mw10_document({"ghz": huge}),
+        mw10_document(payoffs={"T": huge, "R": 3, "P": 1, "S": 0}),
+        mw10_document(payoffs=[[[3, 3], [0, huge]], [[5, 0], [1, 1]]]),
+    ]
+    for document in documents:
+        path = write_config(tmp_path, document)
+        code, out, err = run_cli(capsys, "bimatrix", "--config", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "payoffs",
+    [
+        {"T": 1e308, "R": 1e308, "P": 1, "S": 0},
+        {"T": 5, "R": 3, "P": 1, "S": -2e300},
+        [[[3, 3], [0, 5]], [[5, 0], [1, 1e301]]],
+    ],
+)
+def test_overflowing_payoffs_exit_with_two_on_every_command(tmp_path, capsys, payoffs):
+    path = write_config(tmp_path, mw10_document(payoffs=payoffs))
+    for command in ("bimatrix", "nash", "spe", "dominance", "compare-protocols"):
+        code, out, err = run_cli(capsys, command, "--config", path)
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: payoffs must not exceed 1e300 in magnitude")
+
+
+def test_payoffs_at_the_magnitude_bound_give_finite_tables(tmp_path, capsys):
+    payoffs = {"T": 1e300, "R": -1e300, "P": -1e300, "S": 1e300}
+    path = write_config(tmp_path, mw10_document("ghz(0.3)", payoffs=payoffs))
+    code, out, _ = run_cli(capsys, "bimatrix", "--config", path, "--format", "json")
+    assert code == 0
+    assert np.isfinite(json.loads(out)["cells"]).all()
+    for command in ("nash", "dominance"):
+        code, out, _ = run_cli(capsys, command, "--config", path)
+        assert code == 0 and "Infinity" not in out and "NaN" not in out
 
 
 def test_protocol_override_beats_the_document():

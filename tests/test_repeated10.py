@@ -12,6 +12,7 @@ from qrgames.mw import payoff_observable
 from qrgames.qstate import OUTCOMES, PureState, random_state, tensor_all
 from qrgames.repeated10 import (
     MixedRepStrategy,
+    _observables,
     RepGame,
     build_extensive,
     factor_pairs,
@@ -118,6 +119,22 @@ def test_batch_play_matches_direct_born_rule():
         for s1, s2 in profiles:
             got = play_batch(game, s1, s2).as_array()
             assert np.allclose(got, batch_oracle(game, s1, s2), atol=1e-12)
+
+
+def test_observable_cache_stays_bounded_and_rebuilds_equal_results():
+    rng = np.random.default_rng(23)
+    state = random_state(10, rng)
+    s1, s2 = ALL[5], ALL[26]
+    stages = [
+        make_pd(5 + k, 3 + k / 7, 1 - k / 11, -k / 13) for k in range(40)
+    ]
+    _observables.cache_clear()
+    first = [play_batch(RepGame(state, stage), s1, s2).as_array() for stage in stages]
+    assert _observables.cache_info().currsize <= 16
+    for stage, got in zip(stages, first):
+        _observables.cache_clear()
+        fresh = play_batch(RepGame(state, stage), s1, s2).as_array()
+        assert np.array_equal(got, fresh)
 
 
 def test_batch_play_on_all_zero_start_is_the_classical_path():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -158,6 +160,57 @@ def test_bimatrix_csv_layout():
     assert lines[0] == ",C,D"
     assert lines[1] == "C,3;3,0;5"
     assert lines[2] == "D,5;0,1;1"
+
+
+def csv_oracle(bm: Bimatrix) -> str:
+    """The CSV writer as first written: one csv row and format() per cell."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow([""] + list(bm.col_labels))
+    for r, label in enumerate(bm.row_labels):
+        writer.writerow(
+            [label]
+            + [
+                f"{format(float(bm.payoffs1[r, c]), '.12g')};"
+                f"{format(float(bm.payoffs2[r, c]), '.12g')}"
+                for c in range(bm.cols)
+            ]
+        )
+    return buffer.getvalue()
+
+
+SPECIAL_VALUES = [
+    0.0, -0.0, 1e-300, -1e-300, 1e17, -1e17, 2.5e-5, 123456789012.5,
+    np.nan, np.inf, -np.inf,
+]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (32, 32)])
+def test_bimatrix_csv_equals_the_per_cell_writer(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    tables = []
+    for _ in range(2):
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+        special = rng.random(shape) < 0.3
+        values[special] = rng.choice(SPECIAL_VALUES, size=int(special.sum()))
+        tables.append(values)
+    names = ["plain", "a,b", 'say "hi"', "", " pad ", "x;y"]
+    rows = [names[i % len(names)] + str(i) for i in range(shape[0])]
+    cols = [names[(i + 1) % len(names)] for i in range(shape[1])]
+    bm = Bimatrix(tables[0], tables[1], rows, cols)
+    text = bm.to_csv()
+    assert text == csv_oracle(bm)
+    if shape[0] >= 3:
+        assert '\n"a,b1",' in text
+
+
+def test_bimatrix_csv_quotes_labels_with_separators_and_quotes():
+    bm = Bimatrix(
+        np.array([[-0.0, np.nan]]), np.array([[np.inf, 1e17]]),
+        ('r"1"',), ("a,b", "c"),
+    )
+    assert bm.to_csv() == ',"a,b",c\n"r""1""",-0;inf,nan;1e+17\n'
+    assert bm.to_csv() == csv_oracle(bm)
 
 
 def test_bimatrix_json_round_trip():

@@ -453,7 +453,9 @@ def cmd_compare_protocols(args: argparse.Namespace) -> int:
         worst, checked = _mw10_deviation(config.stage, args.samples, args.seed)
     else:
         worst, checked = _it_deviation(config.stage, args.samples, args.seed)
-    passed = worst <= args.tol
+    # Rounding grows with the payoffs, and a two-stage total reaches 2*max|u|.
+    scale = max(1.0, 2.0 * float(np.abs(config.stage.outcomes).max()))
+    passed = worst <= args.tol * scale
     document = {
         "protocol": config.protocol,
         "samples": args.samples,
@@ -461,6 +463,7 @@ def cmd_compare_protocols(args: argparse.Namespace) -> int:
         "profiles_checked": checked,
         "max_deviation": worst,
         "tolerance": args.tol,
+        "scale": scale,
         "pass": passed,
     }
     _emit(json.dumps(document, indent=2), args.out)

@@ -21,9 +21,9 @@ from itertools import product
 
 import numpy as np
 
-from .mw import MWGame, mw_bimatrix
-from .qstate import OUTCOMES, FlipLayer, PureState, apply_flips
-from .repeated10 import RepGame, factor_pairs
+from .mw import MWGame, mw_bimatrix, stage_weights
+from .qstate import NORM_ATOL, OUTCOMES
+from .repeated10 import RepGame, factor_pairs, stage1_distributions
 from .stagegames import Bimatrix, Payoffs, RepStrategy, StageGame
 
 
@@ -117,14 +117,6 @@ def strictly_dominated(bm: Bimatrix, player: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in np.argwhere(beats)]
 
 
-def _stage1_distribution(
-    first_factor: PureState, k1: int, k2: int
-) -> dict[tuple[int, int], float]:
-    flipped = apply_flips(first_factor, FlipLayer({1: k1, 2: k2}))
-    weights = flipped.probabilities
-    return {o: float(weights[2 * o[0] + o[1]]) for o in OUTCOMES}
-
-
 def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
     """Subgame perfect equilibria of a pair-product twice-played game.
 
@@ -159,11 +151,7 @@ def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
                 f"no pure second-stage equilibrium after outcome {o[0]}{o[1]}"
             )
         subgame_ne[o] = report.equilibria
-    distributions = {
-        (k1, k2): _stage1_distribution(factors[0], k1, k2)
-        for k1 in (0, 1)
-        for k2 in (0, 1)
-    }
+    distributions = stage1_distributions(factors[0])
 
     found = []
     for selection in product(*(subgame_ne[o] for o in OUTCOMES)):
@@ -275,12 +263,6 @@ class CooperationAnalysis:
         return json.dumps(document, indent=2)
 
 
-def _pair_state(x: float) -> PureState:
-    return PureState.from_terms(
-        2, {"00": math.sqrt(x), "11": math.sqrt(1.0 - x)}
-    )
-
-
 def cooperation_scan(stage: StageGame, grid_step: float) -> CooperationAnalysis:
     """Sweep the pair-state weight x and test where cooperation locks in.
 
@@ -291,6 +273,11 @@ def cooperation_scan(stage: StageGame, grid_step: float) -> CooperationAnalysis:
     x (0.0 if none), and the closed form must agree within one grid
     step or the scan fails loudly.  Every flagged sample must also beat
     mutual defection: x*R + (1-x)*P > P.
+
+    All grid points are evaluated at once: the induced cell at flip
+    pattern f is W[f]*p00 + W[f^3]*p11, with the Born weights rounded as
+    :class:`~.qstate.PureState` rounds them and equilibria as
+    :func:`pure_nash` finds them at ``tol=0``.
     """
     if not stage.is_pd:
         raise ValueError("cooperation scan is defined for dilemma payoffs only")
@@ -298,17 +285,23 @@ def cooperation_scan(stage: StageGame, grid_step: float) -> CooperationAnalysis:
         raise ValueError("grid step must lie in (0, 0.5)")
     t, r, p, s = stage.pd_values
     closed_form = cooperation_bound(stage)
+    grid = np.arange(1, math.ceil(1.0 / grid_step) + 2) * grid_step
+    xs = grid[grid < 1.0]
+    p00, p11 = np.abs(np.sqrt(xs)) ** 2, np.abs(np.sqrt(1.0 - xs)) ** 2
+    unnormalized = (p00 + p11)[~(np.abs(p00 + p11 - 1.0) <= NORM_ATOL)]
+    if unnormalized.size:
+        total = float(unnormalized[0])
+        raise ValueError(f"state is not normalized: sum |amp|^2 = {total!r}")
+    weights = stage_weights(stage)[:, None, :]
+    cells = weights * p00[:, None] + weights[..., ::-1] * p11[:, None]
+    u1, u2 = cells.reshape(2, -1, 2, 2)
+    best1, best2 = u1.max(axis=1, keepdims=True), u2.max(axis=2, keepdims=True)
+    at_equilibrium = (u1 >= best1) & (u2 >= best2)
+    only_identity = np.array([[True, False], [False, False]])
+    flags = (at_equilibrium == only_identity).all(axis=(1, 2))
     samples = []
     empirical = 0.0
-    k = 1
-    while k * grid_step < 1.0:
-        x = k * grid_step
-        k += 1
-        report = pure_nash(mw_bimatrix(MWGame(_pair_state(x), stage)), tol=0.0)
-        unique = len(report.equilibria) == 1 and (
-            report.equilibria[0].row,
-            report.equilibria[0].col,
-        ) == (0, 0)
+    for x, unique in zip(xs.tolist(), flags.tolist()):
         q = x * r + (1.0 - x) * p
         if unique:
             empirical = x

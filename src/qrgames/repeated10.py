@@ -209,6 +209,19 @@ def _check_branch_total(total: float) -> None:
         raise ValueError(f"branch probabilities sum to {total!r}, not 1")
 
 
+def stage1_distributions(
+    first_factor: PureState,
+) -> dict[tuple[int, int], dict[tuple[int, int], float]]:
+    """Outcome weights of a two-qubit stage-1 factor per flip pair (k1, k2)."""
+    distributions = {}
+    for k1 in (0, 1):
+        for k2 in (0, 1):
+            flipped = apply_flips(first_factor, FlipLayer({1: k1, 2: k2}))
+            weights = flipped.probabilities.tolist()
+            distributions[(k1, k2)] = {o: weights[2 * o[0] + o[1]] for o in OUTCOMES}
+    return distributions
+
+
 def _measure_stage1(
     game: RepGame, k1: int, k2: int
 ) -> list[tuple[tuple[int, int], float, PureState]]:
@@ -539,10 +552,10 @@ class ExtensiveTree:
         return json.dumps(document, indent=2)
 
 
-def _assemble_tree(chance_fn, payoff_fn) -> ExtensiveTree:
-    """Build the fixed-shape tree from a chance rule and a payoff rule.
+def _assemble_tree(distributions, payoff_fn) -> ExtensiveTree:
+    """Build the fixed-shape tree from chance weights and a payoff rule.
 
-    ``chance_fn(k1, k2)`` gives the outcome distribution after stage-1
+    ``distributions[(k1, k2)]`` is the outcome distribution after stage-1
     flips (k1, k2); ``payoff_fn(k1, k2, outcome, a1, a2)`` gives the
     terminal total payoffs, or None where no continuation is defined.
     Information sets follow what the players observe: stage-1 nodes per
@@ -563,7 +576,7 @@ def _assemble_tree(chance_fn, payoff_fn) -> ExtensiveTree:
         chance_children = []
         for k2 in (0, 1):
             chance_id = reserve()
-            distribution = chance_fn(k1, k2)
+            distribution = distributions[(k1, k2)]
             outcome_children = []
             for outcome in OUTCOMES:
                 probability = distribution.get(outcome, 0.0)
@@ -677,11 +690,6 @@ def _tree_from_factors(
         for outcome in OUTCOMES
     }
 
-    def chance_fn(k1: int, k2: int) -> dict[tuple[int, int], float]:
-        flipped = apply_flips(factors[0], FlipLayer({1: k1, 2: k2}))
-        weights = flipped.probabilities
-        return {o: float(weights[2 * o[0] + o[1]]) for o in OUTCOMES}
-
     def payoff_fn(
         k1: int, k2: int, outcome: tuple[int, int], a1: int, a2: int
     ) -> Payoffs:
@@ -689,36 +697,34 @@ def _tree_from_factors(
         extra = continuation[outcome].cell(a1, a2)
         return (base[0] + extra[0], base[1] + extra[1])
 
-    return _assemble_tree(chance_fn, payoff_fn)
+    return _assemble_tree(stage1_distributions(factors[0]), payoff_fn)
 
 
 def _tree_from_two_term(game: RepGame) -> ExtensiveTree:
-    post_states: dict[tuple[int, int, int, int], PureState] = {}
+    """Tree of a two-term start: each measured branch's post state lives
+    where qubits 1-2 spell its outcome, so one ``flip_table`` call on the
+    outcome's pair gives its stage-2 payoffs under all four flips.
+    """
+    weights = stage_weights(game.stage)
     distributions: dict[tuple[int, int], dict[tuple[int, int], float]] = {}
+    continuations = {}
     for k1 in (0, 1):
         for k2 in (0, 1):
             dist = {}
             for outcome, probability, post in _measure_stage1(game, k1, k2):
                 dist[outcome] = probability
-                post_states[(k1, k2) + outcome] = post
+                values = flip_table(post, outcome_qubit_pair(outcome), weights)
+                continuations[(k1, k2) + outcome] = values.T.tolist()
             distributions[(k1, k2)] = dist
-
-    obs = _observables(game.stage)
-
-    def chance_fn(k1: int, k2: int) -> dict[tuple[int, int], float]:
-        return distributions[(k1, k2)]
 
     def payoff_fn(
         k1: int, k2: int, outcome: tuple[int, int], a1: int, a2: int
     ) -> Payoffs | None:
-        post = post_states.get((k1, k2) + outcome)
-        if post is None:
+        values = continuations.get((k1, k2) + outcome)
+        if values is None:
             return None
-        final = _continue(post, outcome, a1, a2)
         base = game.stage.pair(*outcome)
-        return (
-            base[0] + expectation(final, obs[(1, 2, outcome)]),
-            base[1] + expectation(final, obs[(2, 2, outcome)]),
-        )
+        extra = values[2 * a1 + a2]
+        return (base[0] + extra[0], base[1] + extra[1])
 
-    return _assemble_tree(chance_fn, payoff_fn)
+    return _assemble_tree(distributions, payoff_fn)

@@ -312,21 +312,19 @@ def classical_twice_repeated(stage: StageGame) -> Bimatrix:
     Each cell sums the stage-1 outcome payoffs and the stage-2 payoffs
     at the contingency the realized first-stage outcome selects.  No
     quantum state is involved; this is the oracle the all-zeros register
-    embedding must reproduce.
+    embedding must reproduce.  Index bit 4 is the stage-1 action and
+    bit ``3 - (2*a1 + a2)`` the action after outcome (a1, a2).
     """
-    strategies = all_strategies()
-    cells = []
-    for tau1 in strategies:
-        row = []
-        for tau2 in strategies:
-            first = (tau1.stage1, tau2.stage1)
-            second = (tau1.after(first), tau2.after(first))
-            u1a, u2a = stage.pair(*first)
-            u1b, u2b = stage.pair(*second)
-            row.append((u1a + u1b, u2a + u2b))
-        cells.append(row)
-    labels = [s.bits for s in strategies]
-    return Bimatrix.from_cells(cells, labels, labels)
+    i, j = np.arange(32)[:, None], np.arange(32)[None, :]
+    a1, a2 = i >> 4, j >> 4
+    slot = 3 - (2 * a1 + a2)
+    b1, b2 = (i >> slot) & 1, (j >> slot) & 1
+    u1, u2 = (
+        table[a1, a2] + table[b1, b2]
+        for table in (stage.payoff_table(1), stage.payoff_table(2))
+    )
+    labels = tuple(s.bits for s in all_strategies())
+    return Bimatrix(u1, u2, labels, labels)
 
 
 def qubit_count(n_stages: int) -> int:

@@ -485,6 +485,59 @@ def test_compare_protocols_with_no_samples_is_a_trivial_pass(tmp_path, capsys):
     assert json.loads(out)["profiles_checked"] == 0
 
 
+def test_compare_protocols_scales_the_tolerance_with_the_payoffs(tmp_path, capsys):
+    payoffs = {"T": 1e8, "R": 3, "P": 1, "S": 0}
+    config = write_config(tmp_path, mw10_document(payoffs=payoffs))
+    code, out, _ = run_cli(
+        capsys, "compare-protocols", "--config", config, "--samples", "3"
+    )
+    doc = json.loads(out)
+    # Agreeing paths round in proportion to the payoffs, past the raw --tol.
+    assert doc["max_deviation"] > doc["tolerance"] == 1e-9
+    assert doc["scale"] == 2e8
+    assert doc["max_deviation"] <= doc["tolerance"] * doc["scale"]
+    assert doc["pass"] is True and code == 0
+
+
+@pytest.mark.parametrize(
+    "payoffs",
+    [{"T": 0.5, "R": 0.3, "P": 0.1, "S": -0.5}, {"T": 0.4, "R": 0.3, "P": 0.1, "S": 0}],
+)
+def test_compare_protocols_keeps_the_raw_tolerance_at_unit_scale(
+    tmp_path, capsys, payoffs
+):
+    config = write_config(tmp_path, mw10_document(payoffs=payoffs))
+    code, out, _ = run_cli(
+        capsys, "compare-protocols", "--config", config, "--samples", "1"
+    )
+    doc = json.loads(out)
+    assert doc["scale"] == 1.0 and doc["tolerance"] == 1e-9
+    assert doc["pass"] is True and code == 0
+
+
+@pytest.mark.parametrize("protocol", ["mw10", "iqbal-toor"])
+def test_compare_protocols_fails_a_deviation_beyond_the_scaled_bound(
+    tmp_path, capsys, protocol
+):
+    config = write_config(tmp_path, mw10_document())
+    code, out, _ = run_cli(
+        capsys,
+        "compare-protocols",
+        "--config",
+        config,
+        "--protocol",
+        protocol,
+        "--samples",
+        "1",
+        "--tol",
+        "1e-20",
+    )
+    doc = json.loads(out)
+    assert doc["scale"] == 10.0
+    assert doc["max_deviation"] > 1e-20 * 10.0
+    assert doc["pass"] is False and code == 1
+
+
 def test_compare_protocols_rejects_bad_requests(tmp_path, capsys):
     config = write_config(tmp_path, mw10_document())
     code, _, err = run_cli(

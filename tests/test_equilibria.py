@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from qrgames.equilibria import (
+    CooperationAnalysis,
+    ScanSample,
     cooperation_bound,
     cooperation_scan,
     pure_nash,
@@ -339,6 +341,94 @@ def test_scan_serialization():
     assert doc["closed_form_bound"] == pytest.approx(1.0 / 3.0)
     assert doc["empirical_bound"] == 0.25
     assert doc["samples"][0] == {"x": 0.25, "unique_ne_flag": True, "Q": 1.5}
+
+
+def cooperation_scan_oracle(stage, grid_step):
+    """One ``mw_bimatrix`` and ``pure_nash(tol=0)`` per grid point.
+
+    The per-point loop the one-pass scan replaced, kept as its oracle.
+    """
+    t, r, p, s = stage.pd_values
+    closed_form = cooperation_bound(stage)
+    samples = []
+    empirical = 0.0
+    k = 1
+    while k * grid_step < 1.0:
+        x = k * grid_step
+        k += 1
+        report = pure_nash(mw_bimatrix(MWGame(pair_state(x), stage)), tol=0.0)
+        unique = len(report.equilibria) == 1 and (
+            report.equilibria[0].row,
+            report.equilibria[0].col,
+        ) == (0, 0)
+        q = x * r + (1.0 - x) * p
+        if unique:
+            empirical = x
+            if not q > p:
+                raise AssertionError(
+                    f"stage payoff {q} fails to beat mutual defection at x={x}"
+                )
+        samples.append(ScanSample(x=x, unique_cooperative_ne=unique, stage_payoff=q))
+    if abs(closed_form - empirical) > grid_step:
+        raise AssertionError(
+            f"scan bound {empirical} disagrees with closed form {closed_form}"
+        )
+    return CooperationAnalysis(
+        payoffs=(t, r, p, s),
+        closed_form_bound=closed_form,
+        empirical_bound=empirical,
+        grid_step=float(grid_step),
+        samples=tuple(samples),
+    )
+
+
+def assert_scan_matches_the_oracle(stage, grid_step):
+    try:
+        want = cooperation_scan_oracle(stage, grid_step)
+    except AssertionError as err:
+        with pytest.raises(AssertionError) as caught:
+            cooperation_scan(stage, grid_step)
+        assert str(caught.value) == str(err)
+        return
+    got = cooperation_scan(stage, grid_step)
+    assert [sample.unique_cooperative_ne for sample in got.samples] == [
+        sample.unique_cooperative_ne for sample in want.samples
+    ]
+    assert got.empirical_bound == want.empirical_bound
+    assert got.to_json() == want.to_json()
+    assert got.to_csv() == want.to_csv()
+
+
+def seeded_dilemma(seed):
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(-1.0, 0.5)
+    p = s + rng.uniform(0.5, 1.5)
+    r = p + rng.uniform(1.0, 2.0)
+    return make_pd(r + rng.uniform(0.2, 0.9) * (r - s), r, p, s)
+
+
+@pytest.mark.parametrize("grid_step", [0.05, 0.01, 0.25, 1 / 3, 1 / 6, 0.1])
+@pytest.mark.parametrize("seed", [81, 82, 83, 84])
+def test_scan_equals_the_per_point_search(seed, grid_step):
+    assert_scan_matches_the_oracle(seeded_dilemma(seed), grid_step)
+
+
+@pytest.mark.parametrize(
+    "values, grid_step, x",
+    [
+        ((5, 3, 1, 0), 1 / 3, 1 / 3),
+        ((5, 3, 1, 0), 1 / 6, 1 / 3),
+        ((5, 4, 1, 0), 0.25, 0.5),
+        ((4, 3, 1, 0), 1 / 6, 0.5),
+    ],
+)
+def test_scan_equals_the_per_point_search_on_exact_ties(values, grid_step, x):
+    stage = make_pd(*values)
+    # The grid point x makes player 1 indifferent in column 0 of the
+    # induced game, so only an exact replica of pure_nash(tol=0) agrees.
+    induced = mw_bimatrix(MWGame(pair_state(x), stage))
+    assert induced.payoffs1[0, 0] == induced.payoffs1[1, 0]
+    assert_scan_matches_the_oracle(stage, grid_step)
 
 
 def test_scan_validation():

@@ -9,9 +9,19 @@ import pytest
 
 from qrgames.equilibria import pure_nash, strictly_dominated
 from qrgames.mw import payoff_observable
-from qrgames.qstate import OUTCOMES, PureState, random_state, tensor_all
+from qrgames.qstate import (
+    OUTCOMES,
+    PROB_FLOOR,
+    PureState,
+    expectation,
+    random_state,
+    tensor_all,
+)
 from qrgames.repeated10 import (
     MixedRepStrategy,
+    _assemble_tree,
+    _continue,
+    _measure_stage1,
     _observables,
     RepGame,
     build_extensive,
@@ -556,6 +566,56 @@ def test_two_term_tree_chance_weights():
             probs = dict(zip(OUTCOMES, tree.node(chance_id).probabilities))
             assert abs(probs[(a1, a2)] - 0.3) <= 1e-12
             assert abs(probs[(1 - a1, 1 - a2)] - 0.7) <= 1e-12
+
+
+def two_term_tree_oracle(game: RepGame):
+    """Flip the branch's pair, then a dense 1024-entry expectation per
+    terminal: the path the one-table-per-branch tree replaced."""
+    post_states = {}
+    distributions = {}
+    for k1 in (0, 1):
+        for k2 in (0, 1):
+            dist = {}
+            for outcome, probability, post in _measure_stage1(game, k1, k2):
+                dist[outcome] = probability
+                post_states[(k1, k2) + outcome] = post
+            distributions[(k1, k2)] = dist
+    obs = _observables(game.stage)
+
+    def payoff_fn(k1, k2, outcome, a1, a2):
+        post = post_states.get((k1, k2) + outcome)
+        if post is None:
+            return None
+        final = _continue(post, outcome, a1, a2)
+        base = game.stage.pair(*outcome)
+        return (
+            base[0] + expectation(final, obs[(1, 2, outcome)]),
+            base[1] + expectation(final, obs[(2, 2, outcome)]),
+        )
+
+    return _assemble_tree(distributions, payoff_fn)
+
+
+@pytest.mark.parametrize("phases", [(0.0, 0.0), (0.4, 2.9)])
+@pytest.mark.parametrize("weight", [0.3, 0.05, 0.95, 1e-14, 1.0 - 1e-14])
+@pytest.mark.parametrize("stage", [PD, FRACTIONAL, make_pd(4.2, 2.5, -0.3, -1.7)])
+def test_two_term_tree_equals_the_dense_expectation_tree(stage, weight, phases):
+    state = PureState.from_terms(
+        10,
+        {
+            "0" * 10: np.sqrt(weight) * np.exp(1j * phases[0]),
+            "1" * 10: np.sqrt(1.0 - weight) * np.exp(1j * phases[1]),
+        },
+    )
+    game = RepGame(state, stage)
+    assert factor_pairs(state) is None
+    tree = build_extensive(game)
+    assert tree.to_json() == two_term_tree_oracle(game).to_json()
+    pruned = min(weight, 1.0 - weight) <= PROB_FLOOR
+    probabilities = [
+        p for node in tree.nodes if node.kind == "chance" for p in node.probabilities
+    ]
+    assert probabilities.count(0.0) == (12 if pruned else 8)
 
 
 def test_pair_product_tree_differs_only_after_the_entangled_outcome():

@@ -258,6 +258,49 @@ def test_classical_twice_repeated_plays_out_both_stages():
             assert bm.cell(row, col) == classical_path_payoffs(stage, s1, s2)
 
 
+def classical_table_oracle(stage: StageGame) -> Bimatrix:
+    """The per-cell path sum, kept as the oracle of the index-arithmetic table."""
+    strategies = all_strategies()
+    cells = []
+    for tau1 in strategies:
+        row = []
+        for tau2 in strategies:
+            first = (tau1.stage1, tau2.stage1)
+            second = (tau1.after(first), tau2.after(first))
+            u1a, u2a = stage.pair(*first)
+            u1b, u2b = stage.pair(*second)
+            row.append((u1a + u1b, u2a + u2b))
+        cells.append(row)
+    labels = [s.bits for s in strategies]
+    return Bimatrix.from_cells(cells, labels, labels)
+
+
+def seeded_stage(kind: str, rng: np.random.Generator) -> StageGame:
+    if kind == "dilemma":
+        s = rng.uniform(-1.0, 0.5)
+        p = s + rng.uniform(0.5, 1.5)
+        r = p + rng.uniform(1.0, 2.0)
+        return make_pd(r + rng.uniform(0.2, 0.9) * (r - s), r, p, s)
+    if kind == "coordination":
+        return make_bos(*sorted(rng.uniform(-1.0, 4.0, size=3), reverse=True))
+    # Small integers, so that many cells tie exactly.
+    cells = rng.integers(-2, 3, size=(2, 2, 2)).tolist()
+    return StageGame(tuple(tuple(tuple(pair) for pair in row) for row in cells))
+
+
+@pytest.mark.parametrize("seed", [71, 72, 73])
+@pytest.mark.parametrize("kind", ["dilemma", "coordination", "tied-integers"])
+def test_classical_table_equals_the_per_cell_path_sum(kind, seed):
+    stage = seeded_stage(kind, np.random.default_rng(seed))
+    want = classical_table_oracle(stage)
+    got = classical_twice_repeated(stage)
+    assert np.array_equal(got.payoffs1, want.payoffs1)
+    assert np.array_equal(got.payoffs2, want.payoffs2)
+    assert got.row_labels == want.row_labels
+    assert got.col_labels == want.col_labels
+    assert got.to_csv() == want.to_csv()
+
+
 def test_classical_twice_repeated_on_a_coordination_game():
     stage = make_bos(3, 2, 1)
     bm = classical_twice_repeated(stage)

@@ -16,6 +16,8 @@ played twice through bit-flip protocols on small qubit registers:
   the cooperation threshold of the entangled stage game.
 - ``qstate``/``stagegames``: dense state vectors, flips, projective
   pair measurements, ensembles, payoff tables, strategy encodings.
+- ``claims``: the nine headline claims, run by ``qrgames paper-repro``
+  and the acceptance tests (import it as ``qrgames.claims``).
 - ``cli``: the ``qrgames`` command.
 """
 

@@ -21,54 +21,33 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibria import (
-    cooperation_scan,
-    pure_nash,
-    spe_pair_product,
-    strictly_dominated,
-)
+from .claims import mw10_deviation, run_claims
+from .equilibria import pure_nash, spe_pair_product, strictly_dominated
 from .iqbaltoor import (
     IT_PURE_STRATEGIES,
     ITGame,
     ITStrategy,
     it_batch_expected,
     it_expected,
-    it_no_cooperation_check,
     it_pure_bimatrix,
-    sample_dilemma_state,
 )
-from .mw import MWGame, mw_bimatrix
-from .qstate import (
-    DiagonalObservable,
-    Ensemble,
-    FlipLayer,
-    PureState,
-    apply_flips,
-    bits_of,
-    expectation,
-    measure_pair,
-    random_state,
-    tensor_all,
-)
-from .repeated10 import (
-    RepGame,
-    factor_pairs,
-    rep_bimatrix,
-    rep_component_tables,
-    sequential_component_tables,
-)
+from .qstate import PureState, bits_of, random_state, tensor_all
+from .repeated10 import RepGame, example_state, factor_pairs, rep_bimatrix
 from .stagegames import (
     Bimatrix,
     StageGame,
     all_strategies,
     classical_twice_repeated,
     make_pd,
-    qubit_count,
 )
 
 PROTOCOLS = ("mw10", "iqbal-toor", "classical")
 _QUBITS = {"mw10": 10, "iqbal-toor": 4}
 _GHZ_PATTERN = re.compile(r"^ghz\(([^)]*)\)$")
+PAPER_REPRO_SEED = 271828
+# The scan accepts steps in (0, 0.5); the floor bounds its time and memory,
+# which grow as 1/step (a few hundred bytes per grid point).
+_GRID_STEP_RANGE = (1e-4, 0.5)
 
 
 class ConfigError(Exception):
@@ -228,12 +207,6 @@ def _ghz_state(num_qubits: int, zero_weight: float) -> PureState:
     )
 
 
-def _example_state() -> PureState:
-    return PureState.from_terms(
-        10, {"0" * 10: math.sqrt(0.6), "0011" + "0" * 6: math.sqrt(0.4)}
-    )
-
-
 def _parse_state(raw: object, protocol: str) -> PureState:
     num_qubits = _QUBITS[protocol]
     if isinstance(raw, str):
@@ -242,7 +215,7 @@ def _parse_state(raw: object, protocol: str) -> PureState:
         if raw == "example_4_5":
             if protocol != "mw10":
                 raise ConfigError("preset example_4_5 is a 10-qubit state")
-            return _example_state()
+            return example_state()
         match = _GHZ_PATTERN.match(raw)
         if match:
             return _ghz_state(num_qubits, _number(match.group(1), "ghz weight"))
@@ -356,7 +329,11 @@ def cmd_spe(args: argparse.Namespace) -> int:
     )
     if factor_pairs(initial) is None:
         raise ConfigError("SPE undefined for cross-pair entanglement")
-    report = spe_pair_product(RepGame(initial, config.stage), tol=args.tol)
+    try:
+        report = spe_pair_product(RepGame(initial, config.stage), tol=args.tol)
+    except ValueError as err:
+        # Some outcome's subgame has no pure equilibrium to fold back.
+        raise ConfigError(str(err)) from None
     labels = tuple(strat.bits for strat in all_strategies())
     _emit(report.to_json(labels, labels), args.out)
     return 0
@@ -378,21 +355,6 @@ def cmd_dominance(args: argparse.Namespace) -> int:
         ]
     _emit(json.dumps(document, indent=2), args.out)
     return 0
-
-
-def _mw10_deviation(stage: StageGame, samples: int, seed: int) -> tuple[float, int]:
-    """Max |batch - sequential| over random states and all pure profiles."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    checked = 0
-    for _ in range(samples):
-        game = RepGame(random_state(10, rng), stage)
-        batch = rep_component_tables(game)
-        sequential = sequential_component_tables(game)
-        for key, table in batch.items():
-            worst = max(worst, float(np.abs(table - sequential[key]).max()))
-        checked += batch[(1, 1)].size
-    return worst, checked
 
 
 def _it_deviation(stage: StageGame, samples: int, seed: int) -> tuple[float, int]:
@@ -450,7 +412,7 @@ def cmd_compare_protocols(args: argparse.Namespace) -> int:
     if args.samples == 0:
         worst, checked = 0.0, 0
     elif config.protocol == "mw10":
-        worst, checked = _mw10_deviation(config.stage, args.samples, args.seed)
+        worst, checked = mw10_deviation(config.stage, args.samples, args.seed)
     else:
         worst, checked = _it_deviation(config.stage, args.samples, args.seed)
     # Rounding grows with the payoffs, and a two-stage total reaches 2*max|u|.
@@ -470,208 +432,18 @@ def cmd_compare_protocols(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-def _check_classical_embedding() -> tuple[bool, str]:
-    stage = make_pd(5, 3, 1, 0)
-    quantum = rep_bimatrix(RepGame(PureState.basis(10, 0), stage))
-    classical = classical_twice_repeated(stage)
-    deviation = max(
-        float(np.abs(quantum.payoffs1 - classical.payoffs1).max()),
-        float(np.abs(quantum.payoffs2 - classical.payoffs2).max()),
-    )
-    return deviation <= 1e-9, f"max deviation {deviation:.3e}"
-
-
-def _check_batch_sequential() -> tuple[bool, str]:
-    worst, checked = _mw10_deviation(make_pd(5, 3, 1, 0), samples=20, seed=271828)
-    return worst <= 1e-9, f"max deviation {worst:.3e} over {checked} profiles"
-
-
-def _second_stage_family_state() -> PureState:
-    # Two terms on 0000/1100 and two on 0011/1111, with the 00-block
-    # carrying total weight 1/3: the family whose second stage has a
-    # fixed payoff table regardless of how the weight is split.
-    w0000, w1100, w0011 = 0.2, 2.0 / 15.0, 0.3
-    w1111 = 1.0 - w0000 - w1100 - w0011
-    return PureState.from_terms(
-        4,
-        {
-            "0000": math.sqrt(w0000),
-            "1100": math.sqrt(w1100),
-            "0011": math.sqrt(w0011),
-            "1111": math.sqrt(w1111),
-        },
-    )
-
-
-def _check_entangled_second_stage(perturb: float) -> tuple[bool, str]:
-    stage = make_pd(5 + perturb, 3, 1, 0)
-    game = ITGame(_second_stage_family_state(), stage)
-    table1 = np.empty((2, 2))
-    table2 = np.empty((2, 2))
-    for k3 in (0, 1):
-        for k4 in (0, 1):
-            outcome = it_batch_expected(game, 0, 0, k3, k4)
-            table1[k3, k4] = outcome.p1_stage2
-            table2[k3, k4] = outcome.p2_stage2
-    want1 = np.array([[5.0, 10.0], [5.0, 7.0]]) / 3.0
-    want2 = np.array([[5.0, 5.0], [10.0, 7.0]]) / 3.0
-    deviation = max(
-        float(np.abs(table1 - want1).max()), float(np.abs(table2 - want2).max())
-    )
-    bm = Bimatrix(table1, table2, ("0", "1"), ("0", "1"))
-    profiles = {(eq.row, eq.col) for eq in pure_nash(bm, tol=1e-9).equilibria}
-    ok = (
-        deviation <= 1e-9
-        and len(profiles) >= 2
-        and {(0, 1), (1, 0)} <= profiles
-    )
-    return ok, f"max deviation {deviation:.3e}, equilibria {sorted(profiles)}"
-
-
-def _check_four_qubit_no_cooperation() -> tuple[bool, str]:
-    stage = make_pd(5, 3, 1, 0)
-    rng = np.random.default_rng(314159)
-    states = [PureState.basis(4, 0)] + [
-        sample_dilemma_state(stage, rng) for _ in range(50)
-    ]
-    worst = 0.0
-    for state in states:
-        verdict = it_no_cooperation_check(ITGame(state, stage))
-        if not verdict.cooperation_excluded:
-            return False, "an equilibrium kept a stage-1 identity"
-        pattern = verdict.pattern
-        wanted = (pattern.t - pattern.r, pattern.p - pattern.s)
-        for gaps in (verdict.player1_gaps, verdict.player2_gaps):
-            worst = max(
-                worst,
-                abs(gaps[0] - wanted[0]),
-                abs(gaps[1] - wanted[1]),
-            )
-    return worst <= 1e-9, f"max gap deviation {worst:.3e} over {len(states)} states"
-
-
-def _check_basis11_relabeling() -> tuple[bool, str]:
-    t, r, p, s = 5.0, 3.0, 1.0, 0.0
-    bm = mw_bimatrix(MWGame(PureState.basis(2, "11"), make_pd(t, r, p, s)))
-    want = {
-        (0, 0): (p, p),
-        (0, 1): (t, s),
-        (1, 0): (s, t),
-        (1, 1): (r, r),
-    }
-    exact = all(bm.cell(*key) == value for key, value in want.items())
-    return exact, "table mismatch" if not exact else ""
-
-
-def _check_cooperation_threshold(grid_step: float) -> tuple[bool, str]:
-    stage = make_pd(5, 3, 1, 0)
-    analysis = cooperation_scan(stage, grid_step)
-    bound_ok = abs(analysis.empirical_bound - 1.0 / 3.0) <= grid_step
-    pair = PureState.from_terms(2, {"00": math.sqrt(0.2), "11": math.sqrt(0.8)})
-    report = spe_pair_product(RepGame(tensor_all([pair] * 5), stage))
-    spe_ok = (
-        len(report.equilibria) == 1
-        and (report.equilibria[0].row, report.equilibria[0].col) == (0, 0)
-        and abs(report.equilibria[0].payoffs[0] - 2.8) <= 1e-9
-        and abs(report.equilibria[0].payoffs[1] - 2.8) <= 1e-9
-    )
-    return (
-        bound_ok and spe_ok,
-        f"empirical bound {analysis.empirical_bound:.4f}, "
-        f"{len(report.equilibria)} equilibria at x=0.2",
-    )
-
-
-def _check_pair_product_two_spe() -> tuple[bool, str]:
-    report = spe_pair_product(RepGame(_example_state(), make_pd(5, 4, 1, 0)))
-    profiles = [(eq.row, eq.col) for eq in report.equilibria]
-    payoffs = [eq.payoffs for eq in report.equilibria]
-    ok = (
-        profiles == [(15, 15), (31, 31)]
-        and max(abs(payoffs[0][0] - 6.2), abs(payoffs[0][1] - 6.2)) <= 1e-9
-        and max(abs(payoffs[1][0] - 2.0), abs(payoffs[1][1] - 2.0)) <= 1e-9
-    )
-    return ok, f"profiles {profiles}, payoffs {payoffs}"
-
-
-def _check_register_size() -> tuple[bool, str]:
-    got = tuple(qubit_count(n) for n in (1, 2, 3))
-    return got == (2, 10, 42), f"got {got}"
-
-
-def _check_randomized_invariants() -> tuple[bool, str]:
-    rng = np.random.default_rng(602214)
-    for _ in range(1000):
-        n = int(rng.integers(1, 6))
-        state = random_state(n, rng)
-        layer = FlipLayer(
-            {q: int(rng.integers(0, 2)) for q in range(1, n + 1)}
-        )
-        flipped = apply_flips(state, layer)
-        if abs(float(flipped.probabilities.sum()) - 1.0) > 1e-12:
-            return False, "flip broke normalization"
-        if not np.array_equal(
-            apply_flips(flipped, layer).amplitudes, state.amplitudes
-        ):
-            return False, "flip applied twice is not the identity"
-        if n >= 2:
-            qubits = rng.choice(np.arange(1, n + 1), size=2, replace=False)
-            branches = measure_pair(state, int(qubits[0]), int(qubits[1]))
-            total = sum(probability for _, probability, _ in branches)
-            if abs(total - 1.0) > 1e-9:
-                return False, "measurement probabilities do not sum to 1"
-        other = random_state(n, rng)
-        weights_a = rng.standard_normal(2 ** n)
-        weights_b = rng.standard_normal(2 ** n)
-        alpha, beta = rng.uniform(), float(rng.uniform(-2, 2))
-        mixed = Ensemble(((alpha, state), (1.0 - alpha, other)))
-        obs_a = DiagonalObservable(n, weights_a)
-        combined = DiagonalObservable(n, weights_a + beta * weights_b)
-        mix_linear = expectation(mixed, obs_a) - (
-            alpha * expectation(state, obs_a)
-            + (1.0 - alpha) * expectation(other, obs_a)
-        )
-        obs_linear = expectation(state, combined) - (
-            expectation(state, obs_a)
-            + beta * expectation(state, DiagonalObservable(n, weights_b))
-        )
-        if abs(mix_linear) > 1e-9 or abs(obs_linear) > 1e-9:
-            return False, "expectation is not multilinear"
-    return True, ""
-
-
 def cmd_paper_repro(args: argparse.Namespace) -> int:
-    perturb = 1e-6 if args.selftest_perturb else 0.0
-    checks = (
-        ("classical-embedding", _check_classical_embedding),
-        ("batch-sequential-equivalence", _check_batch_sequential),
-        (
-            "entangled-second-stage-table",
-            lambda: _check_entangled_second_stage(perturb),
-        ),
-        ("four-qubit-no-cooperation", _check_four_qubit_no_cooperation),
-        ("basis-11-relabeling", _check_basis11_relabeling),
-        (
-            "cooperation-threshold",
-            lambda: _check_cooperation_threshold(args.grid_step),
-        ),
-        ("pair-product-two-spe", _check_pair_product_two_spe),
-        ("register-size-formula", _check_register_size),
-        ("randomized-invariants", _check_randomized_invariants),
+    results = run_claims(
+        seed=PAPER_REPRO_SEED,
+        grid_step=args.grid_step,
+        perturb=1e-6 if args.selftest_perturb else 0.0,
     )
-    lines = []
-    failed = 0
-    for slug, run in checks:
-        try:
-            ok, detail = run()
-        except Exception as err:
-            ok, detail = False, f"raised {type(err).__name__}: {err}"
-        if ok:
-            lines.append(f"PASS {slug}")
-        else:
-            failed += 1
-            lines.append(f"FAIL {slug}: {detail}")
-    lines.append(f"{len(checks) - failed} passed, {failed} failed")
+    lines = [
+        f"PASS {name}" if ok else f"FAIL {name}: {detail}"
+        for name, ok, detail in results
+    ]
+    failed = sum(not ok for _, ok, _ in results)
+    lines.append(f"{len(results) - failed} passed, {failed} failed")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if failed == 0 else 1
 
@@ -745,9 +517,21 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _check_flags(args: argparse.Namespace) -> None:
+    """Refuse a --tol or --grid-step no analysis can use, before any work."""
+    tol = getattr(args, "tol", 0.0)
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"--tol must be finite and nonnegative, got {tol!r}")
+    low, high = _GRID_STEP_RANGE
+    step = getattr(args, "grid_step", low)
+    if not low <= step < high:
+        raise ConfigError(f"--grid-step must lie in [{low:g}, {high:g}), got {step!r}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.handler(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

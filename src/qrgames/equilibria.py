@@ -23,7 +23,7 @@ import numpy as np
 
 from .mw import MWGame, mw_bimatrix, stage_weights
 from .qstate import NORM_ATOL, OUTCOMES
-from .repeated10 import RepGame, factor_pairs, stage1_distributions
+from .repeated10 import RepGame, factor_pairs, stage1_distributions, subgame_bimatrices
 from .stagegames import Bimatrix, Payoffs, RepStrategy, StageGame
 
 
@@ -140,9 +140,7 @@ def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
         )
     stage = game.stage
     stage1_bm = mw_bimatrix(MWGame(factors[0], stage))
-    subgame_bm = {
-        o: mw_bimatrix(MWGame(factors[2 * o[0] + o[1] + 1], stage)) for o in OUTCOMES
-    }
+    subgame_bm = subgame_bimatrices(factors, stage)
     subgame_ne = {}
     for o in OUTCOMES:
         report = pure_nash(subgame_bm[o], tol=tol)
@@ -310,7 +308,9 @@ def cooperation_scan(stage: StageGame, grid_step: float) -> CooperationAnalysis:
                     f"stage payoff {q} fails to beat mutual defection at x={x}"
                 )
         samples.append(ScanSample(x=x, unique_cooperative_ne=unique, stage_payoff=q))
-    if abs(closed_form - empirical) > grid_step:
+    # The slack forgives rounding only: a bound on a grid point is a tie
+    # there, so the last flagged point sits one step below it.
+    if abs(closed_form - empirical) > grid_step * (1 + 1e-9):
         raise AssertionError(
             f"scan bound {empirical} disagrees with closed form {closed_form}"
         )

@@ -77,15 +77,15 @@ class ITGame:
             raise ValueError("this protocol runs on exactly 4 qubits")
 
 
-def _observables(stage: StageGame):
-    """The four payoff observables, keyed (player, stage)."""
-    return {
-        (player, 1): payoff_observable(stage, player, 4, (1, 2))
-        for player in (1, 2)
-    } | {
-        (player, 2): payoff_observable(stage, player, 4, (3, 4))
-        for player in (1, 2)
-    }
+def _expected_from(source: Ensemble | PureState, stage: StageGame) -> ExpectedPayoffs:
+    """Payoffs per player and stage: stage 1 reads qubits 1-2, stage 2 qubits 3-4."""
+    return ExpectedPayoffs(
+        *(
+            expectation(source, payoff_observable(stage, player, 4, pair))
+            for player in (1, 2)
+            for pair in ((1, 2), (3, 4))
+        )
+    )
 
 
 def _mix(flip_prob: float) -> list[tuple[float, int]]:
@@ -114,14 +114,7 @@ def it_expected(game: ITGame, s1: ITStrategy, s2: ITStrategy) -> ExpectedPayoffs
             for p4, k4 in _mix(s2.stage2_flip_prob):
                 final = apply_flips(mid, FlipLayer({3: k3, 4: k4}))
                 members.append((weight * p3 * p4, final))
-    ensemble = Ensemble(tuple(members))
-    obs = _observables(game.stage)
-    return ExpectedPayoffs(
-        p1_stage1=expectation(ensemble, obs[(1, 1)]),
-        p1_stage2=expectation(ensemble, obs[(1, 2)]),
-        p2_stage1=expectation(ensemble, obs[(2, 1)]),
-        p2_stage2=expectation(ensemble, obs[(2, 2)]),
-    )
+    return _expected_from(Ensemble(tuple(members)), game.stage)
 
 
 def it_batch_expected(
@@ -134,13 +127,7 @@ def it_batch_expected(
     exactly; keeping both paths makes that equivalence testable.
     """
     final = apply_flips(game.initial, FlipLayer({1: k1, 2: k2, 3: k3, 4: k4}))
-    obs = _observables(game.stage)
-    return ExpectedPayoffs(
-        p1_stage1=expectation(final, obs[(1, 1)]),
-        p1_stage2=expectation(final, obs[(1, 2)]),
-        p2_stage1=expectation(final, obs[(2, 1)]),
-        p2_stage2=expectation(final, obs[(2, 2)]),
-    )
+    return _expected_from(final, game.stage)
 
 
 def it_pure_bimatrix(game: ITGame) -> Bimatrix:

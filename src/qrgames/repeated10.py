@@ -20,6 +20,7 @@ that shares each stage-1 measurement across all profiles using it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -89,6 +90,15 @@ class RepGame:
     def __post_init__(self) -> None:
         if self.initial.num_qubits != NUM_QUBITS:
             raise ValueError("the twice-played protocol runs on exactly 10 qubits")
+
+
+def example_state() -> PureState:
+    """The ``example_4_5`` start: |00> on every pair but qubits 3-4, which
+    hold sqrt(0.6)|00> + sqrt(0.4)|11>, the continuation after outcome 00.
+    """
+    return PureState.from_terms(
+        NUM_QUBITS, {"0" * 10: math.sqrt(0.6), "0011" + "0" * 6: math.sqrt(0.4)}
+    )
 
 
 # Each entry holds about 96 KB of dense weights.  Sixteen games cover the
@@ -220,6 +230,13 @@ def stage1_distributions(
             weights = flipped.probabilities.tolist()
             distributions[(k1, k2)] = {o: weights[2 * o[0] + o[1]] for o in OUTCOMES}
     return distributions
+
+
+def subgame_bimatrices(
+    factors: tuple[PureState, ...], stage: StageGame
+) -> dict[tuple[int, int], Bimatrix]:
+    """Each outcome's one-stage game, on the pair factor reserved for it."""
+    return {o: mw_bimatrix(MWGame(f, stage)) for o, f in zip(OUTCOMES, factors[1:])}
 
 
 def _measure_stage1(
@@ -552,12 +569,13 @@ class ExtensiveTree:
         return json.dumps(document, indent=2)
 
 
-def _assemble_tree(distributions, payoff_fn) -> ExtensiveTree:
-    """Build the fixed-shape tree from chance weights and a payoff rule.
+def _assemble_tree(stage: StageGame, distributions, stage2_fn) -> ExtensiveTree:
+    """Build the fixed-shape tree from chance weights and stage-2 payoffs.
 
     ``distributions[(k1, k2)]`` is the outcome distribution after stage-1
-    flips (k1, k2); ``payoff_fn(k1, k2, outcome, a1, a2)`` gives the
-    terminal total payoffs, or None where no continuation is defined.
+    flips (k1, k2); ``stage2_fn(k1, k2, outcome, a1, a2)`` gives the
+    second-stage payoffs, which terminals add to the outcome's own, or
+    None where no continuation is defined.
     Information sets follow what the players observe: stage-1 nodes per
     player form one set each (moves are simultaneous), and second-stage
     nodes group by measurement outcome alone, since the protocol reveals
@@ -579,6 +597,7 @@ def _assemble_tree(distributions, payoff_fn) -> ExtensiveTree:
             distribution = distributions[(k1, k2)]
             outcome_children = []
             for outcome in OUTCOMES:
+                base = stage.pair(*outcome)
                 probability = distribution.get(outcome, 0.0)
                 live = probability > 0.0
                 first_id = reserve()
@@ -588,6 +607,7 @@ def _assemble_tree(distributions, payoff_fn) -> ExtensiveTree:
                     terminal_children = []
                     for a2 in (0, 1):
                         terminal_id = reserve()
+                        extra = stage2_fn(k1, k2, outcome, a1, a2)
                         nodes[terminal_id] = TreeNode(
                             terminal_id,
                             "terminal",
@@ -596,7 +616,9 @@ def _assemble_tree(distributions, payoff_fn) -> ExtensiveTree:
                             (),
                             (),
                             None,
-                            payoff_fn(k1, k2, outcome, a1, a2),
+                            None
+                            if extra is None
+                            else (base[0] + extra[0], base[1] + extra[1]),
                             live,
                         )
                         terminal_children.append(terminal_id)
@@ -685,19 +707,12 @@ def build_extensive(game: RepGame) -> ExtensiveTree:
 def _tree_from_factors(
     stage: StageGame, factors: tuple[PureState, ...]
 ) -> ExtensiveTree:
-    continuation = {
-        outcome: mw_bimatrix(MWGame(factors[2 * outcome[0] + outcome[1] + 1], stage))
-        for outcome in OUTCOMES
-    }
-
-    def payoff_fn(
-        k1: int, k2: int, outcome: tuple[int, int], a1: int, a2: int
-    ) -> Payoffs:
-        base = stage.pair(*outcome)
-        extra = continuation[outcome].cell(a1, a2)
-        return (base[0] + extra[0], base[1] + extra[1])
-
-    return _assemble_tree(stage1_distributions(factors[0]), payoff_fn)
+    continuation = subgame_bimatrices(factors, stage)
+    return _assemble_tree(
+        stage,
+        stage1_distributions(factors[0]),
+        lambda k1, k2, outcome, a1, a2: continuation[outcome].cell(a1, a2),
+    )
 
 
 def _tree_from_two_term(game: RepGame) -> ExtensiveTree:
@@ -717,14 +732,10 @@ def _tree_from_two_term(game: RepGame) -> ExtensiveTree:
                 continuations[(k1, k2) + outcome] = values.T.tolist()
             distributions[(k1, k2)] = dist
 
-    def payoff_fn(
+    def stage2_fn(
         k1: int, k2: int, outcome: tuple[int, int], a1: int, a2: int
-    ) -> Payoffs | None:
+    ) -> list[float] | None:
         values = continuations.get((k1, k2) + outcome)
-        if values is None:
-            return None
-        base = game.stage.pair(*outcome)
-        extra = values[2 * a1 + a2]
-        return (base[0] + extra[0], base[1] + extra[1])
+        return None if values is None else values[2 * a1 + a2]
 
-    return _assemble_tree(distributions, payoff_fn)
+    return _assemble_tree(game.stage, distributions, stage2_fn)

@@ -550,6 +550,42 @@ def test_compare_protocols_rejects_bad_requests(tmp_path, capsys):
     assert code == 2
 
 
+MATCHING_PENNIES = [[[1, -1], [-1, 1]], [[-1, 1], [1, -1]]]
+BAD_TOLERANCES = [
+    *(("nash", value) for value in ("-1", "nan", "inf", "-inf")),
+    *(("spe", value) for value in ("-1", "nan")),
+    *(("compare-protocols", value) for value in ("nan", "-1", "inf")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, payoffs, message",
+    [
+        pytest.param(
+            [command, f"--tol={value}"],
+            None,
+            f"--tol must be finite and nonnegative, got {float(value)!r}",
+            id=f"{command} --tol {value}",
+        )
+        for command, value in BAD_TOLERANCES
+    ]
+    + [
+        pytest.param(
+            ["spe"],
+            MATCHING_PENNIES,
+            "no pure second-stage equilibrium after outcome 00",
+            id="spe on matching pennies",
+        )
+    ],
+)
+def test_unusable_tolerances_and_refused_analyses_exit_with_two(
+    tmp_path, capsys, argv, payoffs, message
+):
+    config = write_config(tmp_path, mw10_document(payoffs=payoffs))
+    code, out, err = run_cli(capsys, *argv, "--config", config)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # reproduction battery
 
@@ -570,6 +606,15 @@ def test_paper_repro_passes_and_is_deterministic(tmp_path, capsys):
     assert len(lines) == 10
     assert all(line.startswith("PASS ") for line in lines[:9])
     assert lines[-1] == "9 passed, 0 failed"
+
+
+@pytest.mark.parametrize("grid_step", ["0.7", "0", "nan", "1e-9"])
+def test_paper_repro_refuses_an_unusable_grid_step_before_any_claim(
+    capsys, grid_step
+):
+    code, out, err = run_cli(capsys, "paper-repro", "--grid-step", grid_step)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --grid-step must lie in [0.0001, 0.5), got ")
 
 
 def test_paper_repro_detects_an_injected_value_drift(capsys):

@@ -582,18 +582,14 @@ def two_term_tree_oracle(game: RepGame):
             distributions[(k1, k2)] = dist
     obs = _observables(game.stage)
 
-    def payoff_fn(k1, k2, outcome, a1, a2):
+    def stage2_fn(k1, k2, outcome, a1, a2):
         post = post_states.get((k1, k2) + outcome)
         if post is None:
             return None
         final = _continue(post, outcome, a1, a2)
-        base = game.stage.pair(*outcome)
-        return (
-            base[0] + expectation(final, obs[(1, 2, outcome)]),
-            base[1] + expectation(final, obs[(2, 2, outcome)]),
-        )
+        return [expectation(final, obs[(player, 2, outcome)]) for player in (1, 2)]
 
-    return _assemble_tree(distributions, payoff_fn)
+    return _assemble_tree(game.stage, distributions, stage2_fn)
 
 
 @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.4, 2.9)])

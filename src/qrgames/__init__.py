@@ -64,14 +64,12 @@ from .iqbaltoor import (
 )
 from .repeated10 import (
     ExtensiveTree,
-    MixedRepStrategy,
     OutcomeBranch,
     PlayTranscript,
     RepGame,
     TreeNode,
     build_extensive,
     factor_pairs,
-    mixed_payoffs,
     outcome_qubit_pair,
     play_batch,
     play_sequential,
@@ -79,7 +77,6 @@ from .repeated10 import (
     rep_component_tables,
     sequential_component_tables,
     strategy_qubit_map,
-    two_term_amplitudes,
 )
 from .equilibria import (
     CooperationAnalysis,
@@ -134,14 +131,12 @@ __all__ = [
     "it_stage1_pattern",
     "sample_dilemma_state",
     "ExtensiveTree",
-    "MixedRepStrategy",
     "OutcomeBranch",
     "PlayTranscript",
     "RepGame",
     "TreeNode",
     "build_extensive",
     "factor_pairs",
-    "mixed_payoffs",
     "outcome_qubit_pair",
     "play_batch",
     "play_sequential",
@@ -149,7 +144,6 @@ __all__ = [
     "rep_component_tables",
     "sequential_component_tables",
     "strategy_qubit_map",
-    "two_term_amplitudes",
     "CooperationAnalysis",
     "Equilibrium",
     "EquilibriumReport",

@@ -31,7 +31,7 @@ from .iqbaltoor import (
     it_expected,
     it_pure_bimatrix,
 )
-from .qstate import PureState, bits_of, random_state, tensor_all
+from .qstate import PureState, random_state, tensor_all
 from .repeated10 import RepGame, example_state, factor_pairs, rep_bimatrix
 from .stagegames import (
     Bimatrix,
@@ -65,29 +65,6 @@ class GameConfig:
     protocol: str
     stage: StageGame
     initial: PureState | None
-
-    def to_document(self) -> dict:
-        """JSON-ready dict that parses back to an equivalent config."""
-        document: dict = {
-            "protocol": self.protocol,
-            "payoffs": [
-                [list(self.stage.pair(a1, a2)) for a2 in (0, 1)] for a1 in (0, 1)
-            ],
-        }
-        if self.initial is not None:
-            terms = []
-            for index, amp in enumerate(self.initial.amplitudes):
-                if amp == 0:
-                    continue
-                terms.append(
-                    {
-                        "basis": bits_of(index, self.initial.num_qubits),
-                        "re": amp.real,
-                        "im": amp.imag,
-                    }
-                )
-            document["initial_state"] = terms
-        return document
 
 
 def _parse_payoffs(raw: object) -> StageGame:
@@ -291,7 +268,10 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as err:
+            raise ConfigError(f"cannot write output: {err}") from None
 
 
 def _bimatrix_for(config: GameConfig) -> Bimatrix:

@@ -12,8 +12,6 @@ what lets the repeated game sustain cooperation on the path.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -227,38 +225,6 @@ class CooperationAnalysis:
     empirical_bound: float
     grid_step: float
     samples: tuple[ScanSample, ...]
-
-    def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["x", "unique_ne_flag", "Q"])
-        for sample in self.samples:
-            writer.writerow(
-                [
-                    format(sample.x, ".12g"),
-                    int(sample.unique_cooperative_ne),
-                    format(sample.stage_payoff, ".12g"),
-                ]
-            )
-        return buffer.getvalue()
-
-    def to_json(self) -> str:
-        t, r, p, s = self.payoffs
-        document = {
-            "payoffs": {"T": t, "R": r, "P": p, "S": s},
-            "closed_form_bound": self.closed_form_bound,
-            "empirical_bound": self.empirical_bound,
-            "grid_step": self.grid_step,
-            "samples": [
-                {
-                    "x": sample.x,
-                    "unique_ne_flag": sample.unique_cooperative_ne,
-                    "Q": sample.stage_payoff,
-                }
-                for sample in self.samples
-            ],
-        }
-        return json.dumps(document, indent=2)
 
 
 def cooperation_scan(stage: StageGame, grid_step: float) -> CooperationAnalysis:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .equilibria import pure_nash
 from .qstate import (
     Ensemble,
     FlipLayer,
@@ -26,6 +27,12 @@ from .qstate import (
 )
 from .stagegames import Bimatrix, ExpectedPayoffs, StageGame
 from .mw import payoff_observable, stage_weights
+
+# Largest payoff difference read as equality by the stage-1 pattern's
+# symmetry test and by the no-cooperation check's margins and equilibria.
+PATTERN_TOL = 1e-9
+# Rejection-sampling budget of sample_dilemma_state.
+DILEMMA_DRAWS = 200
 
 
 @dataclass(frozen=True)
@@ -50,13 +57,6 @@ class ITStrategy:
     @classmethod
     def pure(cls, stage1_bit: int, stage2_bit: int) -> "ITStrategy":
         return cls(float(stage1_bit), float(stage2_bit))
-
-    @property
-    def is_pure(self) -> bool:
-        return self.stage1_flip_prob in (0.0, 1.0) and self.stage2_flip_prob in (
-            0.0,
-            1.0,
-        )
 
 
 IT_PURE_STRATEGIES: tuple[ITStrategy, ...] = tuple(
@@ -169,7 +169,7 @@ class Stage1Pattern:
     pd_consistent: bool
 
 
-def it_stage1_pattern(game: ITGame, tol: float = 1e-9) -> Stage1Pattern:
+def it_stage1_pattern(game: ITGame) -> Stage1Pattern:
     """Classify the first-stage payoff pattern of an initial state.
 
     Stage-2 choices are irrelevant here because the stage-1 observables
@@ -178,10 +178,10 @@ def it_stage1_pattern(game: ITGame, tol: float = 1e-9) -> Stage1Pattern:
     e1, e2 = flip_table(game.initial, (1, 2), stage_weights(game.stage)).tolist()
     r, s, t, p = e1
     symmetric = (
-        abs(e2[0] - r) <= tol
-        and abs(e2[1] - t) <= tol
-        and abs(e2[2] - s) <= tol
-        and abs(e2[3] - p) <= tol
+        abs(e2[0] - r) <= PATTERN_TOL
+        and abs(e2[1] - t) <= PATTERN_TOL
+        and abs(e2[2] - s) <= PATTERN_TOL
+        and abs(e2[3] - p) <= PATTERN_TOL
     )
     ordered = t > r > p > s and 2 * r > t + s
     return Stage1Pattern(
@@ -209,7 +209,7 @@ class NoCooperationVerdict:
     cooperation_excluded: bool
 
 
-def it_no_cooperation_check(game: ITGame, tol: float = 1e-9) -> NoCooperationVerdict:
+def it_no_cooperation_check(game: ITGame) -> NoCooperationVerdict:
     """Verify that flipping at stage 1 strictly dominates staying put.
 
     Requires a dilemma-consistent first-stage pattern (see
@@ -222,9 +222,7 @@ def it_no_cooperation_check(game: ITGame, tol: float = 1e-9) -> NoCooperationVer
     margin depends only on the opponent's stage-1 bit, and that no pure
     equilibrium of the bimatrix contains a stage-1 identity choice.
     """
-    from .equilibria import pure_nash
-
-    pattern = it_stage1_pattern(game, tol=tol)
+    pattern = it_stage1_pattern(game)
     if not pattern.pd_consistent:
         raise ValueError(
             "first-stage pattern is not dilemma-consistent; "
@@ -253,14 +251,14 @@ def it_no_cooperation_check(game: ITGame, tol: float = 1e-9) -> NoCooperationVer
         results = []
         for bit, expected in ((0, pattern.t - pattern.r), (1, pattern.p - pattern.s)):
             spread = max(margins[bit]) - min(margins[bit])
-            if spread > tol or abs(margins[bit][0] - expected) > tol:
+            if spread > PATTERN_TOL or abs(margins[bit][0] - expected) > PATTERN_TOL:
                 raise AssertionError(
                     "dominance margin does not match the stage-1 pattern"
                 )
             results.append(margins[bit][0])
         return (results[0], results[1])
 
-    report = pure_nash(bm, tol=tol)
+    report = pure_nash(bm, tol=PATTERN_TOL)
     profiles = tuple((eq.row, eq.col) for eq in report.equilibria)
     payoffs = tuple(eq.payoffs for eq in report.equilibria)
     no_stage1_identity = all(row >= 2 and col >= 2 for row, col in profiles)
@@ -274,9 +272,7 @@ def it_no_cooperation_check(game: ITGame, tol: float = 1e-9) -> NoCooperationVer
     )
 
 
-def sample_dilemma_state(
-    stage: StageGame, rng: np.random.Generator, max_tries: int = 200
-) -> PureState:
+def sample_dilemma_state(stage: StageGame, rng: np.random.Generator) -> PureState:
     """Random 4-qubit initial state with a dilemma-consistent pattern.
 
     The first-stage pattern depends only on the marginal distribution of
@@ -289,7 +285,7 @@ def sample_dilemma_state(
     """
     if not stage.is_pd:
         raise ValueError("dilemma-consistent sampling needs dilemma payoffs")
-    for _ in range(max_tries):
+    for _ in range(DILEMMA_DRAWS):
         w00, anti, w11 = rng.dirichlet((8.0, 1.0, 1.0))
         weights = (w00, anti / 2.0, anti / 2.0, w11)
         amps = np.zeros(16, dtype=complex)
@@ -301,5 +297,5 @@ def sample_dilemma_state(
         if it_stage1_pattern(ITGame(state, stage)).pd_consistent:
             return state
     raise RuntimeError(
-        f"no dilemma-consistent state found in {max_tries} draws"
+        f"no dilemma-consistent state found in {DILEMMA_DRAWS} draws"
     )

@@ -298,36 +298,20 @@ class Ensemble:
 
 @dataclass(frozen=True, eq=False)
 class DiagonalObservable:
-    """Observable diagonal in the computational basis.
-
-    ``weights`` may be given as a dense vector or as a sparse
-    ``{basis index: value}`` mapping; absent indices weigh zero.
-    """
+    """Observable diagonal in the computational basis, one weight per basis state."""
 
     num_qubits: int
     weights: np.ndarray
 
     def __post_init__(self) -> None:
         n = 2 ** self.num_qubits
-        if isinstance(self.weights, Mapping):
-            dense = np.zeros(n, dtype=float)
-            for index, value in self.weights.items():
-                if not 0 <= int(index) < n:
-                    raise ValueError(f"basis index {index} out of range")
-                dense[int(index)] = float(value)
-        else:
-            dense = np.asarray(self.weights, dtype=float)
-            if dense.shape != (n,):
-                raise ValueError(
-                    f"expected {n} weights, got shape {dense.shape}"
-                )
+        dense = np.asarray(self.weights, dtype=float)
+        if dense.shape != (n,):
+            raise ValueError(f"expected {n} weights, got shape {dense.shape}")
         if not np.all(np.isfinite(dense)):
             raise ValueError("observable weights must be finite")
         dense.setflags(write=False)
         object.__setattr__(self, "weights", dense)
-
-    def weight(self, index: int) -> float:
-        return float(self.weights[index])
 
 
 def expectation(source: Ensemble | PureState, obs: DiagonalObservable) -> float:

@@ -28,7 +28,6 @@ import numpy as np
 
 from .mw import MWGame, mw_bimatrix, payoff_observable, stage_weights
 from .qstate import (
-    NORM_ATOL,
     OUTCOMES,
     DiagonalObservable,
     Ensemble,
@@ -50,8 +49,12 @@ from .stagegames import (
 
 NUM_QUBITS = 10
 _ACTION_LABELS = ("0", "1")
+_OUTCOME_LABELS = tuple(f"{o[0]}{o[1]}" for o in OUTCOMES)
 # (player, stage) keys of the component tables, in ExpectedPayoffs order.
 _COMPONENT_KEYS = ((1, 1), (1, 2), (2, 1), (2, 2))
+# Largest singular value or amplitude read as zero when deciding whether a
+# start is a pair product or a two-term superposition.
+SUPPORT_TOL = 1e-9
 
 
 def outcome_qubit_pair(outcome: tuple[int, int]) -> tuple[int, int]:
@@ -146,50 +149,6 @@ def play_batch(game: RepGame, t1: RepStrategy, t2: RepStrategy) -> ExpectedPayof
     """Expected payoffs with all ten flips applied before any readout."""
     layer = strategy_qubit_map(1, t1).merge(strategy_qubit_map(2, t2))
     return _expected_from(apply_flips(game.initial, layer), game.stage)
-
-
-@dataclass(frozen=True)
-class MixedRepStrategy:
-    """Probability mixture over the 32 pure repeated-game strategies."""
-
-    support: tuple[tuple[float, RepStrategy], ...]
-
-    def __post_init__(self) -> None:
-        support = tuple((float(p), strat) for p, strat in self.support)
-        if not support:
-            raise ValueError("mixed strategy needs a nonempty support")
-        if any(p < 0 for p, _ in support):
-            raise ValueError("mixture probabilities must be nonnegative")
-        total = sum(p for p, _ in support)
-        if not abs(total - 1.0) <= NORM_ATOL:
-            raise ValueError(f"mixture probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "support", support)
-
-    @classmethod
-    def pure(cls, strat: RepStrategy) -> "MixedRepStrategy":
-        return cls(((1.0, strat),))
-
-
-def mixed_payoffs(
-    game: RepGame,
-    m1: MixedRepStrategy | RepStrategy,
-    m2: MixedRepStrategy | RepStrategy,
-) -> ExpectedPayoffs:
-    """Expected payoffs under independently mixed strategies.
-
-    Payoffs are linear in each player's mixture, so the value is the
-    convex combination of the pure-profile results; no ensemble state
-    is materialized.
-    """
-    if isinstance(m1, RepStrategy):
-        m1 = MixedRepStrategy.pure(m1)
-    if isinstance(m2, RepStrategy):
-        m2 = MixedRepStrategy.pure(m2)
-    acc = np.zeros(4)
-    for p, t1 in m1.support:
-        for q, t2 in m2.support:
-            acc += (p * q) * play_batch(game, t1, t2).as_array()
-    return ExpectedPayoffs(*acc)
 
 
 @dataclass(frozen=True)
@@ -462,16 +421,14 @@ def rep_bimatrix(game: RepGame) -> Bimatrix:
     )
 
 
-def factor_pairs(
-    state: PureState, tol: float = 1e-9
-) -> tuple[PureState, ...] | None:
+def factor_pairs(state: PureState) -> tuple[PureState, ...] | None:
     """Split a register into two-qubit factors, if it is such a product.
 
     Peels two qubits at a time with a singular value decomposition; the
     state factors at a cut exactly when the second singular value
     vanishes.  Returns the tuple of two-qubit states whose tensor
     product reconstructs the input, or None if any cut is entangled
-    beyond ``tol``.
+    beyond ``SUPPORT_TOL``.
     """
     if state.num_qubits % 2 != 0:
         raise ValueError("pair factoring needs an even number of qubits")
@@ -481,7 +438,7 @@ def factor_pairs(
     while qubits_left > 2:
         matrix = remaining.reshape(4, -1)
         u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-        if s[1] > tol:
+        if s[1] > SUPPORT_TOL:
             return None
         factors.append(PureState(2, u[:, 0]))
         remaining = vh[0, :]
@@ -490,14 +447,9 @@ def factor_pairs(
     return tuple(factors)
 
 
-def two_term_amplitudes(
-    state: PureState, tol: float = 1e-9
-) -> tuple[complex, complex] | None:
-    """(amp_all_zero, amp_all_one) if only those basis terms are present."""
-    amps = state.amplitudes
-    if amps.shape[0] > 2 and np.abs(amps[1:-1]).max() > tol:
-        return None
-    return (complex(amps[0]), complex(amps[-1]))
+def _is_two_term(state: PureState) -> bool:
+    """True if only the all-zeros and all-ones basis terms are present."""
+    return bool(np.abs(state.amplitudes[1:-1]).max() <= SUPPORT_TOL)
 
 
 @dataclass(frozen=True)
@@ -538,9 +490,6 @@ class ExtensiveTree:
                     raise ValueError(
                         f"chance node {node.node_id} probabilities sum to {total!r}"
                     )
-
-    def node(self, node_id: int) -> TreeNode:
-        return self.nodes[node_id]
 
     def to_json(self) -> str:
         document = {
@@ -587,6 +536,21 @@ def _assemble_tree(stage: StageGame, distributions, stage2_fn) -> ExtensiveTree:
         nodes.append(None)
         return len(nodes) - 1
 
+    def decision(
+        node_id: int, owner: int, info_set: str, children: list[int], live: bool = True
+    ) -> None:
+        nodes[node_id] = TreeNode(
+            node_id,
+            "decision",
+            owner,
+            info_set,
+            _ACTION_LABELS,
+            tuple(children),
+            None,
+            None,
+            live,
+        )
+
     root_id = reserve()
     root_children = []
     for k1 in (0, 1):
@@ -598,86 +562,40 @@ def _assemble_tree(stage: StageGame, distributions, stage2_fn) -> ExtensiveTree:
             outcome_children = []
             for outcome in OUTCOMES:
                 base = stage.pair(*outcome)
-                probability = distribution.get(outcome, 0.0)
-                live = probability > 0.0
+                live = distribution.get(outcome, 0.0) > 0.0
+                after = f"after-{outcome[0]}{outcome[1]}"
                 first_id = reserve()
                 first_children = []
                 for a1 in (0, 1):
                     reply_id = reserve()
-                    terminal_children = []
+                    leaves = []
                     for a2 in (0, 1):
-                        terminal_id = reserve()
-                        extra = stage2_fn(k1, k2, outcome, a1, a2)
-                        nodes[terminal_id] = TreeNode(
-                            terminal_id,
-                            "terminal",
-                            None,
-                            None,
-                            (),
-                            (),
-                            None,
-                            None
-                            if extra is None
-                            else (base[0] + extra[0], base[1] + extra[1]),
-                            live,
+                        leaf_id = reserve()
+                        payoffs = stage2_fn(k1, k2, outcome, a1, a2)
+                        if payoffs is not None:
+                            payoffs = (base[0] + payoffs[0], base[1] + payoffs[1])
+                        nodes[leaf_id] = TreeNode(
+                            leaf_id, "terminal", None, None, (), (), None, payoffs, live
                         )
-                        terminal_children.append(terminal_id)
-                    nodes[reply_id] = TreeNode(
-                        reply_id,
-                        "decision",
-                        2,
-                        f"2:after-{outcome[0]}{outcome[1]}",
-                        _ACTION_LABELS,
-                        tuple(terminal_children),
-                        None,
-                        None,
-                        live,
-                    )
+                        leaves.append(leaf_id)
+                    decision(reply_id, 2, "2:" + after, leaves, live)
                     first_children.append(reply_id)
-                nodes[first_id] = TreeNode(
-                    first_id,
-                    "decision",
-                    1,
-                    f"1:after-{outcome[0]}{outcome[1]}",
-                    _ACTION_LABELS,
-                    tuple(first_children),
-                    None,
-                    None,
-                    live,
-                )
+                decision(first_id, 1, "1:" + after, first_children, live)
                 outcome_children.append(first_id)
             nodes[chance_id] = TreeNode(
                 chance_id,
                 "chance",
                 None,
                 None,
-                tuple(f"{o[0]}{o[1]}" for o in OUTCOMES),
+                _OUTCOME_LABELS,
                 tuple(outcome_children),
                 tuple(distribution.get(o, 0.0) for o in OUTCOMES),
                 None,
             )
             chance_children.append(chance_id)
-        nodes[second_id] = TreeNode(
-            second_id,
-            "decision",
-            2,
-            "2:stage1",
-            _ACTION_LABELS,
-            tuple(chance_children),
-            None,
-            None,
-        )
+        decision(second_id, 2, "2:stage1", chance_children)
         root_children.append(second_id)
-    nodes[root_id] = TreeNode(
-        root_id,
-        "decision",
-        1,
-        "1:stage1",
-        _ACTION_LABELS,
-        tuple(root_children),
-        None,
-        None,
-    )
+    decision(root_id, 1, "1:stage1", root_children)
     return ExtensiveTree(tuple(nodes), root_id)  # type: ignore[arg-type]
 
 
@@ -696,7 +614,7 @@ def build_extensive(game: RepGame) -> ExtensiveTree:
     factors = factor_pairs(game.initial)
     if factors is not None:
         return _tree_from_factors(game.stage, factors)
-    if two_term_amplitudes(game.initial) is not None:
+    if _is_two_term(game.initial):
         return _tree_from_two_term(game)
     raise ValueError(
         "extensive form is defined only for pair-product initial states "

@@ -81,24 +81,6 @@ class StageGame:
         t, r, p, s = values
         return t > r > p > s and 2 * r > t + s
 
-    @property
-    def bos_values(self) -> tuple[float, float, float] | None:
-        """(alpha, beta, gamma) if the table has the coordination shape."""
-        (o00, o01), (o10, o11) = self.outcomes
-        if o01 != o10 or o01[0] != o01[1]:
-            return None
-        if o11 != (o00[1], o00[0]):
-            return None
-        return (o00[0], o00[1], o01[0])
-
-    @property
-    def is_bos(self) -> bool:
-        values = self.bos_values
-        if values is None:
-            return False
-        alpha, beta, gamma = values
-        return alpha > beta > gamma
-
     def stage_bimatrix(self) -> "Bimatrix":
         """The one-shot game as a 2x2 bimatrix."""
         return Bimatrix.from_cells(
@@ -211,14 +193,6 @@ class ExpectedPayoffs:
     @property
     def totals(self) -> Payoffs:
         return (self.p1_stage1 + self.p1_stage2, self.p2_stage1 + self.p2_stage2)
-
-    def component(self, player: int, stage: int) -> float:
-        return {
-            (1, 1): self.p1_stage1,
-            (1, 2): self.p1_stage2,
-            (2, 1): self.p2_stage1,
-            (2, 2): self.p2_stage2,
-        }[(player, stage)]
 
     def as_array(self) -> np.ndarray:
         return np.array(

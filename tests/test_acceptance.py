@@ -64,6 +64,30 @@ def test_each_claim_fails_when_its_result_is_broken(
     assert [claim for claim, ok, _ in run_claims(SEED) if not ok] == [name]
 
 
+def test_a_family_member_with_its_own_equilibrium_set_fails_the_shared_claim(
+    monkeypatch,
+):
+    original = claims.pure_nash
+    calls = []
+
+    def second_report_drops_its_first(bimatrix, tol):
+        report = original(bimatrix, tol=tol)
+        calls.append(report)
+        if len(calls) == 2:
+            return replace(report, equilibria=report.equilibria[1:])
+        return report
+
+    monkeypatch.setattr(claims, "pure_nash", second_report_drops_its_first)
+    results = run_claims(SEED)
+    assert [name for name, ok, _ in results if not ok] == [
+        "entangled-second-stage-table"
+    ]
+    details = {name: detail for name, _, detail in results}
+    assert details["entangled-second-stage-table"].endswith(
+        "(not shared by the family)"
+    )
+
+
 def test_a_raising_check_fails_its_claim_with_the_message(monkeypatch):
     def broken(seed, grid_step, perturb):
         raise np.linalg.LinAlgError("no convergence")

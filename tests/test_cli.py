@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import subprocess
@@ -38,16 +39,6 @@ def run_cli(capsys, *argv):
 
 # ---------------------------------------------------------------------------
 # configuration parsing
-
-
-def test_config_round_trips_through_its_document_form():
-    original = parse_config(mw10_document("ghz(0.3)"))
-    clone = parse_config(original.to_document())
-    assert clone.protocol == original.protocol
-    assert np.allclose(
-        clone.initial.amplitudes, original.initial.amplitudes, atol=1e-12
-    )
-    assert clone.stage.payoff_table(1).tolist() == original.stage.payoff_table(1).tolist()
 
 
 def test_payoffs_accept_an_explicit_table():
@@ -381,6 +372,24 @@ def test_out_flag_writes_the_file_instead_of_stdout(tmp_path, capsys):
     assert target.read_text().startswith(",00000,")
 
 
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        (("bimatrix",), "missing/x.csv"),
+        (("paper-repro", "--grid-step", "0.1"), "missing/x.txt"),
+        (("bimatrix",), "."),
+    ],
+    ids=["missing-directory", "paper-repro-missing-directory", "directory"],
+)
+def test_an_unwritable_out_exits_with_two(tmp_path, capsys, command, target):
+    argv = [*command, "--out", str(tmp_path / target)]
+    if command[0] == "bimatrix":
+        argv += ["--config", write_config(tmp_path, mw10_document())]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output: ")
+
+
 def test_nash_on_the_classical_embedding(tmp_path, capsys):
     config = write_config(tmp_path, mw10_document())
     code, out, _ = run_cli(capsys, "nash", "--config", config)
@@ -627,6 +636,118 @@ def test_paper_repro_detects_an_injected_value_drift(capsys):
     assert len(failing) == 1
     assert failing[0].startswith("FAIL entangled-second-stage-table")
     assert lines[-1] == "8 passed, 1 failed"
+
+
+# ---------------------------------------------------------------------------
+# pinned output bytes
+#
+# Every config below is a basis start with dyadic payoffs, so each table
+# cell is an exact sum and the hashes do not depend on BLAS summation order.
+
+_PINNED_PAYOFFS = {
+    "pd": {"T": 5, "R": 3, "P": 1, "S": 0},
+    "dyadic": {"T": 5.5, "R": 3.25, "P": 1, "S": -0.5},
+}
+_PINNED_STATES = {
+    "mw10-zero": ("mw10", "all_zero"),
+    "mw10-basis": ("mw10", [{"basis": "0110100101", "re": 1}]),
+    "it-basis": ("iqbal-toor", [{"basis": "0110", "re": 1}]),
+    "classical": ("classical", "all_zero"),
+}
+_PINNED_COMMANDS = {
+    "csv": ("bimatrix",),
+    "json": ("bimatrix", "--format", "json"),
+    "nash": ("nash",),
+    "nash-tol0": ("nash", "--tol", "0"),
+    "dominance": ("dominance",),
+    "spe": ("spe",),
+}
+
+
+def _pinned_cases():
+    """Command line and config document (None: no config) per case."""
+    cases = {
+        "paper-repro": (("paper-repro",), None),
+        "paper-repro-grid-step-0.7": (("paper-repro", "--grid-step", "0.7"), None),
+        "nash-tol-nan": (("nash", "--tol", "nan"), mw10_document()),
+    }
+    for state, (protocol, initial) in _PINNED_STATES.items():
+        for payoffs_name, payoffs in _PINNED_PAYOFFS.items():
+            document = {
+                "protocol": protocol,
+                "payoffs": payoffs,
+                "initial_state": initial,
+            }
+            for name, command in _PINNED_COMMANDS.items():
+                cases[f"{state}-{payoffs_name}-{name}"] = (command, document)
+    return cases
+
+
+_PINNED_CASES = _pinned_cases()
+# (exit code, sha256 of stdout followed by stderr) per case.
+_PINNED = {
+    "classical-dyadic-csv": (0, "1cd2ad567d5a611b644d586ce44fd8a8cadfb7e2756a370a672707e6161c9a50"),
+    "classical-dyadic-dominance": (0, "ff3fb850cede0b78bcfa999d29827ce5ba26dc35f32fc394d79639c8884deb8e"),
+    "classical-dyadic-json": (0, "fd5b62f25adfbb3f41a1dd35d52188c7a530a15a3ff93bd11b583b8452d57017"),
+    "classical-dyadic-nash": (0, "b490aebeabab503b6ef9ec04d949b562ac24f378ac54fd8e84deaeda36701042"),
+    "classical-dyadic-nash-tol0": (0, "79bb40ad12ef03bd39098ffbc7bb45e44bb251ceb337d5ade9336559e7270a87"),
+    "classical-dyadic-spe": (0, "d3a9098ba959d83abc87a464aae1fee9c3a5596c89f0916be58f6a4454c345e9"),
+    "classical-pd-csv": (0, "57f9cb26812c3aa3c5afa29d00eccac139dd9276bb3fd70f1747944f92523113"),
+    "classical-pd-dominance": (0, "ff3fb850cede0b78bcfa999d29827ce5ba26dc35f32fc394d79639c8884deb8e"),
+    "classical-pd-json": (0, "175c37ddfb7d3535ea672b3c27f6ecbbd3fba4afaa3d398192a570d476272024"),
+    "classical-pd-nash": (0, "b490aebeabab503b6ef9ec04d949b562ac24f378ac54fd8e84deaeda36701042"),
+    "classical-pd-nash-tol0": (0, "79bb40ad12ef03bd39098ffbc7bb45e44bb251ceb337d5ade9336559e7270a87"),
+    "classical-pd-spe": (0, "d3a9098ba959d83abc87a464aae1fee9c3a5596c89f0916be58f6a4454c345e9"),
+    "it-basis-dyadic-csv": (0, "fdffcc8ca20f123d4c55a4a64a8b3a768585a441f03df27263a3cb08d4ea9b24"),
+    "it-basis-dyadic-dominance": (0, "4cf531a77b49ca4b93fe71452325d69be90f80ed0e98266d3b0e922b6c1258f8"),
+    "it-basis-dyadic-json": (0, "f93891f9876dc8a224079732abfdc27b9fa3882d82bd145a7d299ed396c0de8c"),
+    "it-basis-dyadic-nash": (0, "1b6b9fbfa0cffd44808befeada7017196855781c4359776bcb41882cd4b6e429"),
+    "it-basis-dyadic-nash-tol0": (0, "9f6d76f5fc68413d2e4a98cfdda1cd9bfcb3405fa690b27e0c93fb2627e425d5"),
+    "it-basis-dyadic-spe": (2, "5e4f4469be90fbe465bed42c3bfddb38749d57b8220c09b9e348db838d927a73"),
+    "it-basis-pd-csv": (0, "b546ddbc6a36aeca9527af93c86fffc5208aa7946b554875df06a56ad4664974"),
+    "it-basis-pd-dominance": (0, "4cf531a77b49ca4b93fe71452325d69be90f80ed0e98266d3b0e922b6c1258f8"),
+    "it-basis-pd-json": (0, "b9a986ab4c52d20a1b01eb610eab1ea8637bfff42f3c26af6037c84ab6331e6b"),
+    "it-basis-pd-nash": (0, "1b6b9fbfa0cffd44808befeada7017196855781c4359776bcb41882cd4b6e429"),
+    "it-basis-pd-nash-tol0": (0, "9f6d76f5fc68413d2e4a98cfdda1cd9bfcb3405fa690b27e0c93fb2627e425d5"),
+    "it-basis-pd-spe": (2, "5e4f4469be90fbe465bed42c3bfddb38749d57b8220c09b9e348db838d927a73"),
+    "mw10-basis-dyadic-csv": (0, "050458876df8b624735bee8814918802af2b1f1e320f57b72d8dd58854199b69"),
+    "mw10-basis-dyadic-dominance": (0, "c8b612fad19412982ebe911be3a9fc289b98d6805710fc56275d5b8de97b1349"),
+    "mw10-basis-dyadic-json": (0, "5022c22cffa6378dcc4f3078bb4a595e0a512a393890d8c785a7362caf1d6edb"),
+    "mw10-basis-dyadic-nash": (0, "f0cde6b0f29b5818f2d69fbf2f45e3b2f3960ced3ea88eadae73f791a86f5ed9"),
+    "mw10-basis-dyadic-nash-tol0": (0, "8eec2f17118813827b861ee9719c6acbca861cefb34a2ea420faf528395c5a73"),
+    "mw10-basis-dyadic-spe": (0, "8e9786ca46b2bfc64ce4a079388da8f1d2967b2b697a98a9bfb655b047f830d6"),
+    "mw10-basis-pd-csv": (0, "ca73e3b9655d777cf79201b734ded30fd9d4096d83f2bda96e0fe696e471ed22"),
+    "mw10-basis-pd-dominance": (0, "c8b612fad19412982ebe911be3a9fc289b98d6805710fc56275d5b8de97b1349"),
+    "mw10-basis-pd-json": (0, "51b5843a33c73df64ed7e29207a702f1adc900be18cc54885f008fc1092a178c"),
+    "mw10-basis-pd-nash": (0, "f0cde6b0f29b5818f2d69fbf2f45e3b2f3960ced3ea88eadae73f791a86f5ed9"),
+    "mw10-basis-pd-nash-tol0": (0, "8eec2f17118813827b861ee9719c6acbca861cefb34a2ea420faf528395c5a73"),
+    "mw10-basis-pd-spe": (0, "8e9786ca46b2bfc64ce4a079388da8f1d2967b2b697a98a9bfb655b047f830d6"),
+    "mw10-zero-dyadic-csv": (0, "1cd2ad567d5a611b644d586ce44fd8a8cadfb7e2756a370a672707e6161c9a50"),
+    "mw10-zero-dyadic-dominance": (0, "4cb0233db9a47e6cc14b9788298725d10cddfa4d7d1261fdd2e87897ad00d3db"),
+    "mw10-zero-dyadic-json": (0, "fd5b62f25adfbb3f41a1dd35d52188c7a530a15a3ff93bd11b583b8452d57017"),
+    "mw10-zero-dyadic-nash": (0, "b490aebeabab503b6ef9ec04d949b562ac24f378ac54fd8e84deaeda36701042"),
+    "mw10-zero-dyadic-nash-tol0": (0, "79bb40ad12ef03bd39098ffbc7bb45e44bb251ceb337d5ade9336559e7270a87"),
+    "mw10-zero-dyadic-spe": (0, "d3a9098ba959d83abc87a464aae1fee9c3a5596c89f0916be58f6a4454c345e9"),
+    "mw10-zero-pd-csv": (0, "57f9cb26812c3aa3c5afa29d00eccac139dd9276bb3fd70f1747944f92523113"),
+    "mw10-zero-pd-dominance": (0, "4cb0233db9a47e6cc14b9788298725d10cddfa4d7d1261fdd2e87897ad00d3db"),
+    "mw10-zero-pd-json": (0, "175c37ddfb7d3535ea672b3c27f6ecbbd3fba4afaa3d398192a570d476272024"),
+    "mw10-zero-pd-nash": (0, "b490aebeabab503b6ef9ec04d949b562ac24f378ac54fd8e84deaeda36701042"),
+    "mw10-zero-pd-nash-tol0": (0, "79bb40ad12ef03bd39098ffbc7bb45e44bb251ceb337d5ade9336559e7270a87"),
+    "mw10-zero-pd-spe": (0, "d3a9098ba959d83abc87a464aae1fee9c3a5596c89f0916be58f6a4454c345e9"),
+    "nash-tol-nan": (2, "c70bb27d201d805ef54d2aa6d1f2a63e5e99c864bef1bd56a9d8bb0144542ab2"),
+    "paper-repro": (0, "1dd045778052c10b0ee97c795748c1348382043351d33850b59073b733c9e66e"),
+    "paper-repro-grid-step-0.7": (2, "ecf047527032297eeddf71038bc5ebadb9c29596cd18440594d0ac10bc3c8a38"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_CASES))
+def test_cli_output_bytes_are_pinned(tmp_path, capsys, case):
+    command, document = _PINNED_CASES[case]
+    argv = list(command)
+    if document is not None:
+        argv += ["--config", write_config(tmp_path, document)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, hashlib.sha256((out + err).encode()).hexdigest()) == _PINNED[case]
 
 
 # ---------------------------------------------------------------------------

@@ -328,21 +328,6 @@ def test_scan_flags_exactly_the_region_below_the_bound():
         assert sample.stage_payoff == pytest.approx(want_q, abs=1e-12)
 
 
-def test_scan_serialization():
-    analysis = cooperation_scan(PD, 0.25)
-    lines = analysis.to_csv().splitlines()
-    assert lines[0] == "x,unique_ne_flag,Q"
-    assert lines[1] == "0.25,1,1.5"
-    assert lines[2] == "0.5,0,2"
-    assert len(lines) == 4
-
-    doc = json.loads(analysis.to_json())
-    assert doc["payoffs"] == {"T": 5.0, "R": 3.0, "P": 1.0, "S": 0.0}
-    assert doc["closed_form_bound"] == pytest.approx(1.0 / 3.0)
-    assert doc["empirical_bound"] == 0.25
-    assert doc["samples"][0] == {"x": 0.25, "unique_ne_flag": True, "Q": 1.5}
-
-
 def cooperation_scan_oracle(stage, grid_step):
     """One ``mw_bimatrix`` and ``pure_nash(tol=0)`` per grid point.
 
@@ -395,8 +380,8 @@ def assert_scan_matches_the_oracle(stage, grid_step):
         sample.unique_cooperative_ne for sample in want.samples
     ]
     assert got.empirical_bound == want.empirical_bound
-    assert got.to_json() == want.to_json()
-    assert got.to_csv() == want.to_csv()
+    # Dataclass equality compares every float exactly.
+    assert got == want
 
 
 def seeded_dilemma(seed):

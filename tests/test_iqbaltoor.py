@@ -71,9 +71,8 @@ def test_strategy_probability_bounds():
 def test_pure_strategies_and_labels_line_up():
     assert len(IT_PURE_STRATEGIES) == 4
     for strat, label in zip(IT_PURE_STRATEGIES, IT_STRATEGY_LABELS):
-        assert strat.is_pure
+        assert {strat.stage1_flip_prob, strat.stage2_flip_prob} <= {0.0, 1.0}
         assert label == f"{int(strat.stage1_flip_prob)}{int(strat.stage2_flip_prob)}"
-    assert not ITStrategy(0.5, 0.0).is_pure
     assert ITStrategy.pure(1, 0) == ITStrategy(1.0, 0.0)
 
 

@@ -18,9 +18,9 @@ FRACTIONAL = make_pd(5.7, 3.3, 1.1, -0.4)
 
 def test_payoff_observable_reads_the_designated_pair():
     obs = payoff_observable(PD, 1, num_qubits=2, qubit_pair=(1, 2))
-    assert [obs.weight(i) for i in range(4)] == [3.0, 0.0, 5.0, 1.0]
+    assert obs.weights.tolist() == [3.0, 0.0, 5.0, 1.0]
     other = payoff_observable(PD, 2, num_qubits=2, qubit_pair=(1, 2))
-    assert [other.weight(i) for i in range(4)] == [3.0, 5.0, 0.0, 1.0]
+    assert other.weights.tolist() == [3.0, 5.0, 0.0, 1.0]
 
 
 def test_payoff_observable_ignores_spectator_qubits():
@@ -29,7 +29,7 @@ def test_payoff_observable_ignores_spectator_qubits():
     for index in range(16):
         a = (index >> 2) & 1
         b = (index >> 1) & 1
-        assert obs.weight(index) == PD.payoff(1, a, b)
+        assert obs.weights[index] == PD.payoff(1, a, b)
 
 
 def test_game_requires_two_qubits():

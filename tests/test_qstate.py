@@ -284,20 +284,11 @@ def test_ensemble_validation():
     assert Ensemble.pure(state).num_qubits == 2
 
 
-def test_observable_sparse_and_dense_forms_agree():
-    dense = DiagonalObservable(2, np.array([0.0, 5.0, 0.0, 1.0]))
-    sparse = DiagonalObservable(2, {1: 5.0, 3: 1.0})
-    assert np.array_equal(dense.weights, sparse.weights)
-    assert dense.weight(1) == 5.0
-
-
 def test_observable_validation():
     with pytest.raises(ValueError, match="expected 4 weights"):
         DiagonalObservable(2, np.zeros(3))
     with pytest.raises(ValueError, match="finite"):
         DiagonalObservable(1, np.array([np.inf, 0.0]))
-    with pytest.raises(ValueError, match="out of range"):
-        DiagonalObservable(1, {4: 1.0})
 
 
 def test_expectation_is_the_weighted_probability_sum():

@@ -18,7 +18,6 @@ from qrgames.qstate import (
     tensor_all,
 )
 from qrgames.repeated10 import (
-    MixedRepStrategy,
     _assemble_tree,
     _continue,
     _measure_stage1,
@@ -26,7 +25,6 @@ from qrgames.repeated10 import (
     RepGame,
     build_extensive,
     factor_pairs,
-    mixed_payoffs,
     outcome_qubit_pair,
     play_batch,
     play_sequential,
@@ -34,7 +32,6 @@ from qrgames.repeated10 import (
     rep_component_tables,
     sequential_component_tables,
     strategy_qubit_map,
-    two_term_amplitudes,
 )
 from qrgames.stagegames import (
     RepStrategy,
@@ -184,13 +181,9 @@ def test_component_tables_agree_with_single_runs():
     assert set(tables) == {(1, 1), (1, 2), (2, 1), (2, 2)}
     assert tables[(1, 1)].shape == (32, 32)
     for i, j in rng.integers(0, 32, (10, 2)):
-        single = play_batch(game, ALL[int(i)], ALL[int(j)])
-        for player in (1, 2):
-            for stage_index in (1, 2):
-                assert abs(
-                    tables[(player, stage_index)][i, j]
-                    - single.component(player, stage_index)
-                ) <= 1e-12
+        single = play_batch(game, ALL[int(i)], ALL[int(j)]).as_array()
+        for position, key in enumerate(TABLE_KEYS):
+            assert abs(tables[key][i, j] - single[position]) <= 1e-12
 
 
 def gather_tables(game: RepGame) -> dict[tuple[int, int], np.ndarray]:
@@ -389,43 +382,6 @@ def test_sequential_table_matches_the_batch_tables(make_game):
 
 
 # ---------------------------------------------------------------------------
-# mixed strategies
-
-
-def test_mixed_payoffs_blend_pure_runs():
-    rng = np.random.default_rng(41)
-    game = pd_game(random_state(10, rng))
-    m1 = MixedRepStrategy(((0.25, ALL[0]), (0.75, ALL[31])))
-    m2 = MixedRepStrategy(((0.5, ALL[5]), (0.5, ALL[20])))
-    blend = np.zeros(4)
-    for p, t1 in m1.support:
-        for q, t2 in m2.support:
-            blend += p * q * play_batch(game, t1, t2).as_array()
-    assert np.allclose(mixed_payoffs(game, m1, m2).as_array(), blend, atol=1e-12)
-
-
-def test_mixed_payoffs_accept_plain_strategies():
-    game = all_zero_game()
-    direct = play_batch(game, ALL[3], ALL[17]).as_array()
-    lifted = mixed_payoffs(game, ALL[3], ALL[17]).as_array()
-    assert np.array_equal(direct, lifted)
-
-
-def test_mixed_strategy_validation():
-    with pytest.raises(ValueError, match="nonempty support"):
-        MixedRepStrategy(())
-    with pytest.raises(ValueError, match="nonnegative"):
-        MixedRepStrategy(((-0.5, ALL[0]), (1.5, ALL[1])))
-    with pytest.raises(ValueError, match="sum to"):
-        MixedRepStrategy(((0.5, ALL[0]),))
-
-
-def test_mixed_strategy_rejects_nan_weights():
-    with pytest.raises(ValueError, match="sum to"):
-        MixedRepStrategy(((float("nan"), ALL[0]),))
-
-
-# ---------------------------------------------------------------------------
 # factoring helpers
 
 
@@ -447,18 +403,6 @@ def test_factor_pairs_rejects_cross_pair_entanglement():
     )
     assert factor_pairs(state) is None
     assert factor_pairs(ghz_game().initial) is None
-
-
-def test_two_term_amplitudes_reads_the_ends_of_the_vector():
-    got = two_term_amplitudes(ghz_game(0.3).initial)
-    assert got is not None
-    assert abs(got[0] - np.sqrt(0.3)) <= 1e-12
-    assert abs(got[1] - np.sqrt(0.7)) <= 1e-12
-    assert two_term_amplitudes(PureState.basis(10, 0)) == (1.0 + 0.0j, 0.0 + 0.0j)
-    middle_support = PureState.from_terms(
-        10, {"0" * 10: np.sqrt(0.5), "0110000000": np.sqrt(0.5)}
-    )
-    assert two_term_amplitudes(middle_support) is None
 
 
 # ---------------------------------------------------------------------------
@@ -500,22 +444,22 @@ def test_tree_shape_and_info_set_grouping():
 
 def walk_terminals(tree):
     """Yield (a1, a2, outcome, b1, b2, terminal node) for every path."""
-    root = tree.node(tree.root)
+    root = tree.nodes[tree.root]
     for a1, second_id in zip((0, 1), root.children):
-        second = tree.node(second_id)
+        second = tree.nodes[second_id]
         for a2, chance_id in zip((0, 1), second.children):
-            chance = tree.node(chance_id)
+            chance = tree.nodes[chance_id]
             for outcome, kid_id in zip(OUTCOMES, chance.children):
-                p1_node = tree.node(kid_id)
+                p1_node = tree.nodes[kid_id]
                 for b1, p2_id in zip((0, 1), p1_node.children):
-                    p2_node = tree.node(p2_id)
+                    p2_node = tree.nodes[p2_id]
                     for b2, term_id in zip((0, 1), p2_node.children):
-                        yield a1, a2, outcome, b1, b2, tree.node(term_id)
+                        yield a1, a2, outcome, b1, b2, tree.nodes[term_id]
 
 
 def test_classical_tree_chance_and_payoffs():
     tree = build_extensive(all_zero_game())
-    root = tree.node(tree.root)
+    root = tree.nodes[tree.root]
     assert root.owner == 1 and root.info_set == "1:stage1"
     for _, _, outcome, b1, b2, terminal in walk_terminals(tree):
         first = np.array(PD.pair(*outcome))
@@ -526,11 +470,11 @@ def test_classical_tree_chance_and_payoffs():
 
 def test_classical_tree_chance_probabilities_are_degenerate():
     tree = build_extensive(all_zero_game())
-    root = tree.node(tree.root)
+    root = tree.nodes[tree.root]
     for a1, second_id in zip((0, 1), root.children):
-        second = tree.node(second_id)
+        second = tree.nodes[second_id]
         for a2, chance_id in zip((0, 1), second.children):
-            chance = tree.node(chance_id)
+            chance = tree.nodes[chance_id]
             assert chance.kind == "chance"
             assert chance.actions == ("00", "01", "10", "11")
             want = [1.0 if o == (a1, a2) else 0.0 for o in OUTCOMES]
@@ -559,11 +503,11 @@ def test_two_term_tree_marks_unreachable_branches():
 
 def test_two_term_tree_chance_weights():
     tree = build_extensive(ghz_game(0.3))
-    root = tree.node(tree.root)
+    root = tree.nodes[tree.root]
     for a1, second_id in zip((0, 1), root.children):
-        second = tree.node(second_id)
+        second = tree.nodes[second_id]
         for a2, chance_id in zip((0, 1), second.children):
-            probs = dict(zip(OUTCOMES, tree.node(chance_id).probabilities))
+            probs = dict(zip(OUTCOMES, tree.nodes[chance_id].probabilities))
             assert abs(probs[(a1, a2)] - 0.3) <= 1e-12
             assert abs(probs[(1 - a1, 1 - a2)] - 0.7) <= 1e-12
 

@@ -35,7 +35,6 @@ def test_dilemma_table_and_classification():
     assert game.payoff(1, 1, 0) == 5.0
     assert game.payoff(2, 1, 0) == 0.0
     assert game.is_pd
-    assert not game.is_bos
     assert game.pd_values == (5.0, 3.0, 1.0, 0.0)
     assert game.labels == (("C", "D"), ("C", "D"))
 
@@ -44,9 +43,7 @@ def test_battle_of_the_sexes_table():
     game = make_bos(3, 2, 1)
     assert np.array_equal(game.payoff_table(1), [[3.0, 1.0], [1.0, 2.0]])
     assert np.array_equal(game.payoff_table(2), [[2.0, 1.0], [1.0, 3.0]])
-    assert game.is_bos
     assert not game.is_pd
-    assert game.bos_values == (3.0, 2.0, 1.0)
     assert game.labels == (("O", "F"), ("O", "F"))
 
 
@@ -124,10 +121,6 @@ def test_all_strategies_is_the_full_indexed_enumeration():
 def test_expected_payoffs_accessors():
     ep = ExpectedPayoffs(1.0, 2.0, 3.0, 4.0)
     assert ep.totals == (3.0, 7.0)
-    assert ep.component(1, 1) == 1.0
-    assert ep.component(1, 2) == 2.0
-    assert ep.component(2, 1) == 3.0
-    assert ep.component(2, 2) == 4.0
     assert np.array_equal(ep.as_array(), [1.0, 2.0, 3.0, 4.0])
 
 

@@ -254,13 +254,15 @@ def parse_config(document: object, protocol: str | None = None) -> GameConfig:
 
 def load_config(path: str, protocol: str | None = None) -> GameConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config: {err}") from None
     try:
         document = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from None
+    except RecursionError:
+        raise ConfigError("config is nested too deeply to parse") from None
     return parse_config(document, protocol=protocol)
 
 
@@ -498,10 +500,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args: argparse.Namespace) -> None:
-    """Refuse a --tol or --grid-step no analysis can use, before any work."""
+    """Refuse a --tol, --seed or --grid-step no analysis can use, before any work."""
     tol = getattr(args, "tol", 0.0)
     if not 0.0 <= tol < math.inf:
         raise ConfigError(f"--tol must be finite and nonnegative, got {tol!r}")
+    seed = getattr(args, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
     low, high = _GRID_STEP_RANGE
     step = getattr(args, "grid_step", low)
     if not low <= step < high:

@@ -218,6 +218,28 @@ def _continue(
     return apply_flips(post, FlipLayer({qubit_a: a1, qubit_b: a2}))
 
 
+@lru_cache(maxsize=4)
+def _continuation_gather(outcome: tuple[int, int]) -> np.ndarray:
+    """Basis gather of the four continuations ``_continue`` makes for ``outcome``.
+
+    Row ``2*a1 + a2`` holds ``x XOR m`` at entry ``x``, where ``m`` is the
+    mask of the flips (a1, a2), so ``probs[gather]`` are the four flipped
+    states' Born weights.  The array is 4x1024 and read-only, since the
+    cache hands the same one to every caller.
+    """
+    qubit_a, qubit_b = outcome_qubit_pair(outcome)
+    masks = np.array(
+        [
+            FlipLayer({qubit_a: a1, qubit_b: a2}).mask(NUM_QUBITS)
+            for a1 in (0, 1)
+            for a2 in (0, 1)
+        ]
+    )
+    gather = np.arange(2 ** NUM_QUBITS) ^ masks[:, None]
+    gather.setflags(write=False)
+    return gather
+
+
 @dataclass(frozen=True)
 class PlayTranscript:
     """Full record of one sequential play of a pure profile."""
@@ -363,15 +385,23 @@ def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarr
 
     A sequential play depends on the profile only through the stage-1
     flip pair and, per observed outcome, the continuation flip pair.  So
-    the four stage-1 measurements and the (at most 64) continuation
-    states they lead to cover all 1024 profiles: each continuation's
-    four payoff expectations are read once, and a cell is the
-    renormalized branch weights times the values its continuation bits
-    pick, summed over the outcomes in the order ``play_sequential``
-    sums its ensemble, so cells equal its ``expected`` bit for bit.
-    Keys and layout match :func:`rep_component_tables`.
+    the four stage-1 measurements and the (at most 64) continuations
+    they lead to cover all 1024 profiles.  A continuation only permutes
+    its branch's amplitudes, so its Born weights are the branch's,
+    gathered; each of its four payoff expectations is one dense dot
+    product of those weights with the observable ``play_sequential``
+    reads.  A cell is the renormalized branch weights times the values
+    its continuation bits pick, summed over the outcomes in the order
+    ``play_sequential`` sums its ensemble, so cells equal its
+    ``expected`` bit for bit.  Keys and layout match
+    :func:`rep_component_tables`.
     """
     stage1, after = _strategy_bits()
+    obs = _observables(game.stage)
+    # One 1-D dot per value, not a matrix product: BLAS gemv and gemm sum
+    # in another order than the dot inside ``expectation`` and can differ
+    # from it in the last bit.
+    weights = [obs[key].weights for key in _COMPONENT_KEYS]
     table = np.empty((32, 32, 4))
     for k1 in (0, 1):
         for k2 in (0, 1):
@@ -388,17 +418,10 @@ def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarr
             cols = np.flatnonzero(stage1 == k2)
             cells = 0.0
             for (weight, _), (outcome, _, post) in zip(ensemble.members, branches):
+                continued = post.probabilities[_continuation_gather(outcome)]
                 values = np.array(
-                    [
-                        [
-                            _expected_from(
-                                _continue(post, outcome, a1, a2), game.stage
-                            ).as_array()
-                            for a2 in (0, 1)
-                        ]
-                        for a1 in (0, 1)
-                    ]
-                )
+                    [[w @ probs for w in weights] for probs in continued]
+                ).reshape(2, 2, 4)
                 picked = values[after[outcome][rows][:, None], after[outcome][cols]]
                 cells = cells + weight * picked
             table[np.ix_(rows, cols)] = cells

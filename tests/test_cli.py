@@ -559,6 +559,24 @@ def test_compare_protocols_rejects_bad_requests(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("protocol", ["mw10", "iqbal-toor"])
+def test_compare_protocols_refuses_a_negative_seed(tmp_path, capsys, protocol):
+    config = write_config(tmp_path, mw10_document())
+    code, out, err = run_cli(
+        capsys,
+        "compare-protocols",
+        "--config",
+        config,
+        "--protocol",
+        protocol,
+        "--samples",
+        "1",
+        "--seed",
+        "-1",
+    )
+    assert (code, out, err) == (2, "", "error: --seed must be nonnegative, got -1\n")
+
+
 MATCHING_PENNIES = [[[1, -1], [-1, 1]], [[-1, 1], [1, -1]]]
 BAD_TOLERANCES = [
     *(("nash", value) for value in ("-1", "nan", "inf", "-inf")),
@@ -779,6 +797,23 @@ def test_missing_config_file_exits_with_two(capsys):
     code, _, err = run_cli(capsys, "nash", "--config", "/nonexistent/config.json")
     assert code == 2
     assert "cannot read config" in err
+
+
+def test_a_config_that_is_not_utf8_exits_with_two(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"protocol": "mw10", \xff}')
+    code, out, err = run_cli(capsys, "nash", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read config: 'utf-8' codec can't decode")
+
+
+def test_a_too_deeply_nested_config_exits_with_two(tmp_path, capsys):
+    depth = 100_000
+    text = json.dumps(mw10_document("@")).replace('"@"', "[" * depth + "]" * depth)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "nash", "--config", str(path))
+    assert (code, out, err) == (2, "", "error: config is nested too deeply to parse\n")
 
 
 def test_module_entry_point_prints_usage():

@@ -339,20 +339,35 @@ def test_sequential_play_on_basis_start_has_one_branch():
 TABLE_KEYS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
-def assert_table_matches_sequential_play(game: RepGame, seed: int) -> None:
+def assert_table_matches_sequential_play(
+    game: RepGame, seed: int, count: int = 64
+) -> None:
+    """``count`` seeded profiles' cells equal ``play_sequential``, bit for bit."""
     tables = sequential_component_tables(game)
     rng = np.random.default_rng(seed)
-    for profile in rng.choice(1024, size=64, replace=False):
+    for profile in rng.choice(1024, size=count, replace=False):
         i, j = divmod(int(profile), 32)
         expected = play_sequential(game, ALL[i], ALL[j]).expected.as_array()
         cell = np.array([tables[key][i, j] for key in TABLE_KEYS])
-        assert np.abs(cell - expected).max() <= 1e-12
+        assert np.array_equal(cell, expected), (i, j, cell - expected)
 
 
 @pytest.mark.parametrize("seed", [51, 52, 53])
 def test_sequential_table_matches_play_sequential(seed):
     game = pd_game(random_state(10, np.random.default_rng(seed)))
     assert_table_matches_sequential_play(game, seed)
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [
+        pytest.param(FRACTIONAL, id="fractional"),
+        pytest.param(make_pd(1e8, 3, 1, 0), id="T=1e8"),
+    ],
+)
+def test_sequential_table_is_play_sequential_on_every_profile(stage):
+    game = RepGame(random_state(10, np.random.default_rng(56)), stage)
+    assert_table_matches_sequential_play(game, 56, count=1024)
 
 
 @pytest.mark.parametrize("make_game", [all_zero_game, ghz_game])

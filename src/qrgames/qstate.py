@@ -72,10 +72,7 @@ class PureState:
     @classmethod
     def basis(cls, num_qubits: int, label: int | str) -> "PureState":
         """Computational basis state, e.g. ``PureState.basis(4, "0110")``."""
-        index = basis_index(label) if isinstance(label, str) else int(label)
-        amps = np.zeros(2 ** num_qubits, dtype=complex)
-        amps[index] = 1.0
-        return cls(num_qubits, amps)
+        return cls.from_terms(num_qubits, {label: 1.0})
 
     @classmethod
     def from_terms(
@@ -84,6 +81,8 @@ class PureState:
         """State from a sparse ``{basis label: amplitude}`` mapping."""
         amps = np.zeros(2 ** num_qubits, dtype=complex)
         for label, amp in terms.items():
+            if isinstance(label, str) and len(label) != num_qubits:
+                raise ValueError(f"expected {num_qubits}-bit label, got {label!r}")
             index = basis_index(label) if isinstance(label, str) else int(label)
             if not 0 <= index < amps.shape[0]:
                 raise ValueError(f"basis index {index} out of range")

@@ -218,6 +218,24 @@ def _continue(
     return apply_flips(post, FlipLayer({qubit_a: a1, qubit_b: a2}))
 
 
+def _stage1_branches(game: RepGame) -> dict[tuple[int, int], list]:
+    """``_measure_stage1`` for all four stage-1 flips k, from one measurement.
+
+    Flipping qubits 1-2 by k moves block b of the start (where they spell
+    b) to outcome b XOR k, low bits in order: the same probability summed
+    in the same order, the same pruning.  So per k the measured branches
+    come relabelled, in ``OUTCOMES`` order, with their unflipped post states.
+    """
+    measured = measure_pair(game.initial, 1, 2)
+    return {
+        (k1, k2): sorted(
+            ((b1 ^ k1, b2 ^ k2), p, post) for (b1, b2), p, post in measured
+        )
+        for k1 in (0, 1)
+        for k2 in (0, 1)
+    }
+
+
 @lru_cache(maxsize=4)
 def _continuation_gather(outcome: tuple[int, int]) -> np.ndarray:
     """Basis gather of the four continuations ``_continue`` makes for ``outcome``.
@@ -385,46 +403,43 @@ def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarr
 
     A sequential play depends on the profile only through the stage-1
     flip pair and, per observed outcome, the continuation flip pair.  So
-    the four stage-1 measurements and the (at most 64) continuations
-    they lead to cover all 1024 profiles.  A continuation only permutes
-    its branch's amplitudes, so its Born weights are the branch's,
-    gathered; each of its four payoff expectations is one dense dot
-    product of those weights with the observable ``play_sequential``
-    reads.  A cell is the renormalized branch weights times the values
-    its continuation bits pick, summed over the outcomes in the order
-    ``play_sequential`` sums its ensemble, so cells equal its
-    ``expected`` bit for bit.  Keys and layout match
-    :func:`rep_component_tables`.
+    one measurement of the start, relabelled per stage-1 flip, and the (at
+    most 64) continuations it leads to cover all 1024 profiles.  Flips
+    only permute amplitudes, so a continuation's Born weights are the
+    measured branch's, gathered; each of its four payoff expectations is
+    a 1-D dot product of those weights with the observable
+    ``play_sequential`` reads.  A cell is the renormalized branch weights
+    times the values its continuation bits pick, summed over the outcomes
+    in the order ``play_sequential`` sums its ensemble, so cells equal its
+    ``expected`` bit for bit.  Keys and layout match :func:`rep_component_tables`.
     """
     stage1, after = _strategy_bits()
     obs = _observables(game.stage)
-    # One 1-D dot per value, not a matrix product: BLAS gemv and gemm sum
-    # in another order than the dot inside ``expectation`` and can differ
-    # from it in the last bit.
-    weights = [obs[key].weights for key in _COMPONENT_KEYS]
+    # Stacked (1 x n) @ (n x 1) products go to the dot a 1-D ``w @ p`` uses;
+    # (1 x n) @ (n x 4) would go to BLAS gemv, which sums in another order.
+    weights = np.stack([obs[key].weights for key in _COMPONENT_KEYS])[None, :, None]
+    stages = _stage1_branches(game)
+    # Flips (0, 0) relabel nothing, so these are the measured post states.
+    born = {post: post.probabilities for _, _, post in stages[(0, 0)]}
     table = np.empty((32, 32, 4))
-    for k1 in (0, 1):
-        for k2 in (0, 1):
-            branches = _measure_stage1(game, k1, k2)
-            kept = sum(probability for _, probability, _ in branches)
-            _check_branch_total(kept)
-            # Every profile with these stage-1 flips ends in an ensemble
-            # with these weights; building it once runs the ensemble's
-            # checks once.
-            ensemble = Ensemble(
-                tuple((probability / kept, post) for _, probability, post in branches)
-            )
-            rows = np.flatnonzero(stage1 == k1)
-            cols = np.flatnonzero(stage1 == k2)
-            cells = 0.0
-            for (weight, _), (outcome, _, post) in zip(ensemble.members, branches):
-                continued = post.probabilities[_continuation_gather(outcome)]
-                values = np.array(
-                    [[w @ probs for w in weights] for probs in continued]
-                ).reshape(2, 2, 4)
-                picked = values[after[outcome][rows][:, None], after[outcome][cols]]
-                cells = cells + weight * picked
-            table[np.ix_(rows, cols)] = cells
+    for (k1, k2), branches in stages.items():
+        kept = sum(probability for _, probability, _ in branches)
+        _check_branch_total(kept)
+        # Every profile with these stage-1 flips ends in this ensemble;
+        # building it once runs its checks once.
+        ensemble = Ensemble(
+            tuple((probability / kept, post) for _, probability, post in branches)
+        )
+        mask = FlipLayer({1: k1, 2: k2}).mask(NUM_QUBITS)
+        rows = np.flatnonzero(stage1 == k1)
+        cols = np.flatnonzero(stage1 == k2)
+        cells = 0.0
+        for (weight, _), (outcome, _, post) in zip(ensemble.members, branches):
+            continued = born[post][_continuation_gather(outcome) ^ mask]
+            values = (weights @ continued[:, None, :, None]).reshape(2, 2, 4)
+            picked = values[after[outcome][rows][:, None], after[outcome][cols]]
+            cells = cells + weight * picked
+        table[np.ix_(rows, cols)] = cells
     return {key: table[:, :, position] for position, key in enumerate(_COMPONENT_KEYS)}
 
 
@@ -659,19 +674,18 @@ def _tree_from_factors(
 def _tree_from_two_term(game: RepGame) -> ExtensiveTree:
     """Tree of a two-term start: each measured branch's post state lives
     where qubits 1-2 spell its outcome, so one ``flip_table`` call on the
-    outcome's pair gives its stage-2 payoffs under all four flips.
+    outcome's pair gives its stage-2 payoffs under all four flips.  Stage-1
+    flips leave that pair's marginal alone, so the unflipped post serves.
     """
     weights = stage_weights(game.stage)
     distributions: dict[tuple[int, int], dict[tuple[int, int], float]] = {}
     continuations = {}
-    for k1 in (0, 1):
-        for k2 in (0, 1):
-            dist = {}
-            for outcome, probability, post in _measure_stage1(game, k1, k2):
-                dist[outcome] = probability
-                values = flip_table(post, outcome_qubit_pair(outcome), weights)
-                continuations[(k1, k2) + outcome] = values.T.tolist()
-            distributions[(k1, k2)] = dist
+    for flips, branches in _stage1_branches(game).items():
+        distributions[flips] = {}
+        for outcome, probability, post in branches:
+            distributions[flips][outcome] = probability
+            values = flip_table(post, outcome_qubit_pair(outcome), weights)
+            continuations[flips + outcome] = values.T.tolist()
 
     def stage2_fn(
         k1: int, k2: int, outcome: tuple[int, int], a1: int, a2: int

@@ -85,6 +85,26 @@ def test_from_terms_rejects_out_of_range_index():
         PureState.from_terms(2, {7: 1.0})
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: PureState.basis(4, "0000000001"), id="basis-long"),
+        pytest.param(lambda: PureState.basis(4, "01"), id="basis-short"),
+        pytest.param(lambda: PureState.from_terms(10, {"01": 1.0}), id="terms-short"),
+        pytest.param(lambda: PureState.from_terms(2, {"0000": 1.0}), id="terms-long"),
+    ],
+)
+def test_a_label_of_the_wrong_length_is_refused(make):
+    with pytest.raises(ValueError, match="expected [0-9]+-bit label"):
+        make()
+
+
+@pytest.mark.parametrize("index", [-1, -16, 16, 99])
+def test_basis_refuses_an_index_outside_the_register(index):
+    with pytest.raises(ValueError, match="out of range"):
+        PureState.basis(4, index)
+
+
 def test_state_rejects_wrong_amplitude_count():
     with pytest.raises(ValueError, match="expected 2"):
         PureState(2, np.array([1.0, 0.0]))

@@ -9,11 +9,13 @@ import pytest
 
 from qrgames.equilibria import pure_nash, strictly_dominated
 from qrgames.mw import payoff_observable
+from qrgames import repeated10
 from qrgames.qstate import (
     OUTCOMES,
     PROB_FLOOR,
     PureState,
     expectation,
+    measure_pair,
     random_state,
     tensor_all,
 )
@@ -376,6 +378,75 @@ def test_sequential_table_skips_pruned_outcomes(make_game):
     transcript = play_sequential(game, ALL[0], ALL[0])
     assert not all(branch.reachable for branch in transcript.branches)
     assert_table_matches_sequential_play(game, 54)
+
+
+@pytest.mark.parametrize("block", [0, 1, 2, 3])
+def test_sequential_table_relabels_each_block_to_each_outcome(block):
+    """A basis start in block b sends every stage-1 flip k to outcome b XOR k."""
+    game = RepGame(PureState.basis(10, block << 8), FRACTIONAL)
+    assert_table_matches_sequential_play(game, 57 + block, count=256)
+
+
+def test_sequential_table_relabels_a_start_with_one_empty_block():
+    amplitudes = random_state(10, np.random.default_rng(61)).amplitudes.copy()
+    amplitudes[2 << 8 : 3 << 8] = 0.0
+    state = PureState(10, amplitudes / np.linalg.norm(amplitudes))
+    game = RepGame(state, FRACTIONAL)
+    # Outcome 10 XOR k is pruned after each stage-1 flip pair k.
+    for k1 in (0, 1):
+        for k2 in (0, 1):
+            transcript = play_sequential(game, ALL[16 * k1], ALL[16 * k2])
+            unreachable = [b.outcome for b in transcript.branches if not b.reachable]
+            assert unreachable == [(1 ^ k1, 0 ^ k2)]
+    assert_table_matches_sequential_play(game, 61, count=256)
+
+
+@pytest.fixture
+def measure_pair_calls(monkeypatch):
+    """Count the ``measure_pair`` calls made through ``repeated10``."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return measure_pair(*args)
+
+    monkeypatch.setattr(repeated10, "measure_pair", counted)
+    return calls
+
+
+def test_sequential_table_measures_the_start_once(measure_pair_calls):
+    sequential_component_tables(pd_game(random_state(10, np.random.default_rng(62))))
+    assert len(measure_pair_calls) == 1
+
+
+def test_two_term_tree_measures_the_start_once(measure_pair_calls):
+    build_extensive(ghz_game(0.3))
+    assert len(measure_pair_calls) == 1
+
+
+def test_play_sequential_measures_once_per_profile(measure_pair_calls):
+    game = pd_game(random_state(10, np.random.default_rng(63)))
+    for i, j in [(0, 0), (5, 17), (31, 2)]:
+        play_sequential(game, ALL[i], ALL[j])
+    assert len(measure_pair_calls) == 3
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37, 1e8])
+def test_stacked_row_column_products_are_the_one_dimensional_dots(scale):
+    """The sequential table's values rest on this numpy property.
+
+    numpy's matmul loop hands each (1 x n) @ (n x 1) core product to
+    the type's ``dot`` function (``DOUBLE_dot``), the one a 1-D
+    ``w @ p`` uses, so the stacked products equal the separate dots bit
+    for bit whatever the BLAS.  A numpy that changes that loop fails here.
+    """
+    rng = np.random.default_rng(64)
+    weights = scale * rng.standard_normal((4, 1024))
+    probs = rng.random((4, 1024)) * (rng.random((4, 1024)) < 0.25)
+    probs /= probs.sum(axis=1, keepdims=True)
+    stacked = (weights[None, :, None] @ probs[:, None, :, None]).reshape(4, 4)
+    separate = np.array([[w @ p for w in weights] for p in probs])
+    assert np.array_equal(stacked, separate)
 
 
 @pytest.mark.parametrize(

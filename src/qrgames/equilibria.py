@@ -19,9 +19,9 @@ from itertools import product
 
 import numpy as np
 
-from .mw import MWGame, mw_bimatrix, stage_weights
-from .qstate import NORM_ATOL, OUTCOMES
-from .repeated10 import RepGame, factor_pairs, stage1_distributions, subgame_bimatrices
+from .mw import stage_weights
+from .qstate import NORM_ATOL, OUTCOMES, flip_table
+from .repeated10 import _ACTION_LABELS, RepGame, _product_tables, factor_pairs
 from .stagegames import Bimatrix, Payoffs, RepStrategy, StageGame
 
 
@@ -121,11 +121,16 @@ def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
     Backward induction: solve the one-stage game of each outcome's qubit
     pair, then, for every way of selecting one second-stage equilibrium
     per outcome, fold the selected continuation values into a 2x2 game
-    over the stage-1 flips and keep its equilibria.  Each hit is emitted
-    as a full pair of five-bit strategies, indexed like
-    :func:`~.repeated10.rep_bimatrix` rows and columns; payoffs are the
-    two-stage totals.  An equilibrium is flagged strict when its stage-1
-    equilibrium and all four selected continuations are strict.
+    over the stage-1 flips and keep its equilibria.  The inputs are the
+    tables the extensive form reads: the stage-1 chance ``chance[k, o]``
+    and one continuation table per outcome, both off the pair factors.
+    The cell at flips k is the stage-1 payoff there plus
+    ``chance[k, o]`` times the selected value of outcome o, summed over
+    the outcomes in order.  Each hit is emitted as a full pair of
+    five-bit strategies, indexed like :func:`~.repeated10.rep_bimatrix`
+    rows and columns; payoffs are the two-stage totals.  An equilibrium
+    is flagged strict when its stage-1 equilibrium and all four selected
+    continuations are strict.
 
     Raises ``ValueError`` if the initial state is not a pair product, or
     if some outcome's subgame has no pure equilibrium (reporting which).
@@ -136,51 +141,29 @@ def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
             "subgame search needs an initial state that factors across "
             "the five qubit pairs"
         )
-    stage = game.stage
-    stage1_bm = mw_bimatrix(MWGame(factors[0], stage))
-    subgame_bm = subgame_bimatrices(factors, stage)
-    subgame_ne = {}
-    for o in OUTCOMES:
-        report = pure_nash(subgame_bm[o], tol=tol)
+    chance, continuations = _product_tables(game.stage, factors)
+    # Row k holds both players' stage-1 payoffs at flips k.
+    base = flip_table(factors[0], (1, 2), stage_weights(game.stage)).T
+    subgame_ne = []
+    for (o1, o2), values in zip(OUTCOMES, continuations):
+        subgame = Bimatrix(*values.reshape(2, 2, 2), _ACTION_LABELS, _ACTION_LABELS)
+        report = pure_nash(subgame, tol=tol)
         if not report.equilibria:
             raise ValueError(
-                f"no pure second-stage equilibrium after outcome {o[0]}{o[1]}"
+                f"no pure second-stage equilibrium after outcome {o1}{o2}"
             )
-        subgame_ne[o] = report.equilibria
-    distributions = stage1_distributions(factors[0])
+        subgame_ne.append(report.equilibria)
 
     found = []
-    for selection in product(*(subgame_ne[o] for o in OUTCOMES)):
-        chosen = dict(zip(OUTCOMES, selection))
-        cells = []
-        for k1 in (0, 1):
-            row = []
-            for k2 in (0, 1):
-                base = stage1_bm.cell(k1, k2)
-                dist = distributions[(k1, k2)]
-                extra1 = extra2 = 0.0
-                for o in OUTCOMES:
-                    value = subgame_bm[o].cell(chosen[o].row, chosen[o].col)
-                    extra1 += dist[o] * value[0]
-                    extra2 += dist[o] * value[1]
-                row.append((base[0] + extra1, base[1] + extra2))
-            cells.append(row)
-        induced = Bimatrix.from_cells(cells, ("0", "1"), ("0", "1"))
+    for selection in product(*subgame_ne):
+        extra = 0.0
+        for o, chosen in enumerate(selection):
+            extra = extra + chance[:, o, None] * np.array(chosen.payoffs)
+        u1, u2 = (base + extra).T.reshape(2, 2, 2)
+        induced = Bimatrix(u1, u2, _ACTION_LABELS, _ACTION_LABELS)
         for eq in pure_nash(induced, tol=tol).equilibria:
-            t1 = RepStrategy(
-                stage1=eq.row,
-                after_00=chosen[(0, 0)].row,
-                after_01=chosen[(0, 1)].row,
-                after_10=chosen[(1, 0)].row,
-                after_11=chosen[(1, 1)].row,
-            )
-            t2 = RepStrategy(
-                stage1=eq.col,
-                after_00=chosen[(0, 0)].col,
-                after_01=chosen[(0, 1)].col,
-                after_10=chosen[(1, 0)].col,
-                after_11=chosen[(1, 1)].col,
-            )
+            t1 = RepStrategy(eq.row, *(c.row for c in selection))
+            t2 = RepStrategy(eq.col, *(c.col for c in selection))
             strict = eq.strict and all(c.strict for c in selection)
             found.append(Equilibrium(t1.index, t2.index, eq.payoffs, strict))
     found.sort(key=lambda eq: (eq.row, eq.col))

@@ -231,32 +231,27 @@ def it_no_cooperation_check(game: ITGame) -> NoCooperationVerdict:
     bm = it_pure_bimatrix(game)
 
     def gaps_for(player: int) -> tuple[float, float]:
-        # Strategy index layout: stage1_bit * 2 + stage2_bit.
-        table = bm.payoffs1 if player == 1 else bm.payoffs2
-        margins: dict[int, list[float]] = {0: [], 1: []}
-        for own_stage2 in (0, 1):
-            keep = own_stage2            # stage1 = 0
-            flip = 2 + own_stage2        # stage1 = 1
-            for opponent in range(4):
-                opponent_stage1 = opponent // 2
-                if player == 1:
-                    margin = table[flip, opponent] - table[keep, opponent]
-                else:
-                    margin = table[opponent, flip] - table[opponent, keep]
-                if margin <= 0:
-                    raise AssertionError(
-                        f"stage-1 flip fails to dominate for player {player}"
-                    )
-                margins[opponent_stage1].append(float(margin))
-        results = []
-        for bit, expected in ((0, pattern.t - pattern.r), (1, pattern.p - pattern.s)):
-            spread = max(margins[bit]) - min(margins[bit])
-            if spread > PATTERN_TOL or abs(margins[bit][0] - expected) > PATTERN_TOL:
+        # Rows are the player's strategies (stage1_bit * 2 + stage2_bit) and
+        # columns the opponent's, so margins[stage2_bit, opponent] is the gain
+        # of flipping at stage 1; one block per opponent stage-1 bit.
+        own = bm.payoffs1 if player == 1 else bm.payoffs2.T
+        margins = own[2:] - own[:2]
+        if (margins <= 0).any():
+            raise AssertionError(
+                f"stage-1 flip fails to dominate for player {player}"
+            )
+        gaps = []
+        for block, expected in (
+            (margins[:, :2], pattern.t - pattern.r),
+            (margins[:, 2:], pattern.p - pattern.s),
+        ):
+            spread = block.max() - block.min()
+            if spread > PATTERN_TOL or abs(block[0, 0] - expected) > PATTERN_TOL:
                 raise AssertionError(
                     "dominance margin does not match the stage-1 pattern"
                 )
-            results.append(margins[bit][0])
-        return (results[0], results[1])
+            gaps.append(float(block[0, 0]))
+        return (gaps[0], gaps[1])
 
     report = pure_nash(bm, tol=PATTERN_TOL)
     profiles = tuple((eq.row, eq.col) for eq in report.equilibria)

@@ -16,7 +16,7 @@ on an ``n``-qubit register is ``(x >> (n - j)) & 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -49,6 +49,8 @@ class PureState:
         num_qubits: register size (the protocols use 2, 4 or 10).
         amplitudes: complex vector of length ``2**num_qubits`` indexed by
             the decimal value of the basis bit string, qubit 1 first.
+        probabilities: Born-rule weights |amplitude|^2 over the basis,
+            squared once by the norm check and kept read-only.
 
     Construction rejects unnormalized input instead of silently fixing
     it; a wrong amplitude list in a config should fail loudly.
@@ -56,6 +58,7 @@ class PureState:
 
     num_qubits: int
     amplitudes: np.ndarray
+    probabilities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -63,11 +66,14 @@ class PureState:
             raise ValueError(
                 f"expected 2**{self.num_qubits} amplitudes, got shape {amps.shape}"
             )
-        total = float(np.sum(np.abs(amps) ** 2))
+        probabilities = np.abs(amps) ** 2
+        total = float(np.sum(probabilities))
         if not abs(total - 1.0) <= NORM_ATOL:
             raise ValueError(f"state is not normalized: sum |amp|^2 = {total!r}")
         amps.setflags(write=False)
+        probabilities.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "probabilities", probabilities)
 
     @classmethod
     def basis(cls, num_qubits: int, label: int | str) -> "PureState":
@@ -88,11 +94,6 @@ class PureState:
                 raise ValueError(f"basis index {index} out of range")
             amps[index] += amp
         return cls(num_qubits, amps)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Born-rule weights |amplitude|^2 over the basis."""
-        return np.abs(self.amplitudes) ** 2
 
     def bit(self, index: int, qubit: int) -> int:
         """Value of 1-based ``qubit`` in basis index ``index``."""

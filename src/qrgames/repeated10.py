@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mw import MWGame, mw_bimatrix, payoff_observable, stage_weights
+from .mw import payoff_observable, stage_weights
 from .qstate import (
     OUTCOMES,
     DiagonalObservable,
@@ -178,24 +178,16 @@ def _check_branch_total(total: float) -> None:
         raise ValueError(f"branch probabilities sum to {total!r}, not 1")
 
 
-def stage1_distributions(
-    first_factor: PureState,
-) -> dict[tuple[int, int], dict[tuple[int, int], float]]:
-    """Outcome weights of a two-qubit stage-1 factor per flip pair (k1, k2)."""
-    distributions = {}
-    for k1 in (0, 1):
-        for k2 in (0, 1):
-            flipped = apply_flips(first_factor, FlipLayer({1: k1, 2: k2}))
-            weights = flipped.probabilities.tolist()
-            distributions[(k1, k2)] = {o: weights[2 * o[0] + o[1]] for o in OUTCOMES}
-    return distributions
+def stage1_distributions(first_factor: PureState) -> np.ndarray:
+    """Stage-1 chance of a two-qubit factor, as ``chance[k, o]``.
 
-
-def subgame_bimatrices(
-    factors: tuple[PureState, ...], stage: StageGame
-) -> dict[tuple[int, int], Bimatrix]:
-    """Each outcome's one-stage game, on the pair factor reserved for it."""
-    return {o: mw_bimatrix(MWGame(f, stage)) for o, f in zip(OUTCOMES, factors[1:])}
+    ``chance[k, o]`` is the weight of outcome o after the stage-1 flips k,
+    both read as 2-bit numbers (``2*k1 + k2``, ``2*o1 + o2``).  Flipping
+    by k moves the factor's pattern o XOR k to o, so row k is a gather of
+    its Born weights.
+    """
+    patterns = np.arange(4)
+    return first_factor.probabilities[patterns[:, None] ^ patterns]
 
 
 def _measure_stage1(
@@ -418,11 +410,8 @@ def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarr
     # Stacked (1 x n) @ (n x 1) products go to the dot a 1-D ``w @ p`` uses;
     # (1 x n) @ (n x 4) would go to BLAS gemv, which sums in another order.
     weights = np.stack([obs[key].weights for key in _COMPONENT_KEYS])[None, :, None]
-    stages = _stage1_branches(game)
-    # Flips (0, 0) relabel nothing, so these are the measured post states.
-    born = {post: post.probabilities for _, _, post in stages[(0, 0)]}
     table = np.empty((32, 32, 4))
-    for (k1, k2), branches in stages.items():
+    for (k1, k2), branches in _stage1_branches(game).items():
         kept = sum(probability for _, probability, _ in branches)
         _check_branch_total(kept)
         # Every profile with these stage-1 flips ends in this ensemble;
@@ -435,7 +424,7 @@ def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarr
         cols = np.flatnonzero(stage1 == k2)
         cells = 0.0
         for (weight, _), (outcome, _, post) in zip(ensemble.members, branches):
-            continued = born[post][_continuation_gather(outcome) ^ mask]
+            continued = post.probabilities[_continuation_gather(outcome) ^ mask]
             values = (weights @ continued[:, None, :, None]).reshape(2, 2, 4)
             picked = values[after[outcome][rows][:, None], after[outcome][cols]]
             cells = cells + weight * picked
@@ -556,13 +545,14 @@ class ExtensiveTree:
         return json.dumps(document, indent=2)
 
 
-def _assemble_tree(stage: StageGame, distributions, stage2_fn) -> ExtensiveTree:
-    """Build the fixed-shape tree from chance weights and stage-2 payoffs.
+def _assemble_tree(stage: StageGame, chance: np.ndarray, stage2) -> ExtensiveTree:
+    """Build the fixed-shape tree from a chance table and continuation tables.
 
-    ``distributions[(k1, k2)]`` is the outcome distribution after stage-1
-    flips (k1, k2); ``stage2_fn(k1, k2, outcome, a1, a2)`` gives the
-    second-stage payoffs, which terminals add to the outcome's own, or
-    None where no continuation is defined.
+    ``chance[k, o]`` is the weight of outcome o after stage-1 flips k, both
+    read as 2-bit numbers.  ``stage2[k][o]`` is the continuation after
+    them: a (player, ``2*a1 + a2``) table of second-stage payoffs, which
+    terminals add to the outcome's own, or None where no continuation is
+    defined.  Nodes below a zero chance weight are unreachable.
     Information sets follow what the players observe: stage-1 nodes per
     player form one set each (moves are simultaneous), and second-stage
     nodes group by measurement outcome alone, since the protocol reveals
@@ -596,11 +586,12 @@ def _assemble_tree(stage: StageGame, distributions, stage2_fn) -> ExtensiveTree:
         chance_children = []
         for k2 in (0, 1):
             chance_id = reserve()
-            distribution = distributions[(k1, k2)]
+            weights = chance[2 * k1 + k2].tolist()
             outcome_children = []
-            for outcome in OUTCOMES:
+            for outcome, weight, table in zip(OUTCOMES, weights, stage2[2 * k1 + k2]):
                 base = stage.pair(*outcome)
-                live = distribution.get(outcome, 0.0) > 0.0
+                live = weight > 0.0
+                values = None if table is None else table.T.tolist()
                 after = f"after-{outcome[0]}{outcome[1]}"
                 first_id = reserve()
                 first_children = []
@@ -609,9 +600,10 @@ def _assemble_tree(stage: StageGame, distributions, stage2_fn) -> ExtensiveTree:
                     leaves = []
                     for a2 in (0, 1):
                         leaf_id = reserve()
-                        payoffs = stage2_fn(k1, k2, outcome, a1, a2)
-                        if payoffs is not None:
-                            payoffs = (base[0] + payoffs[0], base[1] + payoffs[1])
+                        payoffs = None
+                        if values is not None:
+                            second = values[2 * a1 + a2]
+                            payoffs = (base[0] + second[0], base[1] + second[1])
                         nodes[leaf_id] = TreeNode(
                             leaf_id, "terminal", None, None, (), (), None, payoffs, live
                         )
@@ -627,7 +619,7 @@ def _assemble_tree(stage: StageGame, distributions, stage2_fn) -> ExtensiveTree:
                 None,
                 _OUTCOME_LABELS,
                 tuple(outcome_children),
-                tuple(distribution.get(o, 0.0) for o in OUTCOMES),
+                tuple(weights),
                 None,
             )
             chance_children.append(chance_id)
@@ -635,6 +627,20 @@ def _assemble_tree(stage: StageGame, distributions, stage2_fn) -> ExtensiveTree:
         root_children.append(second_id)
     decision(root_id, 1, "1:stage1", root_children)
     return ExtensiveTree(tuple(nodes), root_id)  # type: ignore[arg-type]
+
+
+def _product_tables(
+    stage: StageGame, factors: tuple[PureState, ...]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Chance and per-outcome continuation tables of a pair-product start.
+
+    Outcome o's continuation is the one-stage game on its own pair
+    factor, so one table serves after every stage-1 flip and is defined
+    even where o has weight zero.
+    """
+    weights = stage_weights(stage)
+    continuations = [flip_table(f, (1, 2), weights) for f in factors[1:]]
+    return stage1_distributions(factors[0]), continuations
 
 
 def build_extensive(game: RepGame) -> ExtensiveTree:
@@ -648,49 +654,30 @@ def build_extensive(game: RepGame) -> ExtensiveTree:
     unreachable branches without payoffs).  Anything else is rejected:
     entanglement across qubit pairs gives the second stage no
     self-contained continuation to put at a node.
+
+    Both kinds fill the chance table and continuation tables that
+    :func:`_assemble_tree` reads.  A pair product reads them off its
+    factors.  A two-term start reads them off its measured branches: each
+    post state lives where qubits 1-2 spell its outcome, so one
+    ``flip_table`` call on the outcome's pair gives its stage-2 payoffs
+    under all four flips (stage-1 flips leave that marginal alone), and
+    pruned outcomes keep weight 0.0 and no continuation.
     """
     factors = factor_pairs(game.initial)
     if factors is not None:
-        return _tree_from_factors(game.stage, factors)
-    if _is_two_term(game.initial):
-        return _tree_from_two_term(game)
-    raise ValueError(
-        "extensive form is defined only for pair-product initial states "
-        "or two-term all-zeros/all-ones superpositions"
-    )
-
-
-def _tree_from_factors(
-    stage: StageGame, factors: tuple[PureState, ...]
-) -> ExtensiveTree:
-    continuation = subgame_bimatrices(factors, stage)
-    return _assemble_tree(
-        stage,
-        stage1_distributions(factors[0]),
-        lambda k1, k2, outcome, a1, a2: continuation[outcome].cell(a1, a2),
-    )
-
-
-def _tree_from_two_term(game: RepGame) -> ExtensiveTree:
-    """Tree of a two-term start: each measured branch's post state lives
-    where qubits 1-2 spell its outcome, so one ``flip_table`` call on the
-    outcome's pair gives its stage-2 payoffs under all four flips.  Stage-1
-    flips leave that pair's marginal alone, so the unflipped post serves.
-    """
+        chance, continuations = _product_tables(game.stage, factors)
+        return _assemble_tree(game.stage, chance, [continuations] * 4)
+    if not _is_two_term(game.initial):
+        raise ValueError(
+            "extensive form is defined only for pair-product initial states "
+            "or two-term all-zeros/all-ones superpositions"
+        )
     weights = stage_weights(game.stage)
-    distributions: dict[tuple[int, int], dict[tuple[int, int], float]] = {}
-    continuations = {}
-    for flips, branches in _stage1_branches(game).items():
-        distributions[flips] = {}
+    chance = np.zeros((4, 4))
+    stage2: list[list[np.ndarray | None]] = [[None] * 4 for _ in range(4)]
+    for (k1, k2), branches in _stage1_branches(game).items():
         for outcome, probability, post in branches:
-            distributions[flips][outcome] = probability
-            values = flip_table(post, outcome_qubit_pair(outcome), weights)
-            continuations[flips + outcome] = values.T.tolist()
-
-    def stage2_fn(
-        k1: int, k2: int, outcome: tuple[int, int], a1: int, a2: int
-    ) -> list[float] | None:
-        values = continuations.get((k1, k2) + outcome)
-        return None if values is None else values[2 * a1 + a2]
-
-    return _assemble_tree(game.stage, distributions, stage2_fn)
+            k, o = 2 * k1 + k2, 2 * outcome[0] + outcome[1]
+            chance[k, o] = probability
+            stage2[k][o] = flip_table(post, outcome_qubit_pair(outcome), weights)
+    return _assemble_tree(game.stage, chance, stage2)

@@ -10,6 +10,7 @@ import pytest
 
 from qrgames.equilibria import (
     CooperationAnalysis,
+    Equilibrium,
     ScanSample,
     cooperation_bound,
     cooperation_scan,
@@ -18,8 +19,15 @@ from qrgames.equilibria import (
     strictly_dominated,
 )
 from qrgames.mw import MWGame, mw_bimatrix
-from qrgames.qstate import OUTCOMES, PureState, random_state, tensor_all
-from qrgames.repeated10 import RepGame, rep_bimatrix
+from qrgames.qstate import (
+    OUTCOMES,
+    FlipLayer,
+    PureState,
+    apply_flips,
+    random_state,
+    tensor_all,
+)
+from qrgames.repeated10 import RepGame, factor_pairs, rep_bimatrix
 from qrgames.stagegames import (
     Bimatrix,
     RepStrategy,
@@ -234,6 +242,70 @@ def backward_induction_oracle(factors, stage, tol=1e-9):
             payoffs = tuple(float(v) for v in induced(row, col))
             results.append(((s1.index, s2.index), payoffs))
     return sorted(results)
+
+
+def scalar_spe_oracle(game, tol=1e-9):
+    """Backward induction cell by cell: chance weights of the flipped first
+    factor, each outcome's ``mw_bimatrix`` and one scalar sum per player and
+    stage-1 cell, in the order the table search must keep bit for bit."""
+    factors = factor_pairs(game.initial)
+    stage1_bm = mw_bimatrix(MWGame(factors[0], game.stage))
+    subgames = {
+        o: mw_bimatrix(MWGame(f, game.stage)) for o, f in zip(OUTCOMES, factors[1:])
+    }
+    distributions = {}
+    for k1 in (0, 1):
+        for k2 in (0, 1):
+            flipped = apply_flips(factors[0], FlipLayer({1: k1, 2: k2}))
+            weights = flipped.probabilities.tolist()
+            distributions[(k1, k2)] = {o: weights[2 * o[0] + o[1]] for o in OUTCOMES}
+    subgame_ne = [pure_nash(subgames[o], tol=tol).equilibria for o in OUTCOMES]
+    found = []
+    for selection in itertools.product(*subgame_ne):
+        cells = []
+        for k1 in (0, 1):
+            row = []
+            for k2 in (0, 1):
+                base = stage1_bm.cell(k1, k2)
+                extra1 = extra2 = 0.0
+                for o, chosen in zip(OUTCOMES, selection):
+                    value = subgames[o].cell(chosen.row, chosen.col)
+                    extra1 += distributions[(k1, k2)][o] * value[0]
+                    extra2 += distributions[(k1, k2)][o] * value[1]
+                row.append((base[0] + extra1, base[1] + extra2))
+            cells.append(row)
+        induced = Bimatrix.from_cells(cells, ("0", "1"), ("0", "1"))
+        for eq in pure_nash(induced, tol=tol).equilibria:
+            t1 = RepStrategy(eq.row, *(c.row for c in selection))
+            t2 = RepStrategy(eq.col, *(c.col for c in selection))
+            strict = eq.strict and all(c.strict for c in selection)
+            found.append(Equilibrium(t1.index, t2.index, eq.payoffs, strict))
+    return sorted(found, key=lambda eq: (eq.row, eq.col))
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [
+        PD,
+        make_pd(5.7, 3.3, 1.1, -0.4),
+        make_pd(4.2, 2.5, -0.3, -1.7),
+        make_pd(1e8, 3, 1, 0),
+    ],
+    ids=["pd", "fractional", "negative", "t1e8"],
+)
+def test_subgame_search_equals_the_scalar_loop_bit_for_bit(stage):
+    rng = np.random.default_rng(20261020)
+    starts = [tensor_all([random_state(2, rng) for _ in range(5)]) for _ in range(20)]
+    for weight in (1e-13, 1.0 - 1e-13):
+        zero = PureState.basis(2, 0)
+        starts += [
+            tensor_all([pair_state(weight)] * 5),
+            tensor_all([pair_state(weight), zero, pair_state(weight), zero, zero]),
+        ]
+    for index, state in enumerate(starts):
+        game = RepGame(state, stage)
+        want = scalar_spe_oracle(game)
+        assert list(spe_pair_product(game).equilibria) == want, index
 
 
 def test_classical_start_has_one_subgame_perfect_profile():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qrgames import iqbaltoor
 from qrgames.iqbaltoor import (
     IT_PURE_STRATEGIES,
     IT_STRATEGY_LABELS,
@@ -19,7 +20,7 @@ from qrgames.iqbaltoor import (
 )
 from qrgames.mw import payoff_observable
 from qrgames.qstate import PureState, random_state
-from qrgames.stagegames import make_pd
+from qrgames.stagegames import Bimatrix, make_pd
 
 PD = make_pd(5, 3, 1, 0)
 # Payoffs whose sums round, so only exact arithmetic keeps ties exact.
@@ -289,6 +290,44 @@ def test_all_zero_verdict_pins_the_classical_result():
     assert len(verdict.equilibrium_payoffs) == 1
     assert verdict.equilibrium_payoffs[0] == pytest.approx((2.0, 2.0), abs=1e-12)
     assert verdict.cooperation_excluded
+
+
+def verdict_on_edited_table(monkeypatch, edit):
+    """The verdict on the all-zeros start after ``edit(u1, u2)`` changes
+    its 4x4 payoff tables in place."""
+    game = pd_game(PureState.basis(4, "0000"))
+    bm = it_pure_bimatrix(game)
+    u1, u2 = bm.payoffs1.copy(), bm.payoffs2.copy()
+    edit(u1, u2)
+    edited = Bimatrix(u1, u2, bm.row_labels, bm.col_labels)
+    monkeypatch.setattr(iqbaltoor, "it_pure_bimatrix", lambda _: edited)
+    return it_no_cooperation_check(game)
+
+
+@pytest.mark.parametrize("player", [1, 2])
+def test_verdict_reports_a_stage1_flip_that_fails_to_dominate(player, monkeypatch):
+    def tie(u1, u2):
+        # Strategy 01 now pays what 11 pays against the opponent's 11.
+        if player == 1:
+            u1[1, 3] = u1[3, 3]
+        else:
+            u2[3, 1] = u2[3, 3]
+
+    with pytest.raises(AssertionError, match=f"fails to dominate for player {player}"):
+        verdict_on_edited_table(monkeypatch, tie)
+
+
+@pytest.mark.parametrize("player", [1, 2])
+def test_verdict_reports_a_margin_off_the_stage1_pattern(player, monkeypatch):
+    def lower(u1, u2):
+        # Staying put against the opponent's 00 pays less than the pattern says.
+        if player == 1:
+            u1[0, 0] -= 0.5
+        else:
+            u2[0, 0] -= 0.5
+
+    with pytest.raises(AssertionError, match="margin does not match the stage-1"):
+        verdict_on_edited_table(monkeypatch, lower)
 
 
 def test_verdict_refuses_non_dilemma_patterns():

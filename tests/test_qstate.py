@@ -116,6 +116,13 @@ def test_amplitudes_are_read_only():
         state.amplitudes[0] = 0.0
 
 
+def test_probabilities_are_the_squared_amplitudes_and_read_only():
+    state = random_state(5, np.random.default_rng(31))
+    assert np.array_equal(state.probabilities, np.abs(state.amplitudes) ** 2)
+    with pytest.raises(ValueError):
+        state.probabilities[0] = 0.0
+
+
 def test_bit_uses_one_based_most_significant_order():
     state = PureState.basis(4, "0110")
     assert [state.bit(6, q) for q in (1, 2, 3, 4)] == [0, 1, 1, 0]

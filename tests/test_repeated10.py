@@ -2,29 +2,35 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from qrgames.equilibria import pure_nash, strictly_dominated
-from qrgames.mw import payoff_observable
+from qrgames.mw import MWGame, mw_bimatrix, payoff_observable
 from qrgames import repeated10
 from qrgames.qstate import (
     OUTCOMES,
     PROB_FLOOR,
+    FlipLayer,
     PureState,
+    apply_flips,
     expectation,
     measure_pair,
     random_state,
     tensor_all,
 )
 from qrgames.repeated10 import (
-    _assemble_tree,
+    _ACTION_LABELS,
+    _OUTCOME_LABELS,
     _continue,
     _measure_stage1,
     _observables,
+    ExtensiveTree,
     RepGame,
+    TreeNode,
     build_extensive,
     factor_pairs,
     outcome_qubit_pair,
@@ -598,6 +604,61 @@ def test_two_term_tree_chance_weights():
             assert abs(probs[(1 - a1, 1 - a2)] - 0.7) <= 1e-12
 
 
+def callback_tree(stage, distributions, stage2_fn) -> ExtensiveTree:
+    """The extensive form built from a dict of chance weights per stage-1
+    flip pair and a ``stage2_fn(k1, k2, outcome, a1, a2)`` callback giving
+    the second-stage payoffs (None where undefined): the assembly the
+    chance and continuation tables replaced, node for node."""
+    nodes = []
+
+    def node(kind, owner=None, info_set=None, actions=(), **fields):
+        fields = {"probabilities": None, "payoffs": None, **fields}
+        nodes.append(TreeNode(len(nodes), kind, owner, info_set, actions, (), **fields))
+        return len(nodes) - 1
+
+    def adopt(parent, children):
+        nodes[parent] = dataclasses.replace(nodes[parent], children=tuple(children))
+
+    root = node("decision", 1, "1:stage1", _ACTION_LABELS)
+    seconds = []
+    for k1 in (0, 1):
+        second = node("decision", 2, "2:stage1", _ACTION_LABELS)
+        chances = []
+        for k2 in (0, 1):
+            distribution = distributions[(k1, k2)]
+            weights = tuple(distribution.get(o, 0.0) for o in OUTCOMES)
+            chance = node("chance", actions=_OUTCOME_LABELS, probabilities=weights)
+            firsts = []
+            for outcome, weight in zip(OUTCOMES, weights):
+                live = weight > 0.0
+                after = f"after-{outcome[0]}{outcome[1]}"
+                base = stage.pair(*outcome)
+                first = node(
+                    "decision", 1, "1:" + after, _ACTION_LABELS, reachable=live
+                )
+                replies = []
+                for a1 in (0, 1):
+                    reply = node(
+                        "decision", 2, "2:" + after, _ACTION_LABELS, reachable=live
+                    )
+                    leaves = []
+                    for a2 in (0, 1):
+                        payoffs = stage2_fn(k1, k2, outcome, a1, a2)
+                        if payoffs is not None:
+                            payoffs = (base[0] + payoffs[0], base[1] + payoffs[1])
+                        leaves.append(node("terminal", payoffs=payoffs, reachable=live))
+                    adopt(reply, leaves)
+                    replies.append(reply)
+                adopt(first, replies)
+                firsts.append(first)
+            adopt(chance, firsts)
+            chances.append(chance)
+        adopt(second, chances)
+        seconds.append(second)
+    adopt(root, seconds)
+    return ExtensiveTree(tuple(nodes), root)
+
+
 def two_term_tree_oracle(game: RepGame):
     """Flip the branch's pair, then a dense 1024-entry expectation per
     terminal: the path the one-table-per-branch tree replaced."""
@@ -619,7 +680,27 @@ def two_term_tree_oracle(game: RepGame):
         final = _continue(post, outcome, a1, a2)
         return [expectation(final, obs[(player, 2, outcome)]) for player in (1, 2)]
 
-    return _assemble_tree(game.stage, distributions, stage2_fn)
+    return callback_tree(game.stage, distributions, stage2_fn)
+
+
+def product_tree_oracle(game: RepGame):
+    """Chance weights of the flipped first factor per stage-1 flip pair,
+    and each outcome's ``mw_bimatrix`` on its own factor, flip for flip."""
+    factors = factor_pairs(game.initial)
+    distributions = {}
+    for k1 in (0, 1):
+        for k2 in (0, 1):
+            flipped = apply_flips(factors[0], FlipLayer({1: k1, 2: k2}))
+            weights = flipped.probabilities.tolist()
+            distributions[(k1, k2)] = {o: weights[2 * o[0] + o[1]] for o in OUTCOMES}
+    subgames = {
+        o: mw_bimatrix(MWGame(f, game.stage)) for o, f in zip(OUTCOMES, factors[1:])
+    }
+    return callback_tree(
+        game.stage,
+        distributions,
+        lambda k1, k2, outcome, a1, a2: subgames[outcome].cell(a1, a2),
+    )
 
 
 @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.4, 2.9)])
@@ -642,6 +723,32 @@ def test_two_term_tree_equals_the_dense_expectation_tree(stage, weight, phases):
         p for node in tree.nodes if node.kind == "chance" for p in node.probabilities
     ]
     assert probabilities.count(0.0) == (12 if pruned else 8)
+
+
+def pair_product_starts():
+    """Twenty seeded random pair products, then products of
+    sqrt(w)|00> + sqrt(1-w)|11> whose small weight is below PROB_FLOOR."""
+    rng = np.random.default_rng(20261019)
+    starts = [tensor_all([random_state(2, rng) for _ in range(5)]) for _ in range(20)]
+    for weight in (1e-13, 1.0 - 1e-13):
+        pair = PureState.from_terms(
+            2, {"00": np.sqrt(weight), "11": np.sqrt(1.0 - weight)}
+        )
+        zero = PureState.basis(2, 0)
+        starts += [tensor_all([pair] * 5), tensor_all([pair, zero, pair, zero, pair])]
+    return starts
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [PD, FRACTIONAL, make_pd(4.2, 2.5, -0.3, -1.7), make_pd(1e8, 3, 1, 0)],
+    ids=["pd", "fractional", "negative", "t1e8"],
+)
+def test_pair_product_tree_equals_the_per_factor_tree(stage):
+    for index, state in enumerate(pair_product_starts()):
+        game = RepGame(state, stage)
+        want = product_tree_oracle(game).to_json()
+        assert build_extensive(game).to_json() == want, index
 
 
 def test_pair_product_tree_differs_only_after_the_entangled_outcome():

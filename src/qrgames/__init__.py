@@ -37,6 +37,7 @@ from .qstate import (
     tensor_all,
 )
 from .stagegames import (
+    STRATEGY_LABELS,
     Bimatrix,
     ExpectedPayoffs,
     RepStrategy,
@@ -106,6 +107,7 @@ __all__ = [
     "measure_pair",
     "random_state",
     "tensor_all",
+    "STRATEGY_LABELS",
     "Bimatrix",
     "ExpectedPayoffs",
     "RepStrategy",

@@ -34,9 +34,9 @@ from .iqbaltoor import (
 from .qstate import PureState, random_state, tensor_all
 from .repeated10 import RepGame, example_state, factor_pairs, rep_bimatrix
 from .stagegames import (
+    STRATEGY_LABELS,
     Bimatrix,
     StageGame,
-    all_strategies,
     classical_twice_repeated,
     make_pd,
 )
@@ -102,7 +102,7 @@ def _stage_game(raw: object) -> StageGame:
             if len(cells) != 2 or any(len(row) != 2 for row in cells):
                 raise ValueError
             return StageGame(cells)
-        except (TypeError, ValueError, OverflowError, IndexError):
+        except (TypeError, ValueError, OverflowError, LookupError):
             raise ConfigError(
                 "explicit payoffs must be a 2x2 nesting of [u1, u2] pairs"
             ) from None
@@ -316,8 +316,7 @@ def cmd_spe(args: argparse.Namespace) -> int:
     except ValueError as err:
         # Some outcome's subgame has no pure equilibrium to fold back.
         raise ConfigError(str(err)) from None
-    labels = tuple(strat.bits for strat in all_strategies())
-    _emit(report.to_json(labels, labels), args.out)
+    _emit(report.to_json(STRATEGY_LABELS, STRATEGY_LABELS), args.out)
     return 0
 
 

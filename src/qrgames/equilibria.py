@@ -77,7 +77,7 @@ def pure_nash(bm: Bimatrix, tol: float = 1e-9) -> EquilibriumReport:
     that every deviation strictly loses, with no tolerance: profiles
     that tie an alternative best response are equilibria but not strict.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tolerance must be nonnegative")
     if bm.rows == 0 or bm.cols == 0:
         raise ValueError("cannot search an empty bimatrix")

@@ -89,10 +89,11 @@ class PureState:
         for label, amp in terms.items():
             if isinstance(label, str) and len(label) != num_qubits:
                 raise ValueError(f"expected {num_qubits}-bit label, got {label!r}")
-            index = basis_index(label) if isinstance(label, str) else int(label)
-            if not 0 <= index < amps.shape[0]:
+            index = basis_index(label) if isinstance(label, str) else label
+            # int() would truncate 1.5 to 1; only integers name a basis state.
+            if not isinstance(index, (int, np.integer)) or not 0 <= index < len(amps):
                 raise ValueError(f"basis index {index} out of range")
-            amps[index] += amp
+            amps[int(index)] += amp
         return cls(num_qubits, amps)
 
     def bit(self, index: int, qubit: int) -> int:
@@ -139,8 +140,8 @@ class FlipLayer:
         for qubit, bit in dict(self.flips).items():
             if bit not in (0, 1):
                 raise ValueError(f"operator bit must be 0 or 1, got {bit!r}")
-            if int(qubit) < 1:
-                raise ValueError(f"qubit indices are 1-based, got {qubit!r}")
+            if not isinstance(qubit, (int, np.integer)) or qubit < 1:
+                raise ValueError(f"qubit indices are 1-based integers, got {qubit!r}")
             clean[int(qubit)] = int(bit)
         object.__setattr__(self, "flips", clean)
 

@@ -7,14 +7,15 @@ outcome, so a pure strategy is five bits: the stage-1 flip plus one
 contingent flip per outcome.
 
 Two evaluation paths are provided.  The batch path applies all ten
-flips up front and reads gated payoff observables off the final state.
-The sequential path plays the game in real time: flip the first pair,
-measure it, then flip only the pair matching the observed outcome.
-Both yield identical expected payoffs on every initial state, entangled
-or not, and the tests exercise that equivalence heavily.  The
-sequential path has a per-profile form (``play_sequential``, with its
-transcript) and a whole-table form (``sequential_component_tables``)
-that shares each stage-1 measurement across all profiles using it.
+flips up front and reads one dense payoff observable per player and
+stage off the final state.  The sequential path plays the game in real
+time: flip the first pair, measure it, then flip only the pair matching
+the observed outcome.  Both yield identical expected payoffs on every
+initial state, entangled or not, and the tests exercise that
+equivalence heavily.  The sequential path has a per-profile form
+(``play_sequential``, with its transcript) and a whole-table form
+(``sequential_component_tables``) that shares each stage-1 measurement
+across all profiles using it.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ from .qstate import (
     measure_pair,
 )
 from .stagegames import (
+    STRATEGY_LABELS,
     Bimatrix,
     ExpectedPayoffs,
     Payoffs,
     RepStrategy,
     StageGame,
-    all_strategies,
 )
 
 NUM_QUBITS = 10
@@ -52,6 +53,16 @@ _ACTION_LABELS = ("0", "1")
 _OUTCOME_LABELS = tuple(f"{o[0]}{o[1]}" for o in OUTCOMES)
 # (player, stage) keys of the component tables, in ExpectedPayoffs order.
 _COMPONENT_KEYS = ((1, 1), (1, 2), (2, 1), (2, 2))
+# The five-bit strategy encoding, indexed like the rows of every 32x32
+# table: bit 4 is the stage-1 flip, bit ``3 - o`` the flip after outcome o.
+_STAGE1_BITS = np.arange(32) >> 4
+_AFTER_BITS = (np.arange(32) >> (3 - np.arange(4))[:, None]) & 1
+# Per profile, the flip pattern of the qubits a payoff reads: ``2*k1 + k2``
+# on qubits 1-2, and ``4*(2*k1 + k2) + 2*a1 + a2`` with outcome o's pair.
+_FIRST_PATTERN = 2 * _STAGE1_BITS[:, None] + _STAGE1_BITS
+_SECOND_PATTERN = 4 * _FIRST_PATTERN + 2 * _AFTER_BITS[..., None] + _AFTER_BITS[:, None]
+for _bits in (_STAGE1_BITS, _AFTER_BITS, _FIRST_PATTERN, _SECOND_PATTERN):
+    _bits.setflags(write=False)
 # Largest singular value or amplitude read as zero when deciding whether a
 # start is a pair product or a two-term superposition.
 SUPPORT_TOL = 1e-9
@@ -104,45 +115,30 @@ def example_state() -> PureState:
     )
 
 
-# Each entry holds about 96 KB of dense weights.  Sixteen games cover the
+# Each entry holds 32 KB of dense weights.  Sixteen games cover the
 # four stage games of a benchmark pool, so those never evict.
 @lru_cache(maxsize=16)
-def _observables(stage: StageGame) -> dict[tuple, DiagonalObservable]:
-    """Payoff observables for one stage game, keyed by (player, stage).
+def _observables(stage: StageGame) -> tuple[DiagonalObservable, ...]:
+    """The four payoff observables of one stage game, in ExpectedPayoffs order.
 
-    The stage-1 observable reads qubits 1-2 unconditionally.  Each
-    stage-2 observable for outcome (i1, i2), keyed (player, 2, outcome),
-    reads that outcome's qubit pair but weighs zero unless qubits 1-2
-    actually spell the outcome; the plain (player, 2) entry is the sum
-    of the four gated pieces.
+    The stage-1 observable reads qubits 1-2.  The stage-2 observable reads
+    the pair reserved for the outcome that qubits 1-2 spell: at basis
+    index x that is outcome ``x >> 8``, read as a 2-bit number.
     """
-    indices = np.arange(2 ** NUM_QUBITS)
-    first = (indices >> (NUM_QUBITS - 1)) & 1
-    second = (indices >> (NUM_QUBITS - 2)) & 1
-    table: dict[tuple, DiagonalObservable] = {}
+    outcome = np.arange(2 ** NUM_QUBITS) >> (NUM_QUBITS - 2)
+    observables = []
     for player in (1, 2):
-        table[(player, 1)] = payoff_observable(stage, player, NUM_QUBITS, (1, 2))
-        total = np.zeros(indices.shape[0])
-        for outcome in OUTCOMES:
-            ungated = payoff_observable(
-                stage, player, NUM_QUBITS, outcome_qubit_pair(outcome)
-            )
-            gate = (first == outcome[0]) & (second == outcome[1])
-            gated = np.where(gate, ungated.weights, 0.0)
-            table[(player, 2, outcome)] = DiagonalObservable(NUM_QUBITS, gated)
-            total += gated
-        table[(player, 2)] = DiagonalObservable(NUM_QUBITS, total)
-    return table
+        observables.append(payoff_observable(stage, player, NUM_QUBITS, (1, 2)))
+        pieces = [
+            payoff_observable(stage, player, NUM_QUBITS, outcome_qubit_pair(o)).weights
+            for o in OUTCOMES
+        ]
+        observables.append(DiagonalObservable(NUM_QUBITS, np.choose(outcome, pieces)))
+    return tuple(observables)
 
 
 def _expected_from(source: Ensemble | PureState, stage: StageGame) -> ExpectedPayoffs:
-    obs = _observables(stage)
-    return ExpectedPayoffs(
-        p1_stage1=expectation(source, obs[(1, 1)]),
-        p1_stage2=expectation(source, obs[(1, 2)]),
-        p2_stage1=expectation(source, obs[(2, 1)]),
-        p2_stage2=expectation(source, obs[(2, 2)]),
-    )
+    return ExpectedPayoffs(*(expectation(source, obs) for obs in _observables(stage)))
 
 
 def play_batch(game: RepGame, t1: RepStrategy, t2: RepStrategy) -> ExpectedPayoffs:
@@ -300,9 +296,10 @@ def play_sequential(game: RepGame, t1: RepStrategy, t2: RepStrategy) -> PlayTran
             continue
         probability, post = observed[outcome]
         final = _continue(post, outcome, *choices)
-        obs = _observables(game.stage)
+        # The post state is zero outside the outcome's block, so the whole
+        # stage-2 observables read only the outcome's pair.
         stage2 = tuple(
-            expectation(final, obs[(player, 2, outcome)]) for player in (1, 2)
+            expectation(final, obs) for obs in _observables(game.stage)[1::2]
         )
         branches.append(
             OutcomeBranch(outcome, probability, choices, awarded, stage2, final)
@@ -319,46 +316,6 @@ def play_sequential(game: RepGame, t1: RepStrategy, t2: RepStrategy) -> PlayTran
     )
 
 
-@lru_cache(maxsize=1)
-def _strategy_bits() -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray]]:
-    """Each strategy's stage-1 bit and its contingency bit per outcome.
-
-    Arrays are indexed like the rows of every 32x32 table and read-only,
-    since the cache hands the same ones to every caller.
-    """
-    strategies = all_strategies()
-    stage1 = np.array([t.stage1 for t in strategies])
-    after = {
-        outcome: np.array([t.after(outcome) for t in strategies])
-        for outcome in OUTCOMES
-    }
-    for bits in (stage1, *after.values()):
-        bits.setflags(write=False)
-    return stage1, after
-
-
-@lru_cache(maxsize=1)
-def _profile_indices() -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray]]:
-    """Per profile, the flip pattern of the qubits each observable reads.
-
-    The stage-1 observable reads qubits 1-2, where profile (row, col)
-    flips by the two stage-1 bits: pattern ``2*k1 + k2``.  The stage-2
-    piece of outcome o reads qubits 1-2 and o's pair, flipped by the
-    stage-1 bits and both players' contingency bits for o: pattern
-    ``8*k1 + 4*k2 + 2*a1 + a2``.  Each array is 32x32 and read-only.
-    """
-    stage1, after = _strategy_bits()
-    rows, cols = stage1[:, None], stage1[None, :]
-    first = 2 * rows + cols
-    second = {
-        outcome: 8 * rows + 4 * cols + 2 * bits[:, None] + bits[None, :]
-        for outcome, bits in after.items()
-    }
-    for index in (first, *second.values()):
-        index.setflags(write=False)
-    return first, second
-
-
 def rep_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarray]:
     """All four 32x32 per-stage payoff tables, computed in one sweep.
 
@@ -371,9 +328,8 @@ def rep_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarray]:
     profile's pattern picks, plus the stage-2 entries its patterns pick,
     summed over the outcomes in ``OUTCOMES`` order.
     """
-    first_index, second_index = _profile_indices()
     weights = stage_weights(game.stage)
-    first = flip_table(game.initial, (1, 2), weights)[:, first_index]
+    first = flip_table(game.initial, (1, 2), weights)[:, _FIRST_PATTERN]
     second = 0.0
     for position, outcome in enumerate(OUTCOMES):
         # Zero weight unless qubits 1-2 spell the outcome.
@@ -382,7 +338,7 @@ def rep_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarray]:
         piece = flip_table(
             game.initial, (1, 2) + outcome_qubit_pair(outcome), gated.reshape(2, 16)
         )
-        second = second + piece[:, second_index[outcome]]
+        second = second + piece[:, _SECOND_PATTERN[position]]
     by_stage = {1: first, 2: second}
     return {
         (player, stage): by_stage[stage][player - 1]
@@ -405,11 +361,9 @@ def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarr
     in the order ``play_sequential`` sums its ensemble, so cells equal its
     ``expected`` bit for bit.  Keys and layout match :func:`rep_component_tables`.
     """
-    stage1, after = _strategy_bits()
-    obs = _observables(game.stage)
     # Stacked (1 x n) @ (n x 1) products go to the dot a 1-D ``w @ p`` uses;
     # (1 x n) @ (n x 4) would go to BLAS gemv, which sums in another order.
-    weights = np.stack([obs[key].weights for key in _COMPONENT_KEYS])[None, :, None]
+    weights = np.stack([obs.weights for obs in _observables(game.stage)])[None, :, None]
     table = np.empty((32, 32, 4))
     for (k1, k2), branches in _stage1_branches(game).items():
         kept = sum(probability for _, probability, _ in branches)
@@ -420,13 +374,14 @@ def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarr
             tuple((probability / kept, post) for _, probability, post in branches)
         )
         mask = FlipLayer({1: k1, 2: k2}).mask(NUM_QUBITS)
-        rows = np.flatnonzero(stage1 == k1)
-        cols = np.flatnonzero(stage1 == k2)
+        rows = np.flatnonzero(_STAGE1_BITS == k1)
+        cols = np.flatnonzero(_STAGE1_BITS == k2)
         cells = 0.0
         for (weight, _), (outcome, _, post) in zip(ensemble.members, branches):
             continued = post.probabilities[_continuation_gather(outcome) ^ mask]
             values = (weights @ continued[:, None, :, None]).reshape(2, 2, 4)
-            picked = values[after[outcome][rows][:, None], after[outcome][cols]]
+            after = _AFTER_BITS[2 * outcome[0] + outcome[1]]
+            picked = values[after[rows][:, None], after[cols]]
             cells = cells + weight * picked
         table[np.ix_(rows, cols)] = cells
     return {key: table[:, :, position] for position, key in enumerate(_COMPONENT_KEYS)}
@@ -439,12 +394,11 @@ def rep_bimatrix(game: RepGame) -> Bimatrix:
     the five-bit encoding order; labels are the bit strings.
     """
     tables = rep_component_tables(game)
-    labels = tuple(strat.bits for strat in all_strategies())
     return Bimatrix(
         tables[(1, 1)] + tables[(1, 2)],
         tables[(2, 1)] + tables[(2, 2)],
-        labels,
-        labels,
+        STRATEGY_LABELS,
+        STRATEGY_LABELS,
     )
 
 

@@ -181,6 +181,10 @@ def all_strategies() -> tuple[RepStrategy, ...]:
     return tuple(RepStrategy.from_index(i) for i in range(32))
 
 
+# ``RepStrategy.bits`` in index order: the labels of every 32x32 table.
+STRATEGY_LABELS: tuple[str, ...] = tuple(format(i, "05b") for i in range(32))
+
+
 @dataclass(frozen=True)
 class ExpectedPayoffs:
     """Per-player, per-stage expected payoffs of one strategy profile."""
@@ -297,8 +301,7 @@ def classical_twice_repeated(stage: StageGame) -> Bimatrix:
         table[a1, a2] + table[b1, b2]
         for table in (stage.payoff_table(1), stage.payoff_table(2))
     )
-    labels = tuple(s.bits for s in all_strategies())
-    return Bimatrix(u1, u2, labels, labels)
+    return Bimatrix(u1, u2, STRATEGY_LABELS, STRATEGY_LABELS)
 
 
 def qubit_count(n_stages: int) -> int:

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import csv
+import functools
 import hashlib
+import io
 import json
 import math
+import operator
 import subprocess
 import sys
 from collections.abc import Mapping, Sequence
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrgames.cli import ConfigError, _number, _parse_terms, main, parse_config
 from qrgames.qstate import PureState, tensor_all
@@ -91,6 +98,10 @@ def test_term_lists_build_custom_states():
                 "initial_state": "example_4_5",
             },
             "10-qubit state",
+        ),
+        (
+            mw10_document(payoffs=[[[3, 3], [0, 5]], [{}, [1, 1]]]),
+            "explicit payoffs must be a 2x2 nesting",
         ),
     ],
 )
@@ -825,3 +836,114 @@ def test_module_entry_point_prints_usage():
     assert result.returncode == 0
     for name in ("bimatrix", "nash", "spe", "dominance", "compare-protocols"):
         assert name in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# config fuzz
+
+_ORDINARY = st.floats(-10, 10) | st.sampled_from(
+    [0, 1, -1, 0.5, 3, 5, 1e300, -1e300, 1e-300]
+)
+_PAIR = st.floats(0, 1).map(
+    lambda w: [{"basis": "00", "prob": w}, {"basis": "11", "prob": 1 - w}]
+)
+_VALID = st.fixed_dictionaries(
+    {
+        "protocol": st.sampled_from(["mw10", "iqbal-toor", "classical"]),
+        "payoffs": st.fixed_dictionaries({key: _ORDINARY for key in "TRPS"})
+        | st.lists(
+            st.lists(st.lists(_ORDINARY, min_size=2, max_size=2), min_size=2, max_size=2),
+            min_size=2,
+            max_size=2,
+        ),
+        "initial_state": st.one_of(
+            st.sampled_from(["all_zero", "example_4_5", "ghz(0.3)"]),
+            st.fixed_dictionaries({"ghz": st.floats(0, 1)}),
+            st.lists(_PAIR, min_size=5, max_size=5).map(lambda p: {"pair_product": p}),
+            st.lists(_PAIR, min_size=2, max_size=2).map(lambda p: {"pair_product": p}),
+            st.lists(
+                st.fixed_dictionaries(
+                    {"basis": st.sampled_from(["0" * 10, "1" * 10, "0000", "1111"])},
+                    optional={"re": _ORDINARY, "im": _ORDINARY, "prob": _ORDINARY},
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+        ),
+    }
+)
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e301, -(10**400)]),
+)
+_JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=8)),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _paths(node, prefix=()):
+    """The path of every value in a JSON document, the root's first."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _configs(draw):
+    """A valid config with up to three values replaced, deleted or added."""
+    document = draw(_VALID)
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(document))))
+        if not path:
+            document = draw(_JUNK)
+            continue
+        parent = functools.reduce(operator.getitem, path[:-1], document)
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            parent[path[-1]] = draw(_JUNK)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, list):
+            parent.append(draw(_JUNK))
+        else:
+            parent[draw(st.text(max_size=4))] = draw(_JUNK)
+    return document
+
+
+def _numbers_in(command: str, out: str) -> list[float]:
+    """Every number a command printed: CSV cells ``u1;u2`` or JSON values."""
+    if command == "bimatrix":
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        return [float(v) for row in rows for cell in row[1:] for v in cell.split(";")]
+    found = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            for item in node:
+                walk(item)
+        elif isinstance(node, (int, float)):
+            found.append(node)
+
+    walk(json.loads(out))
+    return found
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(document=_configs())
+def test_any_config_ends_in_a_finite_result_or_exit_two(tmp_path_factory, document):
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(document))
+    for command in ("bimatrix", "nash", "spe", "dominance"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, "--config", str(path)])
+        assert code in (0, 2), (command, code, err.getvalue())
+        if code == 0:
+            assert all(math.isfinite(v) for v in _numbers_in(command, out.getvalue()))

@@ -129,8 +129,11 @@ def test_weak_equilibria_of_the_shared_value_table():
 
 
 def test_search_validation():
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="nonnegative"):
+            pure_nash(PD.stage_bimatrix(), tol=tol)
     with pytest.raises(ValueError, match="nonnegative"):
-        pure_nash(PD.stage_bimatrix(), tol=-1.0)
+        spe_pair_product(RepGame(PureState.basis(10, 0), PD), tol=float("nan"))
     with pytest.raises(ValueError, match="player must be 1 or 2"):
         strictly_dominated(PD.stage_bimatrix(), 3)
 

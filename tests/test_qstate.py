@@ -99,7 +99,7 @@ def test_a_label_of_the_wrong_length_is_refused(make):
         make()
 
 
-@pytest.mark.parametrize("index", [-1, -16, 16, 99])
+@pytest.mark.parametrize("index", [-1, -16, 16, 99, 1.5])
 def test_basis_refuses_an_index_outside_the_register(index):
     with pytest.raises(ValueError, match="out of range"):
         PureState.basis(4, index)
@@ -168,8 +168,10 @@ def test_random_state_is_normalized_and_seed_stable():
 def test_flip_layer_validates_entries():
     with pytest.raises(ValueError, match="must be 0 or 1"):
         FlipLayer({1: 2})
-    with pytest.raises(ValueError, match="1-based"):
-        FlipLayer({0: 1})
+    for qubit in (0, 1.5):
+        with pytest.raises(ValueError, match="1-based"):
+            FlipLayer({qubit: 1})
+    assert FlipLayer({np.int64(3): 1}).flips == {3: 1}
 
 
 def test_mask_places_qubit_one_at_the_top_bit():

@@ -14,6 +14,7 @@ from qrgames import repeated10
 from qrgames.qstate import (
     OUTCOMES,
     PROB_FLOOR,
+    DiagonalObservable,
     FlipLayer,
     PureState,
     apply_flips,
@@ -43,6 +44,7 @@ from qrgames.repeated10 import (
 )
 from qrgames.stagegames import (
     RepStrategy,
+    StageGame,
     all_strategies,
     classical_twice_repeated,
     make_pd,
@@ -98,6 +100,15 @@ def batch_oracle(game: RepGame, s1: RepStrategy, s2: RepStrategy) -> np.ndarray:
     return acc
 
 
+def gated_stage2(stage, player: int, outcome) -> DiagonalObservable:
+    """The player's stage-2 payoff on the outcome's pair, zero unless
+    qubits 1-2 spell the outcome."""
+    indices = np.arange(1024)
+    gate = ((indices >> 9) & 1 == outcome[0]) & ((indices >> 8) & 1 == outcome[1])
+    ungated = payoff_observable(stage, player, 10, outcome_qubit_pair(outcome))
+    return DiagonalObservable(10, np.where(gate, ungated.weights, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # wiring
 
@@ -150,6 +161,37 @@ def test_observable_cache_stays_bounded_and_rebuilds_equal_results():
         _observables.cache_clear()
         fresh = play_batch(RepGame(state, stage), s1, s2).as_array()
         assert np.array_equal(got, fresh)
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [
+        PD,
+        FRACTIONAL,
+        make_pd(1e8, 3, 1, 0),
+        StageGame((((-0.0, 0.0), (-0.0, 2.0)), ((3.0, -0.0), (1.0, -0.0)))),
+    ],
+    ids=["pd", "fractional", "t1e8", "negative-zero"],
+)
+def test_dense_observables_sum_the_gated_stage_two_pieces(stage):
+    """The stage-2 observable is the sum of the gated pieces, and each
+    reachable branch of a sequential play reads exactly its own piece."""
+    observables = _observables(stage)
+    assert len(observables) == 4
+    for player in (1, 2):
+        first, second = observables[2 * player - 2 : 2 * player]
+        want = payoff_observable(stage, player, 10, (1, 2)).weights
+        assert np.array_equal(first.weights, want)
+        pieces = [gated_stage2(stage, player, o).weights for o in OUTCOMES]
+        assert np.array_equal(second.weights, sum(pieces))
+    rng = np.random.default_rng(20261020)
+    game = RepGame(random_state(10, rng), stage)
+    for i, j in rng.integers(0, 32, (8, 2)):
+        for branch in play_sequential(game, ALL[i], ALL[j]).branches:
+            assert branch.reachable
+            gated = [gated_stage2(stage, p, branch.outcome) for p in (1, 2)]
+            want = [expectation(branch.post_state, obs) for obs in gated]
+            assert np.array_equal(branch.stage2_payoffs, want)
 
 
 def test_batch_play_on_all_zero_start_is_the_classical_path():
@@ -671,14 +713,16 @@ def two_term_tree_oracle(game: RepGame):
                 dist[outcome] = probability
                 post_states[(k1, k2) + outcome] = post
             distributions[(k1, k2)] = dist
-    obs = _observables(game.stage)
 
     def stage2_fn(k1, k2, outcome, a1, a2):
         post = post_states.get((k1, k2) + outcome)
         if post is None:
             return None
         final = _continue(post, outcome, a1, a2)
-        return [expectation(final, obs[(player, 2, outcome)]) for player in (1, 2)]
+        return [
+            expectation(final, gated_stage2(game.stage, player, outcome))
+            for player in (1, 2)
+        ]
 
     return callback_tree(game.stage, distributions, stage2_fn)
 

@@ -164,6 +164,14 @@ class FlipLayer:
         return FlipLayer({**self.flips, **other.flips})
 
 
+def _check_qubit(qubit: int, num_qubits: int) -> None:
+    """Refuse a qubit that is not a 1-based integer index into the register."""
+    if not isinstance(qubit, (int, np.integer)):
+        raise ValueError(f"qubit indices are 1-based integers, got {qubit!r}")
+    if not 1 <= qubit <= num_qubits:
+        raise ValueError(f"qubit {qubit} out of range for {num_qubits}-qubit state")
+
+
 def apply_flips(state: PureState, layer: FlipLayer) -> PureState:
     """Apply identity/flip operators qubit-wise to a state.
 
@@ -204,8 +212,7 @@ def flip_table(
     """
     n = state.num_qubits
     for qubit in qubits:
-        if not 1 <= qubit <= n:
-            raise ValueError(f"qubit {qubit} out of range for {n}-qubit state")
+        _check_qubit(qubit, n)
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"read qubits must be distinct, got {tuple(qubits)}")
     size = 2 ** len(qubits)
@@ -240,8 +247,7 @@ def measure_pair(
     """
     n = state.num_qubits
     for qubit in (qubit_a, qubit_b):
-        if not 1 <= qubit <= n:
-            raise ValueError(f"qubit {qubit} out of range for {n}-qubit state")
+        _check_qubit(qubit, n)
     if qubit_a == qubit_b:
         raise ValueError("measured qubits must be distinct")
 

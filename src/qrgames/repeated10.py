@@ -61,7 +61,12 @@ _AFTER_BITS = (np.arange(32) >> (3 - np.arange(4))[:, None]) & 1
 # on qubits 1-2, and ``4*(2*k1 + k2) + 2*a1 + a2`` with outcome o's pair.
 _FIRST_PATTERN = 2 * _STAGE1_BITS[:, None] + _STAGE1_BITS
 _SECOND_PATTERN = 4 * _FIRST_PATTERN + 2 * _AFTER_BITS[..., None] + _AFTER_BITS[:, None]
-for _bits in (_STAGE1_BITS, _AFTER_BITS, _FIRST_PATTERN, _SECOND_PATTERN):
+# Per outcome o and profile, the row ``16*o + 4*k + a`` of the sequential
+# continuation values it reads (the layout of ``_sequential_gather``).
+_CONTINUATION_ROW = 16 * np.arange(4)[:, None, None] + _SECOND_PATTERN
+for _bits in (
+    _STAGE1_BITS, _AFTER_BITS, _FIRST_PATTERN, _SECOND_PATTERN, _CONTINUATION_ROW
+):
     _bits.setflags(write=False)
 # Largest singular value or amplitude read as zero when deciding whether a
 # start is a pair product or a two-term superposition.
@@ -224,24 +229,25 @@ def _stage1_branches(game: RepGame) -> dict[tuple[int, int], list]:
     }
 
 
-@lru_cache(maxsize=4)
-def _continuation_gather(outcome: tuple[int, int]) -> np.ndarray:
-    """Basis gather of the four continuations ``_continue`` makes for ``outcome``.
+@lru_cache(maxsize=1)
+def _sequential_gather() -> np.ndarray:
+    """Basis gather of every continuation, from the stacked block Born weights.
 
-    Row ``2*a1 + a2`` holds ``x XOR m`` at entry ``x``, where ``m`` is the
-    mask of the flips (a1, a2), so ``probs[gather]`` are the four flipped
-    states' Born weights.  The array is 4x1024 and read-only, since the
-    cache hands the same one to every caller.
+    Row ``16*o + 4*k + a`` serves outcome o after the stage-1 flips k and
+    the stage-2 flips a (each a 2-bit number): the outcome's branch is
+    block ``o XOR k`` of the unflipped start, and the continuation holds,
+    at basis index x, that block's weight at ``x XOR (k << 8) XOR m``,
+    where ``m = a << (6 - 2*o)`` flips outcome o's pair.  So
+    ``born.ravel()[gather]`` is all 64 continuations' Born weights when
+    row b of ``born`` is block b's.  The array is 64x1024 and read-only,
+    since the cache hands the same one to every caller, and built on
+    first use, so only the sequential path holds its 512 KB.
     """
-    qubit_a, qubit_b = outcome_qubit_pair(outcome)
-    masks = np.array(
-        [
-            FlipLayer({qubit_a: a1, qubit_b: a2}).mask(NUM_QUBITS)
-            for a1 in (0, 1)
-            for a2 in (0, 1)
-        ]
-    )
-    gather = np.arange(2 ** NUM_QUBITS) ^ masks[:, None]
+    o, k, a = np.ogrid[:4, :4, :4]
+    mask = (k << 8) ^ (a << (6 - 2 * o))
+    size = 2 ** NUM_QUBITS
+    block = (o ^ k)[..., None] * size
+    gather = (block + (np.arange(size) ^ mask[..., None])).reshape(64, size)
     gather.setflags(write=False)
     return gather
 
@@ -326,10 +332,12 @@ def rep_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarray]:
     from the state's marginal there: a 4-entry stage-1 table and one
     16-entry table per outcome.  A cell is the stage-1 entry its
     profile's pattern picks, plus the stage-2 entries its patterns pick,
-    summed over the outcomes in ``OUTCOMES`` order.
+    summed over the outcomes in ``OUTCOMES`` order.  Each pick is one
+    ``np.take`` of a (player, pattern) table through a 32x32 pattern
+    index, which copies the same entries as a fancy index, faster.
     """
     weights = stage_weights(game.stage)
-    first = flip_table(game.initial, (1, 2), weights)[:, _FIRST_PATTERN]
+    first = np.take(flip_table(game.initial, (1, 2), weights), _FIRST_PATTERN, axis=1)
     second = 0.0
     for position, outcome in enumerate(OUTCOMES):
         # Zero weight unless qubits 1-2 spell the outcome.
@@ -338,7 +346,7 @@ def rep_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarray]:
         piece = flip_table(
             game.initial, (1, 2) + outcome_qubit_pair(outcome), gated.reshape(2, 16)
         )
-        second = second + piece[:, _SECOND_PATTERN[position]]
+        second = second + np.take(piece, _SECOND_PATTERN[position], axis=1)
     by_stage = {1: first, 2: second}
     return {
         (player, stage): by_stage[stage][player - 1]
@@ -350,40 +358,46 @@ def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarr
     """The four 32x32 per-stage tables of ``play_sequential``, in one pass.
 
     A sequential play depends on the profile only through the stage-1
-    flip pair and, per observed outcome, the continuation flip pair.  So
-    one measurement of the start, relabelled per stage-1 flip, and the (at
-    most 64) continuations it leads to cover all 1024 profiles.  Flips
-    only permute amplitudes, so a continuation's Born weights are the
-    measured branch's, gathered; each of its four payoff expectations is
-    a 1-D dot product of those weights with the observable
-    ``play_sequential`` reads.  A cell is the renormalized branch weights
-    times the values its continuation bits pick, summed over the outcomes
-    in the order ``play_sequential`` sums its ensemble, so cells equal its
-    ``expected`` bit for bit.  Keys and layout match :func:`rep_component_tables`.
+    flip pair k and, per observed outcome o, the continuation flip pair
+    a.  One measurement of the unflipped start gives every stage-1
+    measurement: flipping by k sends block b to outcome b XOR k.  Flips
+    only permute amplitudes, so the 64 continuations' Born weights are
+    one gather of the four measured blocks' weights (pruned blocks read
+    as zeros), and their 256 payoff values are one stacked call of 1-D
+    dot products with the observables ``play_sequential`` reads.  Each
+    value is scaled by its renormalized branch weight, one ``np.take``
+    picks every cell's row per outcome, and the picks are summed from 0.0
+    in ``OUTCOMES`` order: the products and the sum ``play_sequential``
+    forms for its ``expected``, so cells equal it bit for bit.  A pruned
+    branch adds a zero, which leaves a sum started from 0.0 unchanged.
+    Keys and layout match :func:`rep_component_tables`.
     """
     # Stacked (1 x n) @ (n x 1) products go to the dot a 1-D ``w @ p`` uses;
     # (1 x n) @ (n x 4) would go to BLAS gemv, which sums in another order.
     weights = np.stack([obs.weights for obs in _observables(game.stage)])[None, :, None]
-    table = np.empty((32, 32, 4))
-    for (k1, k2), branches in _stage1_branches(game).items():
-        kept = sum(probability for _, probability, _ in branches)
+    branches = _stage1_branches(game)
+    born = np.zeros((4, 2 ** NUM_QUBITS))
+    for (b1, b2), _, post in branches[(0, 0)]:
+        born[2 * b1 + b2] = post.probabilities
+    # renormalized[o, k]: the ensemble weight of outcome o after flips k.
+    renormalized = np.zeros((4, 4))
+    for (k1, k2), measured in branches.items():
+        kept = sum(probability for _, probability, _ in measured)
         _check_branch_total(kept)
         # Every profile with these stage-1 flips ends in this ensemble;
         # building it once runs its checks once.
         ensemble = Ensemble(
-            tuple((probability / kept, post) for _, probability, post in branches)
+            tuple((probability / kept, post) for _, probability, post in measured)
         )
-        mask = FlipLayer({1: k1, 2: k2}).mask(NUM_QUBITS)
-        rows = np.flatnonzero(_STAGE1_BITS == k1)
-        cols = np.flatnonzero(_STAGE1_BITS == k2)
-        cells = 0.0
-        for (weight, _), (outcome, _, post) in zip(ensemble.members, branches):
-            continued = post.probabilities[_continuation_gather(outcome) ^ mask]
-            values = (weights @ continued[:, None, :, None]).reshape(2, 2, 4)
-            after = _AFTER_BITS[2 * outcome[0] + outcome[1]]
-            picked = values[after[rows][:, None], after[cols]]
-            cells = cells + weight * picked
-        table[np.ix_(rows, cols)] = cells
+        for (weight, _), ((o1, o2), _, _) in zip(ensemble.members, measured):
+            renormalized[2 * o1 + o2, 2 * k1 + k2] = weight
+    continued = born.ravel()[_sequential_gather()]
+    values = (weights @ continued[:, None, :, None]).reshape(16, 4, 4)
+    weighted = (values * renormalized.reshape(16, 1, 1)).reshape(64, 4)
+    picked = np.take(weighted, _CONTINUATION_ROW, axis=0)
+    table = 0.0
+    for outcome_picks in picked:
+        table = table + outcome_picks
     return {key: table[:, :, position] for position, key in enumerate(_COMPONENT_KEYS)}
 
 

@@ -132,7 +132,8 @@ class RepStrategy:
 
     def __post_init__(self) -> None:
         for name, value in self.fields().items():
-            if value not in (0, 1):
+            # 1.0 == 1, but a float bit would make ``bits`` fail to format.
+            if not isinstance(value, (int, np.integer)) or value not in (0, 1):
                 raise ValueError(f"{name} must be 0 or 1, got {value!r}")
 
     def fields(self) -> dict[str, int]:
@@ -160,7 +161,7 @@ class RepStrategy:
 
     @classmethod
     def from_index(cls, index: int) -> "RepStrategy":
-        if not 0 <= index < 32:
+        if not isinstance(index, (int, np.integer)) or not 0 <= index < 32:
             raise ValueError(f"strategy index out of range: {index}")
         bits = format(index, "05b")
         return cls(*(int(b) for b in bits))

@@ -296,6 +296,30 @@ def test_measure_pair_argument_checks():
         measure_pair(state, 1, 5)
 
 
+@pytest.mark.parametrize("qubit", [1.5, 1.0, "1", None])
+def test_measure_pair_and_flip_table_refuse_a_qubit_that_is_not_an_integer(qubit):
+    state = PureState.basis(4, 0)
+    message = "qubit indices are 1-based integers"
+    with pytest.raises(ValueError, match=message):
+        measure_pair(state, qubit, 2)
+    with pytest.raises(ValueError, match=message):
+        measure_pair(state, 2, qubit)
+    with pytest.raises(ValueError, match=message):
+        flip_table(state, (qubit, 2), np.zeros(4))
+
+
+def test_measure_pair_and_flip_table_take_numpy_integer_qubits():
+    state = seeded_state(4, 70)
+    assert [p for _, p, _ in measure_pair(state, np.int64(1), 2)] == [
+        p for _, p, _ in measure_pair(state, 1, 2)
+    ]
+    weights = np.arange(4.0)
+    assert np.array_equal(
+        flip_table(state, (np.int64(3), np.int32(1)), weights),
+        flip_table(state, (3, 1), weights),
+    )
+
+
 # ---------------------------------------------------------------------------
 # ensembles and observables
 

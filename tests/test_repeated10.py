@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -400,6 +402,7 @@ def assert_table_matches_sequential_play(
         expected = play_sequential(game, ALL[i], ALL[j]).expected.as_array()
         cell = np.array([tables[key][i, j] for key in TABLE_KEYS])
         assert np.array_equal(cell, expected), (i, j, cell - expected)
+        assert np.array_equal(np.signbit(cell), np.signbit(expected)), (i, j)
 
 
 @pytest.mark.parametrize("seed", [51, 52, 53])
@@ -447,6 +450,101 @@ def test_sequential_table_relabels_a_start_with_one_empty_block():
             unreachable = [b.outcome for b in transcript.branches if not b.reachable]
             assert unreachable == [(1 ^ k1, 0 ^ k2)]
     assert_table_matches_sequential_play(game, 61, count=256)
+
+
+def start_with_a_light_block(block: int, mass: float, seed: int) -> PureState:
+    """A random start whose block ``block`` (qubits 1-2 spelling it) holds ``mass``."""
+    amplitudes = random_state(10, np.random.default_rng(seed)).amplitudes.copy()
+    rows = amplitudes.reshape(4, 256)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows *= np.sqrt(np.where(np.arange(4) == block, mass, (1.0 - mass) / 3))[:, None]
+    return PureState(10, amplitudes)
+
+
+def test_sequential_table_is_play_sequential_with_a_block_at_the_floor():
+    """A block of mass 1e-13 is pruned, so every kept total differs from 1."""
+    game = RepGame(start_with_a_light_block(1, 1e-13, 65), FRACTIONAL)
+    for k in range(4):
+        transcript = play_sequential(game, ALL[16 * (k >> 1)], ALL[16 * (k & 1)])
+        reachable = [b for b in transcript.branches if b.reachable]
+        assert [b.outcome for b in transcript.branches if not b.reachable] == [
+            (0 ^ (k >> 1), 1 ^ (k & 1))
+        ]
+        assert sum(b.probability for b in reachable) != 1.0
+    assert_table_matches_sequential_play(game, 65, count=1024)
+
+
+# Player 1's payoffs are -0.0 and the negative subnormal -5e-324, whose
+# product with a branch weight below 1/2 rounds to -0.0.  Every stage-1
+# and stage-2 term of such a cell is then -0.0, and only a sum started
+# from 0.0, as ``play_sequential``'s is, ends in +0.0.
+NEGATIVE_ZEROS = StageGame(
+    outcomes=(((-0.0, 2.5), (-5e-324, -0.0)), ((-5e-324, 1.25), (-0.0, -3.5)))
+)
+
+
+def one_point_per_block() -> PureState:
+    """Equal amplitude on one seeded basis index in each of the four blocks."""
+    low = np.random.default_rng(66).integers(0, 256, size=4)
+    return PureState.from_terms(10, {(b << 8) | int(x): 0.5 for b, x in enumerate(low)})
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        pytest.param(one_point_per_block(), id="one-point-per-block"),
+        pytest.param(start_with_a_light_block(2, 1e-13, 66), id="light-block"),
+    ],
+)
+def test_sequential_table_keeps_the_sign_of_zero_on_negative_zero_payoffs(state):
+    game = RepGame(state, NEGATIVE_ZEROS)
+    assert_table_matches_sequential_play(game, 66, count=1024)
+
+
+def test_sequential_gather_is_one_read_only_array_per_process():
+    gather = repeated10._sequential_gather()
+    sequential_component_tables(ghz_game())
+    sequential_component_tables(pd_game(random_state(10, np.random.default_rng(67))))
+    assert repeated10._sequential_gather() is gather
+    assert repeated10._sequential_gather.cache_info().misses == 1
+    assert gather.shape == (64, 1024)
+    assert not gather.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        gather[0, 0] = 0
+
+
+def test_sequential_gather_rows_are_the_flips_of_a_sequential_play():
+    """Row ``16*o + 4*k + a`` reads block ``o XOR k`` through the mask of the
+    stage-1 flips k and outcome o's stage-2 flips a."""
+    gather = repeated10._sequential_gather()
+    x = np.arange(1024)
+    for o, outcome in enumerate(OUTCOMES):
+        qubit_a, qubit_b = outcome_qubit_pair(outcome)
+        for k in range(4):
+            for a in range(4):
+                flips = {1: k >> 1, 2: k & 1, qubit_a: a >> 1, qubit_b: a & 1}
+                want = 1024 * (o ^ k) + (x ^ FlipLayer(flips).mask(10))
+                assert np.array_equal(gather[16 * o + 4 * k + a], want)
+
+
+def test_only_the_sequential_table_builds_the_sequential_gather():
+    """The batch table leaves the 512 KB gather unbuilt in a fresh process."""
+    script = (
+        "import numpy as np\n"
+        "from qrgames import repeated10 as r\n"
+        "from qrgames.qstate import random_state\n"
+        "from qrgames.stagegames import make_pd\n"
+        "state = random_state(10, np.random.default_rng(68))\n"
+        "game = r.RepGame(state, make_pd(5, 3, 1, 0))\n"
+        "r.rep_component_tables(game)\n"
+        "print(r._sequential_gather.cache_info().misses)\n"
+        "r.sequential_component_tables(game)\n"
+        "print(r._sequential_gather.cache_info().misses)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["0", "1"]
 
 
 @pytest.fixture

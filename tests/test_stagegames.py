@@ -107,6 +107,25 @@ def test_strategy_validation():
         RepStrategy.from_index(-1)
 
 
+@pytest.mark.parametrize("bit", [1.0, 0.0, 0.5, "1", None])
+def test_strategy_refuses_a_bit_that_is_not_an_integer(bit):
+    with pytest.raises(ValueError, match=r"stage1 must be 0 or 1, got"):
+        RepStrategy(bit, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match=r"after_11 must be 0 or 1, got"):
+        RepStrategy(0, 0, 0, 0, bit)
+
+
+@pytest.mark.parametrize("index", [1.0, 16.0, 2.5, "3"])
+def test_strategy_from_index_refuses_a_non_integer(index):
+    with pytest.raises(ValueError, match="strategy index out of range"):
+        RepStrategy.from_index(index)
+
+
+def test_strategy_takes_numpy_integers_as_bits_and_indices():
+    assert RepStrategy(np.int64(1), 0, 0, 0, np.uint8(1)).bits == "10001"
+    assert RepStrategy.from_index(np.int64(17)) == RepStrategy(1, 0, 0, 0, 1)
+
+
 def test_all_strategies_is_the_full_indexed_enumeration():
     strategies = all_strategies()
     assert len(strategies) == 32

@@ -21,8 +21,8 @@ import numpy as np
 
 from .mw import stage_weights
 from .qstate import NORM_ATOL, OUTCOMES, flip_table
-from .repeated10 import _ACTION_LABELS, RepGame, _product_tables, factor_pairs
-from .stagegames import Bimatrix, Payoffs, RepStrategy, StageGame
+from .repeated10 import RepGame, _product_tables, factor_pairs
+from .stagegames import Bimatrix, Payoffs, StageGame
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,30 @@ class EquilibriumReport:
         return json.dumps(document, indent=2)
 
 
+def _nash_masks(
+    u1: np.ndarray, u2: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equilibrium and strict masks of a stack of bimatrices.
+
+    ``u1`` and ``u2`` are indexed ``[..., row, col]``.  A cell is an
+    equilibrium when neither player gains more than ``tol`` by deviating
+    within its game, and strict when it is each player's only best
+    response, with no tolerance.
+    """
+    best1 = u1.max(axis=-2, keepdims=True)
+    best2 = u2.max(axis=-1, keepdims=True)
+    at_equilibrium = (u1 >= best1 - tol) & (u2 >= best2 - tol)
+    top1, top2 = u1 == best1, u2 == best2
+    lone1 = top1.sum(axis=-2, keepdims=True) == 1
+    lone2 = top2.sum(axis=-1, keepdims=True) == 1
+    return at_equilibrium, top1 & top2 & lone1 & lone2
+
+
+def _check_tolerance(tol: float) -> None:
+    if not tol >= 0:
+        raise ValueError("tolerance must be nonnegative")
+
+
 def pure_nash(bm: Bimatrix, tol: float = 1e-9) -> EquilibriumReport:
     """All pure Nash equilibria of a bimatrix.
 
@@ -77,22 +101,10 @@ def pure_nash(bm: Bimatrix, tol: float = 1e-9) -> EquilibriumReport:
     that every deviation strictly loses, with no tolerance: profiles
     that tie an alternative best response are equilibria but not strict.
     """
-    if not tol >= 0:
-        raise ValueError("tolerance must be nonnegative")
+    _check_tolerance(tol)
     if bm.rows == 0 or bm.cols == 0:
         raise ValueError("cannot search an empty bimatrix")
-    u1, u2 = bm.payoffs1, bm.payoffs2
-    best1 = u1.max(axis=0)
-    best2 = u2.max(axis=1)
-    at_equilibrium = (u1 >= best1[None, :] - tol) & (u2 >= best2[:, None] - tol)
-    lone_best1 = (u1 == best1[None, :]).sum(axis=0) == 1
-    lone_best2 = (u2 == best2[:, None]).sum(axis=1) == 1
-    strict = (
-        (u1 == best1[None, :])
-        & (u2 == best2[:, None])
-        & lone_best1[None, :]
-        & lone_best2[:, None]
-    )
+    at_equilibrium, strict = _nash_masks(bm.payoffs1, bm.payoffs2, tol)
     found = tuple(
         Equilibrium(int(r), int(c), bm.cell(int(r), int(c)), bool(strict[r, c]))
         for r, c in np.argwhere(at_equilibrium)
@@ -132,6 +144,10 @@ def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
     is flagged strict when its stage-1 equilibrium and all four selected
     continuations are strict.
 
+    All four subgames are solved in one :func:`_nash_masks` call, and so
+    are the induced games of every selection, stacked in the order of
+    ``itertools.product`` over the subgames' equilibria.
+
     Raises ``ValueError`` if the initial state is not a pair product, or
     if some outcome's subgame has no pure equilibrium (reporting which).
     """
@@ -141,32 +157,53 @@ def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
             "subgame search needs an initial state that factors across "
             "the five qubit pairs"
         )
+    _check_tolerance(tol)
     chance, continuations = _product_tables(game.stage, factors)
     # Row k holds both players' stage-1 payoffs at flips k.
     base = flip_table(factors[0], (1, 2), stage_weights(game.stage)).T
-    subgame_ne = []
-    for (o1, o2), values in zip(OUTCOMES, continuations):
-        subgame = Bimatrix(*values.reshape(2, 2, 2), _ACTION_LABELS, _ACTION_LABELS)
-        report = pure_nash(subgame, tol=tol)
-        if not report.equilibria:
+    # values[o, player, a]: outcome o's subgame at its flips a = 2*a1 + a2.
+    values = np.stack(continuations)
+    sub_eq, sub_strict = _nash_masks(
+        values[:, 0].reshape(4, 2, 2), values[:, 1].reshape(4, 2, 2), tol
+    )
+    hits = [
+        [a for a, hit in enumerate(row) if hit] for row in sub_eq.reshape(4, 4).tolist()
+    ]
+    for (o1, o2), found in zip(OUTCOMES, hits):
+        if not found:
             raise ValueError(
                 f"no pure second-stage equilibrium after outcome {o1}{o2}"
             )
-        subgame_ne.append(report.equilibria)
-
-    found = []
-    for selection in product(*subgame_ne):
-        extra = 0.0
-        for o, chosen in enumerate(selection):
-            extra = extra + chance[:, o, None] * np.array(chosen.payoffs)
-        u1, u2 = (base + extra).T.reshape(2, 2, 2)
-        induced = Bimatrix(u1, u2, _ACTION_LABELS, _ACTION_LABELS)
-        for eq in pure_nash(induced, tol=tol).equilibria:
-            t1 = RepStrategy(eq.row, *(c.row for c in selection))
-            t2 = RepStrategy(eq.col, *(c.col for c in selection))
-            strict = eq.strict and all(c.strict for c in selection)
-            found.append(Equilibrium(t1.index, t2.index, eq.payoffs, strict))
-    found.sort(key=lambda eq: (eq.row, eq.col))
+    # selected[o, s]: the flips a that selection s picks after outcome o.
+    selected = np.array(list(product(*hits))).T
+    extra = 0.0
+    for o, picks in enumerate(selected):
+        extra = extra + chance[:, o, None] * values[o][:, picks].T[:, None, :]
+    cells = base + extra
+    # cells[s, k, player]; the induced game of selection s is u[s, k1, k2].
+    u1, u2 = cells.transpose(2, 0, 1).reshape(2, -1, 2, 2)
+    at_equilibrium, strict = _nash_masks(u1, u2, tol)
+    # Per selection: each player's contingent strategy bits (the flip after
+    # outcome o is bit 3 - o) and whether all four picks are strict.
+    shifts = (3 - np.arange(4))[:, None]
+    after1 = ((selected >> 1) << shifts).sum(axis=0)
+    after2 = ((selected & 1) << shifts).sum(axis=0)
+    strict_picks = np.take_along_axis(sub_strict.reshape(4, 4), selected, axis=1)
+    strict_picks = strict_picks.all(axis=0)
+    s, k1, k2 = np.nonzero(at_equilibrium)
+    found = sorted(
+        (
+            Equilibrium(row, col, (p1, p2), flag)
+            for row, col, p1, p2, flag in zip(
+                ((k1 << 4) + after1[s]).tolist(),
+                ((k2 << 4) + after2[s]).tolist(),
+                u1[s, k1, k2].tolist(),
+                u2[s, k1, k2].tolist(),
+                (strict[s, k1, k2] & strict_picks[s]).tolist(),
+            )
+        ),
+        key=lambda eq: (eq.row, eq.col),
+    )
     return EquilibriumReport(
         kind="subgame-perfect", tolerance=float(tol), equilibria=tuple(found)
     )
@@ -223,8 +260,8 @@ def cooperation_scan(stage: StageGame, grid_step: float) -> CooperationAnalysis:
 
     All grid points are evaluated at once: the induced cell at flip
     pattern f is W[f]*p00 + W[f^3]*p11, with the Born weights rounded as
-    :class:`~.qstate.PureState` rounds them and equilibria as
-    :func:`pure_nash` finds them at ``tol=0``.
+    :class:`~.qstate.PureState` rounds them and equilibria by the rule
+    :func:`pure_nash` reads (:func:`_nash_masks`), at ``tol=0``.
     """
     if not stage.is_pd:
         raise ValueError("cooperation scan is defined for dilemma payoffs only")
@@ -242,8 +279,7 @@ def cooperation_scan(stage: StageGame, grid_step: float) -> CooperationAnalysis:
     weights = stage_weights(stage)[:, None, :]
     cells = weights * p00[:, None] + weights[..., ::-1] * p11[:, None]
     u1, u2 = cells.reshape(2, -1, 2, 2)
-    best1, best2 = u1.max(axis=1, keepdims=True), u2.max(axis=2, keepdims=True)
-    at_equilibrium = (u1 >= best1) & (u2 >= best2)
+    at_equilibrium, _ = _nash_masks(u1, u2, 0.0)
     only_identity = np.array([[True, False], [False, False]])
     flags = (at_equilibrium == only_identity).all(axis=(1, 2))
     samples = []

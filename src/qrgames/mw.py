@@ -40,7 +40,7 @@ def stage_weights(stage: StageGame) -> np.ndarray:
     of the pair (first qubit most significant), the layout
     :func:`~.qstate.flip_table` reads.
     """
-    return np.stack([stage.payoff_table(player).reshape(4) for player in (1, 2)])
+    return np.array(stage.outcomes).reshape(4, 2).T
 
 
 @dataclass(frozen=True)

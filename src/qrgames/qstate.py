@@ -17,7 +17,8 @@ on an ``n``-qubit register is ``(x >> (n - j)) & 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import lru_cache
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -186,6 +187,16 @@ def apply_flips(state: PureState, layer: FlipLayer) -> PureState:
     return PureState(state.num_qubits, state.amplitudes[indices])
 
 
+# Sizes 4 and 16 serve every protocol: two and four read qubits.
+@lru_cache(maxsize=4)
+def _xor_patterns(size: int) -> np.ndarray:
+    """The read-only ``size`` x ``size`` index ``[z, f] -> z ^ f`` of flip_table."""
+    patterns = np.arange(size)
+    table = patterns[:, None] ^ patterns[None, :]
+    table.setflags(write=False)
+    return table
+
+
 def flip_table(
     state: PureState, qubits: Sequence[int], weights: np.ndarray
 ) -> np.ndarray:
@@ -221,12 +232,15 @@ def flip_table(
         raise ValueError(
             f"expected {size} weights on the last axis, got shape {weights.shape}"
         )
-    others = tuple(q - 1 for q in range(1, n + 1) if q not in qubits)
-    kept = state.probabilities.reshape((2,) * n).sum(axis=others)
-    ascending = sorted(qubits)
-    marginal = kept.transpose([ascending.index(q) for q in qubits]).reshape(size)
-    patterns = np.arange(size)
-    return weights[..., patterns[:, None] ^ patterns[None, :]] @ marginal
+    if tuple(qubits) == tuple(range(1, n + 1)):
+        # The whole register in order: the marginal is the Born distribution.
+        marginal = state.probabilities
+    else:
+        others = tuple(q - 1 for q in range(1, n + 1) if q not in qubits)
+        kept = state.probabilities.reshape((2,) * n).sum(axis=others)
+        ascending = sorted(qubits)
+        marginal = kept.transpose([ascending.index(q) for q in qubits]).reshape(size)
+    return weights[..., _xor_patterns(size)] @ marginal
 
 
 def measure_pair(
@@ -325,7 +339,8 @@ def expectation(source: Ensemble | PureState, obs: DiagonalObservable) -> float:
     """Expectation value of a diagonal observable.
 
     For an ensemble this is ``sum_k p_k <psi_k|X|psi_k>``, i.e. exactly
-    ``tr(X rho)`` for the density operator the ensemble represents.
+    ``tr(X rho)`` for the density operator the ensemble represents, with
+    the terms added in member order by :func:`sum_in_order`.
     """
     if isinstance(source, PureState):
         source = Ensemble.pure(source)
@@ -334,7 +349,18 @@ def expectation(source: Ensemble | PureState, obs: DiagonalObservable) -> float:
             f"observable acts on {obs.num_qubits} qubits, "
             f"ensemble has {source.num_qubits}"
         )
-    return float(
-        sum(p * float(obs.weights @ state.probabilities)
-            for p, state in source.members)
+    return sum_in_order(
+        p * float(obs.weights @ state.probabilities) for p, state in source.members
     )
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """Add floats left to right from 0.0.
+
+    Builtin ``sum()`` compensates its float additions on Python 3.12 and
+    later, so its last bits would depend on the Python version.
+    """
+    total = 0.0
+    for value in values:
+        total = total + value
+    return total

@@ -38,6 +38,7 @@ from .qstate import (
     expectation,
     flip_table,
     measure_pair,
+    sum_in_order,
 )
 from .stagegames import (
     STRATEGY_LABELS,
@@ -120,9 +121,6 @@ def example_state() -> PureState:
     )
 
 
-# Each entry holds 32 KB of dense weights.  Sixteen games cover the
-# four stage games of a benchmark pool, so those never evict.
-@lru_cache(maxsize=16)
 def _observables(stage: StageGame) -> tuple[DiagonalObservable, ...]:
     """The four payoff observables of one stage game, in ExpectedPayoffs order.
 
@@ -130,6 +128,17 @@ def _observables(stage: StageGame) -> tuple[DiagonalObservable, ...]:
     the pair reserved for the outcome that qubits 1-2 spell: at basis
     index x that is outcome ``x >> 8``, read as a 2-bit number.
     """
+    # -0.0 == 0.0, so a cache keyed on the StageGame would hand a stage
+    # the weights of an equal one cached first, with other signed zeros.
+    return _observables_of(np.array(stage.outcomes).tobytes())
+
+
+# Each entry holds 32 KB of dense weights.  Sixteen games cover the
+# four stage games of a benchmark pool, so those never evict.
+@lru_cache(maxsize=16)
+def _observables_of(payoffs: bytes) -> tuple[DiagonalObservable, ...]:
+    """``_observables`` of the stage whose ``outcomes`` array has these bytes."""
+    stage = StageGame(np.frombuffer(payoffs).reshape(2, 2, 2).tolist())
     outcome = np.arange(2 ** NUM_QUBITS) >> (NUM_QUBITS - 2)
     observables = []
     for player in (1, 2):
@@ -313,7 +322,7 @@ def play_sequential(game: RepGame, t1: RepStrategy, t2: RepStrategy) -> PlayTran
         members.append((probability, final))
     # Mass pruned at the measurement floor is renormalized away so the
     # ensemble stays valid; for exact-zero branches this is a no-op.
-    kept = sum(p for p, _ in members)
+    kept = sum_in_order(p for p, _ in members)
     ensemble = Ensemble(tuple((p / kept, state) for p, state in members))
     return PlayTranscript(
         stage1_choices=stage1_choices,
@@ -382,7 +391,7 @@ def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarr
     # renormalized[o, k]: the ensemble weight of outcome o after flips k.
     renormalized = np.zeros((4, 4))
     for (k1, k2), measured in branches.items():
-        kept = sum(probability for _, probability, _ in measured)
+        kept = sum_in_order(probability for _, probability, _ in measured)
         _check_branch_total(kept)
         # Every profile with these stage-1 flips ends in this ensemble;
         # building it once runs its checks once.
@@ -513,29 +522,50 @@ class ExtensiveTree:
         return json.dumps(document, indent=2)
 
 
-def _assemble_tree(stage: StageGame, chance: np.ndarray, stage2) -> ExtensiveTree:
-    """Build the fixed-shape tree from a chance table and continuation tables.
+@dataclass(frozen=True)
+class _TreeSkeleton:
+    """The node shape every extensive form shares.
 
-    ``chance[k, o]`` is the weight of outcome o after stage-1 flips k, both
-    read as 2-bit numbers.  ``stage2[k][o]`` is the continuation after
-    them: a (player, ``2*a1 + a2``) table of second-stage payoffs, which
-    terminals add to the outcome's own, or None where no continuation is
-    defined.  Nodes below a zero chance weight are unreachable.
+    ``nodes`` lists all 119 ids depth first, with the three stage-1
+    decision nodes in place and None where the chance nodes and terminals
+    go.  ``chance_ids[k]`` is the chance node after the stage-1 flips k
+    (a 2-bit number) and ``outcome_heads[k]`` its children.
+    ``subtrees[k][o][live]`` is the seven nodes below outcome o there, on
+    consecutive ids: player 1's decision, then per a1 player 2's reply
+    and its two terminals, all with ``reachable=live``, the terminals
+    without payoffs.
+    """
+
+    nodes: tuple[TreeNode | None, ...]
+    chance_ids: tuple[int, ...]
+    outcome_heads: tuple[tuple[int, ...], ...]
+    subtrees: tuple[tuple[tuple[tuple[TreeNode, ...], ...], ...], ...]
+
+
+# Offsets of the terminals in a subtree, in ``2*a1 + a2`` order.
+_LEAF_OFFSETS = (2, 3, 5, 6)
+
+
+@lru_cache(maxsize=1)
+def _tree_skeleton() -> _TreeSkeleton:
+    """The fixed tree shape, built on first use and shared by every tree.
+
     Information sets follow what the players observe: stage-1 nodes per
     player form one set each (moves are simultaneous), and second-stage
     nodes group by measurement outcome alone, since the protocol reveals
-    the outcome bits and nothing else.
+    the outcome bits and nothing else.  The nodes are immutable, so trees
+    hold the same objects.
     """
     nodes: list[TreeNode | None] = []
 
-    def reserve() -> int:
-        nodes.append(None)
-        return len(nodes) - 1
+    def reserve(count: int = 1) -> int:
+        nodes.extend([None] * count)
+        return len(nodes) - count
 
     def decision(
-        node_id: int, owner: int, info_set: str, children: list[int], live: bool = True
-    ) -> None:
-        nodes[node_id] = TreeNode(
+        node_id: int, owner: int, info_set: str, children, live: bool = True
+    ) -> TreeNode:
+        return TreeNode(
             node_id,
             "decision",
             owner,
@@ -547,54 +577,85 @@ def _assemble_tree(stage: StageGame, chance: np.ndarray, stage2) -> ExtensiveTre
             live,
         )
 
+    def subtree(first: int, after: str, live: bool) -> tuple[TreeNode, ...]:
+        replies = (first + 1, first + 4)
+        block = [decision(first, 1, "1:" + after, replies, live)]
+        for reply in replies:
+            leaves = (reply + 1, reply + 2)
+            block.append(decision(reply, 2, "2:" + after, leaves, live))
+            block += [
+                TreeNode(leaf, "terminal", None, None, (), (), None, None, live)
+                for leaf in leaves
+            ]
+        return tuple(block)
+
     root_id = reserve()
     root_children = []
-    for k1 in (0, 1):
+    chance_ids = []
+    outcome_heads = []
+    subtrees = []
+    for _ in (0, 1):
         second_id = reserve()
-        chance_children = []
-        for k2 in (0, 1):
-            chance_id = reserve()
-            weights = chance[2 * k1 + k2].tolist()
-            outcome_children = []
-            for outcome, weight, table in zip(OUTCOMES, weights, stage2[2 * k1 + k2]):
-                base = stage.pair(*outcome)
-                live = weight > 0.0
-                values = None if table is None else table.T.tolist()
+        for _ in (0, 1):
+            chance_ids.append(reserve())
+            heads = []
+            per_outcome = []
+            for outcome in OUTCOMES:
+                first = reserve(7)
                 after = f"after-{outcome[0]}{outcome[1]}"
-                first_id = reserve()
-                first_children = []
-                for a1 in (0, 1):
-                    reply_id = reserve()
-                    leaves = []
-                    for a2 in (0, 1):
-                        leaf_id = reserve()
-                        payoffs = None
-                        if values is not None:
-                            second = values[2 * a1 + a2]
-                            payoffs = (base[0] + second[0], base[1] + second[1])
-                        nodes[leaf_id] = TreeNode(
-                            leaf_id, "terminal", None, None, (), (), None, payoffs, live
-                        )
-                        leaves.append(leaf_id)
-                    decision(reply_id, 2, "2:" + after, leaves, live)
-                    first_children.append(reply_id)
-                decision(first_id, 1, "1:" + after, first_children, live)
-                outcome_children.append(first_id)
-            nodes[chance_id] = TreeNode(
-                chance_id,
-                "chance",
-                None,
-                None,
-                _OUTCOME_LABELS,
-                tuple(outcome_children),
-                tuple(weights),
-                None,
-            )
-            chance_children.append(chance_id)
-        decision(second_id, 2, "2:stage1", chance_children)
+                heads.append(first)
+                per_outcome.append(
+                    tuple(subtree(first, after, live) for live in (False, True))
+                )
+            outcome_heads.append(tuple(heads))
+            subtrees.append(tuple(per_outcome))
+        nodes[second_id] = decision(second_id, 2, "2:stage1", chance_ids[-2:])
         root_children.append(second_id)
-    decision(root_id, 1, "1:stage1", root_children)
-    return ExtensiveTree(tuple(nodes), root_id)  # type: ignore[arg-type]
+    nodes[root_id] = decision(root_id, 1, "1:stage1", root_children)
+    return _TreeSkeleton(
+        tuple(nodes), tuple(chance_ids), tuple(outcome_heads), tuple(subtrees)
+    )
+
+
+def _assemble_tree(stage: StageGame, chance: np.ndarray, stage2) -> ExtensiveTree:
+    """Fill the fixed tree shape from a chance table and continuation tables.
+
+    ``chance[k, o]`` is the weight of outcome o after stage-1 flips k, both
+    read as 2-bit numbers.  ``stage2[k][o]`` is the continuation after
+    them: a (player, ``2*a1 + a2``) table of second-stage payoffs, which
+    terminals add to the outcome's own, or None where no continuation is
+    defined.  Nodes below a zero chance weight are unreachable.  Only the
+    four chance nodes and the terminals with payoffs are built here; every
+    other node comes from :func:`_tree_skeleton`.
+    """
+    skeleton = _tree_skeleton()
+    nodes = list(skeleton.nodes)
+    outcome_payoffs = np.array(stage.outcomes).reshape(4, 2, 1)
+    for k, (weights, tables) in enumerate(zip(chance.tolist(), stage2)):
+        chance_id = skeleton.chance_ids[k]
+        nodes[chance_id] = TreeNode(
+            chance_id,
+            "chance",
+            None,
+            None,
+            _OUTCOME_LABELS,
+            skeleton.outcome_heads[k],
+            tuple(weights),
+            None,
+        )
+        for o, (weight, table) in enumerate(zip(weights, tables)):
+            live = weight > 0.0
+            first = skeleton.outcome_heads[k][o]
+            nodes[first : first + 7] = skeleton.subtrees[k][o][live]
+            if table is None:
+                continue
+            totals = (outcome_payoffs[o] + table).T.tolist()
+            for offset, payoffs in zip(_LEAF_OFFSETS, totals):
+                leaf_id = first + offset
+                nodes[leaf_id] = TreeNode(
+                    leaf_id, "terminal", None, None, (), (), None, tuple(payoffs), live
+                )
+    return ExtensiveTree(tuple(nodes), 0)
 
 
 def _product_tables(

@@ -7,11 +7,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrgames.equilibria import (
     CooperationAnalysis,
     Equilibrium,
     ScanSample,
+    _nash_masks,
     cooperation_bound,
     cooperation_scan,
     pure_nash,
@@ -126,6 +129,39 @@ def test_weak_equilibria_of_the_shared_value_table():
     report = pure_nash(bm, tol=1e-9)
     assert [(eq.row, eq.col) for eq in report.equilibria] == [(0, 0), (0, 1), (1, 0)]
     assert not any(eq.strict for eq in report.equilibria)
+
+
+# Exact ties, signed zeros and gaps at, inside and beyond tol = 1e-9.
+_PAYOFF_VALUES = [0.0, -0.0, 1.0, 1.0 + 5e-10, 1.0 + 1e-9, 1.0 - 1e-9, 2.0, -3.5]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    shape=st.tuples(
+        st.integers(1, 4), st.integers(1, 3), st.integers(1, 3)
+    ),
+    tol=st.sampled_from([0.0, 1e-9]),
+    data=st.data(),
+)
+def test_stacked_masks_are_pure_nash_slice_by_slice(shape, tol, data):
+    size = 2 * shape[0] * shape[1] * shape[2]
+    values = data.draw(
+        st.lists(st.sampled_from(_PAYOFF_VALUES), min_size=size, max_size=size)
+    )
+    u1, u2 = np.array(values).reshape((2,) + shape)
+    at_equilibrium, strict = _nash_masks(u1, u2, tol)
+    assert at_equilibrium.shape == strict.shape == shape
+    for game in range(shape[0]):
+        labels1 = tuple(str(r) for r in range(shape[1]))
+        labels2 = tuple(str(c) for c in range(shape[2]))
+        report = pure_nash(Bimatrix(u1[game], u2[game], labels1, labels2), tol=tol)
+        want = [(eq.row, eq.col, eq.strict) for eq in report.equilibria]
+        got = [
+            (int(r), int(c), bool(strict[game, r, c]))
+            for r, c in np.argwhere(at_equilibrium[game])
+        ]
+        assert got == want
+        assert not (strict[game] & ~at_equilibrium[game]).any()
 
 
 def test_search_validation():
@@ -311,6 +347,37 @@ def test_subgame_search_equals_the_scalar_loop_bit_for_bit(stage):
         assert list(spe_pair_product(game).equilibria) == want, index
 
 
+def test_subgame_search_equals_the_scalar_loop_on_sixteen_selections():
+    """Battle of the Sexes on a basis start: every subgame has two pure
+    equilibria, so 16 selections each induce their own stage-1 game."""
+    for stage in (make_bos(3, 2, 0), make_bos(2.7, 1.3, -0.0)):
+        for index in (0, 0b0110010011):
+            game = RepGame(PureState.basis(10, index), stage)
+            factors = factor_pairs(game.initial)
+            for factor in factors[1:]:
+                subgame = mw_bimatrix(MWGame(factor, stage))
+                assert len(pure_nash(subgame).equilibria) == 2
+            got = list(spe_pair_product(game).equilibria)
+            want = scalar_spe_oracle(game)
+            assert got == want
+            assert len(got) >= 16
+            assert [np.signbit(eq.payoffs).tolist() for eq in got] == [
+                np.signbit(eq.payoffs).tolist() for eq in want
+            ]
+
+
+def test_a_tied_subgame_leaves_no_subgame_perfect_profile_strict():
+    """Half |00>, half |01> after outcome 01: player 2's flip does not move
+    either payoff there, so both of that subgame's equilibria tie."""
+    tie = PureState.from_terms(2, {"00": np.sqrt(0.5), "01": np.sqrt(0.5)})
+    zero = PureState.basis(2, 0)
+    game = RepGame(tensor_all([zero, zero, tie, zero, zero]), PD)
+    got = list(spe_pair_product(game).equilibria)
+    assert got == scalar_spe_oracle(game)
+    assert len(got) == 2
+    assert not any(eq.strict for eq in got)
+
+
 def test_classical_start_has_one_subgame_perfect_profile():
     report = spe_pair_product(RepGame(PureState.basis(10, 0), PD))
     assert report.kind == "subgame-perfect"
@@ -377,6 +444,13 @@ def test_subgame_search_reports_an_unsolvable_outcome():
     )
     with pytest.raises(ValueError, match="no pure second-stage equilibrium"):
         spe_pair_product(RepGame(PureState.basis(10, 0), pennies))
+    # Half |00>, half |01>: every flip ties the players' pennies payoffs at 0,
+    # so outcome 00's subgame solves and 01 is the first that does not.
+    tie = PureState.from_terms(2, {"00": np.sqrt(0.5), "01": np.sqrt(0.5)})
+    zero = PureState.basis(2, 0)
+    game = RepGame(tensor_all([zero, tie, zero, zero, zero]), pennies)
+    with pytest.raises(ValueError, match="after outcome 01$"):
+        spe_pair_product(game)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrgames import qstate
 from qrgames.qstate import (
     OUTCOMES,
     DiagonalObservable,
@@ -369,6 +372,19 @@ def test_expectation_is_affine_in_the_mixture(alpha, seed):
     assert abs(expectation(mixed, obs) - blend) <= 1e-12
 
 
+def test_expectation_adds_the_members_left_to_right_from_zero():
+    """One term of 1.0 and two of 1e-16: adding left to right, each small
+    term rounds away, while a compensated sum (builtin ``sum`` on Python
+    3.12 and later, ``math.fsum``) keeps their total and rounds up."""
+    obs = DiagonalObservable(1, np.array([2.0, 4e-16]))
+    zero, one = PureState.basis(1, 0), PureState.basis(1, 1)
+    ensemble = Ensemble(((0.5, zero), (0.25, one), (0.25, one)))
+    terms = [1.0, 1e-16, 1e-16]
+    assert math.fsum(terms) != (terms[0] + terms[1]) + terms[2]
+    assert expectation(ensemble, obs) == (0.0 + terms[0] + terms[1]) + terms[2]
+    assert expectation(ensemble, obs) == 1.0
+
+
 def test_expectation_checks_register_sizes():
     with pytest.raises(ValueError, match="acts on 3 qubits"):
         expectation(PureState.basis(2, 0), DiagonalObservable(3, np.zeros(8)))
@@ -408,6 +424,31 @@ def test_flip_table_reads_weights_exactly_on_a_basis_state():
     weights = np.array([5.7, 3.3, 1.1, -0.4])
     table = flip_table(PureState.basis(4, "0110"), (3, 1), weights)
     assert table.tolist() == [weights[2 ^ flips] for flips in range(4)]
+
+
+def test_flip_table_on_the_whole_register_in_order_reads_the_born_weights():
+    """Reading every qubit in order takes the Born weights as the marginal:
+    a spare |0> qubit summed away gives the same table bit for bit, and
+    the qubits listed in reverse (summed in another order) to rounding."""
+    state = seeded_state(3, 14)
+    weights = np.random.default_rng(15).standard_normal((2, 8))
+    table = flip_table(state, (1, 2, 3), weights)
+    padded = state.tensor(PureState.basis(1, 0))
+    assert np.array_equal(flip_table(padded, (1, 2, 3), weights), table)
+    # Reversed, pattern z of (3, 2, 1) is pattern reverse(z) of (1, 2, 3).
+    reverse = np.array([int(format(z, "03b")[::-1], 2) for z in range(8)])
+    reversed_table = flip_table(state, (3, 2, 1), weights[:, reverse])
+    assert np.abs(reversed_table[:, reverse] - table).max() <= 1e-12
+
+
+def test_flip_table_xor_index_is_one_read_only_array_per_size():
+    flip_table(seeded_state(2, 16), (1, 2), np.zeros(4))
+    index = qstate._xor_patterns(4)
+    flip_table(seeded_state(4, 17), (3, 1), np.ones(4))
+    assert qstate._xor_patterns(4) is index
+    assert index.tolist() == [[z ^ f for f in range(4)] for z in range(4)]
+    with pytest.raises(ValueError, match="read-only"):
+        index[0, 0] = 1
 
 
 def test_flip_table_argument_checks():

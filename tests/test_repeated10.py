@@ -31,6 +31,7 @@ from qrgames.repeated10 import (
     _continue,
     _measure_stage1,
     _observables,
+    _observables_of,
     ExtensiveTree,
     RepGame,
     TreeNode,
@@ -156,13 +157,32 @@ def test_observable_cache_stays_bounded_and_rebuilds_equal_results():
     stages = [
         make_pd(5 + k, 3 + k / 7, 1 - k / 11, -k / 13) for k in range(40)
     ]
-    _observables.cache_clear()
+    _observables_of.cache_clear()
     first = [play_batch(RepGame(state, stage), s1, s2).as_array() for stage in stages]
-    assert _observables.cache_info().currsize <= 16
+    assert _observables_of.cache_info().currsize <= 16
     for stage, got in zip(stages, first):
-        _observables.cache_clear()
+        _observables_of.cache_clear()
         fresh = play_batch(RepGame(state, stage), s1, s2).as_array()
         assert np.array_equal(got, fresh)
+
+
+@pytest.mark.parametrize("first_sign", [1.0, -1.0])
+def test_observables_do_not_depend_on_call_history(first_sign):
+    """-0.0 == 0.0, yet each stage reads its own signed zeros, whichever of
+    two such stages was cached first."""
+    stages = {sign: make_pd(5, 3, 1, sign * 0.0) for sign in (1.0, -1.0)}
+    fresh = {}
+    for sign, stage in stages.items():
+        _observables_of.cache_clear()
+        fresh[sign] = [obs.weights for obs in _observables(stage)]
+    assert np.signbit(fresh[-1.0][1]).any() and not np.signbit(fresh[1.0][1]).any()
+    _observables_of.cache_clear()
+    for sign in (first_sign, -first_sign):
+        got = [obs.weights for obs in _observables(stages[sign])]
+        for weights, want in zip(got, fresh[sign]):
+            assert np.array_equal(weights, want)
+            assert np.array_equal(np.signbit(weights), np.signbit(want))
+    assert _observables_of.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize(
@@ -927,6 +947,65 @@ def test_tree_serialization_round_trips():
     assert len(chance_entries) == 4
     for entry in chance_entries:
         assert abs(sum(entry["probabilities"]) - 1.0) <= 1e-9
+
+
+def test_tree_skeleton_is_built_once_per_process():
+    script = (
+        "import numpy as np\n"
+        "from qrgames import repeated10 as r\n"
+        "from qrgames.qstate import PureState\n"
+        "from qrgames.stagegames import make_pd\n"
+        "stage = make_pd(5, 3, 1, 0)\n"
+        "print(r._tree_skeleton.cache_info().misses)\n"
+        "r.build_extensive(r.RepGame(PureState.basis(10, 0), stage))\n"
+        "ghz = {'0' * 10: np.sqrt(0.3), '1' * 10: np.sqrt(0.7)}\n"
+        "r.build_extensive(r.RepGame(PureState.from_terms(10, ghz), stage))\n"
+        "print(r._tree_skeleton.cache_info().misses)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["0", "1"]
+
+
+def test_trees_share_their_decision_nodes():
+    rng = np.random.default_rng(69)
+    trees = [
+        build_extensive(pd_game(tensor_all([random_state(2, rng) for _ in range(5)])))
+        for _ in range(2)
+    ]
+    first, second = trees
+    decisions = [i for i, node in enumerate(first.nodes) if node.kind == "decision"]
+    assert len(decisions) == 51
+    assert all(first.nodes[i] is second.nodes[i] for i in decisions)
+    assert all(
+        first.nodes[i] is not second.nodes[i]
+        for i, node in enumerate(first.nodes)
+        if node.kind != "decision"
+    )
+
+
+def test_a_pruned_two_term_start_uses_the_unreachable_variants():
+    """At weight 1e-14 the measurement prunes all but one outcome per
+    stage-1 flip pair: the nodes below the others are the skeleton's
+    unreachable ones, terminals included, and the rest its reachable ones."""
+    tree = build_extensive(ghz_game(1e-14))
+    skeleton = repeated10._tree_skeleton()
+    unreachable = 0
+    for k, chance_id in enumerate(skeleton.chance_ids):
+        weights = tree.nodes[chance_id].probabilities
+        assert sum(weight > 0.0 for weight in weights) == 1
+        for o, weight in enumerate(weights):
+            first = skeleton.outcome_heads[k][o]
+            block = tree.nodes[first : first + 7]
+            variant = skeleton.subtrees[k][o][weight > 0.0]
+            if weight > 0.0:
+                assert all(block[i] is variant[i] for i in (0, 1, 4))
+                assert all(block[i].payoffs is not None for i in (2, 3, 5, 6))
+            else:
+                assert all(got is want for got, want in zip(block, variant))
+                unreachable += 7
+    assert unreachable == sum(not node.reachable for node in tree.nodes) == 84
 
 
 def test_tree_rejects_unsupported_entanglement():

@@ -32,7 +32,7 @@ from .iqbaltoor import (
     it_pure_bimatrix,
 )
 from .qstate import PureState, random_state, tensor_all
-from .repeated10 import RepGame, example_state, factor_pairs, rep_bimatrix
+from .repeated10 import NotPairProductError, RepGame, example_state, rep_bimatrix
 from .stagegames import (
     STRATEGY_LABELS,
     Bimatrix,
@@ -309,10 +309,10 @@ def cmd_spe(args: argparse.Namespace) -> int:
     initial = (
         PureState.basis(10, 0) if config.protocol == "classical" else config.initial
     )
-    if factor_pairs(initial) is None:
-        raise ConfigError("SPE undefined for cross-pair entanglement")
     try:
         report = spe_pair_product(RepGame(initial, config.stage), tol=args.tol)
+    except NotPairProductError:
+        raise ConfigError("SPE undefined for cross-pair entanglement") from None
     except ValueError as err:
         # Some outcome's subgame has no pure equilibrium to fold back.
         raise ConfigError(str(err)) from None

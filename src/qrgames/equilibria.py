@@ -20,8 +20,8 @@ from itertools import product
 import numpy as np
 
 from .mw import stage_weights
-from .qstate import NORM_ATOL, OUTCOMES, flip_table
-from .repeated10 import RepGame, _product_tables, factor_pairs
+from .qstate import NORM_ATOL, OUTCOMES
+from .repeated10 import NotPairProductError, RepGame, _product_tables
 from .stagegames import Bimatrix, Payoffs, StageGame
 
 
@@ -134,9 +134,9 @@ def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
     pair, then, for every way of selecting one second-stage equilibrium
     per outcome, fold the selected continuation values into a 2x2 game
     over the stage-1 flips and keep its equilibria.  The inputs are the
-    tables the extensive form reads: the stage-1 chance ``chance[k, o]``
-    and one continuation table per outcome, both off the pair factors.
-    The cell at flips k is the stage-1 payoff there plus
+    tables the extensive form reads off the factors' Born weights: the
+    chance ``chance[k, o]``, the stage-1 table and one continuation table
+    per outcome.  The cell at flips k is the stage-1 payoff there plus
     ``chance[k, o]`` times the selected value of outcome o, summed over
     the outcomes in order.  Each hit is emitted as a full pair of
     five-bit strategies, indexed like :func:`~.repeated10.rep_bimatrix`
@@ -148,21 +148,21 @@ def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
     are the induced games of every selection, stacked in the order of
     ``itertools.product`` over the subgames' equilibria.
 
-    Raises ``ValueError`` if the initial state is not a pair product, or
-    if some outcome's subgame has no pure equilibrium (reporting which).
+    Raises ``NotPairProductError`` if the start is not a pair product, or
+    ``ValueError`` if some outcome's subgame has no pure equilibrium.
     """
-    factors = factor_pairs(game.initial)
-    if factors is None:
-        raise ValueError(
+    tables = _product_tables(game)
+    if tables is None:
+        raise NotPairProductError(
             "subgame search needs an initial state that factors across "
             "the five qubit pairs"
         )
     _check_tolerance(tol)
-    chance, continuations = _product_tables(game.stage, factors)
+    chance, stage_tables = tables
     # Row k holds both players' stage-1 payoffs at flips k.
-    base = flip_table(factors[0], (1, 2), stage_weights(game.stage)).T
+    base = stage_tables[0].T
     # values[o, player, a]: outcome o's subgame at its flips a = 2*a1 + a2.
-    values = np.stack(continuations)
+    values = stage_tables[1:]
     sub_eq, sub_strict = _nash_masks(
         values[:, 0].reshape(4, 2, 2), values[:, 1].reshape(4, 2, 2), tol
     )

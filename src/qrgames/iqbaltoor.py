@@ -18,15 +18,15 @@ import numpy as np
 
 from .equilibria import pure_nash
 from .qstate import (
+    DiagonalObservable,
     Ensemble,
     FlipLayer,
     PureState,
     apply_flips,
-    expectation,
     flip_table,
 )
 from .stagegames import Bimatrix, ExpectedPayoffs, StageGame
-from .mw import payoff_observable, stage_weights
+from .mw import _expected_from, payoff_observable, stage_weights
 
 # Largest payoff difference read as equality by the stage-1 pattern's
 # symmetry test and by the no-cooperation check's margins and equilibria.
@@ -77,14 +77,12 @@ class ITGame:
             raise ValueError("this protocol runs on exactly 4 qubits")
 
 
-def _expected_from(source: Ensemble | PureState, stage: StageGame) -> ExpectedPayoffs:
-    """Payoffs per player and stage: stage 1 reads qubits 1-2, stage 2 qubits 3-4."""
-    return ExpectedPayoffs(
-        *(
-            expectation(source, payoff_observable(stage, player, 4, pair))
-            for player in (1, 2)
-            for pair in ((1, 2), (3, 4))
-        )
+def _observables(stage: StageGame) -> tuple[DiagonalObservable, ...]:
+    """Payoff observables in ExpectedPayoffs order; stages read qubits 1-2, 3-4."""
+    return tuple(
+        payoff_observable(stage, player, 4, pair)
+        for player in (1, 2)
+        for pair in ((1, 2), (3, 4))
     )
 
 
@@ -114,7 +112,7 @@ def it_expected(game: ITGame, s1: ITStrategy, s2: ITStrategy) -> ExpectedPayoffs
             for p4, k4 in _mix(s2.stage2_flip_prob):
                 final = apply_flips(mid, FlipLayer({3: k3, 4: k4}))
                 members.append((weight * p3 * p4, final))
-    return _expected_from(Ensemble(tuple(members)), game.stage)
+    return _expected_from(Ensemble(tuple(members)), _observables(game.stage))
 
 
 def it_batch_expected(
@@ -127,7 +125,7 @@ def it_batch_expected(
     exactly; keeping both paths makes that equivalence testable.
     """
     final = apply_flips(game.initial, FlipLayer({1: k1, 2: k2, 3: k3, 4: k4}))
-    return _expected_from(final, game.stage)
+    return _expected_from(final, _observables(game.stage))
 
 
 def it_pure_bimatrix(game: ITGame) -> Bimatrix:

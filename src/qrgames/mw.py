@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DiagonalObservable, PureState, flip_table
-from .stagegames import Bimatrix, StageGame
+from .qstate import DiagonalObservable, Ensemble, PureState, expectation, flip_table
+from .stagegames import Bimatrix, ExpectedPayoffs, StageGame
 
 
 def payoff_observable(
@@ -31,6 +31,13 @@ def payoff_observable(
     bits_b = (indices >> (num_qubits - qubit_b)) & 1
     table = stage.payoff_table(player)
     return DiagonalObservable(num_qubits, table[bits_a, bits_b])
+
+
+def _expected_from(
+    source: Ensemble | PureState, observables: tuple[DiagonalObservable, ...]
+) -> ExpectedPayoffs:
+    """Expectations of four payoff observables, given in ExpectedPayoffs order."""
+    return ExpectedPayoffs(*(expectation(source, obs) for obs in observables))
 
 
 def stage_weights(stage: StageGame) -> np.ndarray:

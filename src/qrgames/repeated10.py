@@ -27,13 +27,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mw import payoff_observable, stage_weights
+from .mw import _expected_from, payoff_observable, stage_weights
 from .qstate import (
     OUTCOMES,
     DiagonalObservable,
     Ensemble,
     FlipLayer,
     PureState,
+    _xor_patterns,
     apply_flips,
     expectation,
     flip_table,
@@ -151,14 +152,10 @@ def _observables_of(payoffs: bytes) -> tuple[DiagonalObservable, ...]:
     return tuple(observables)
 
 
-def _expected_from(source: Ensemble | PureState, stage: StageGame) -> ExpectedPayoffs:
-    return ExpectedPayoffs(*(expectation(source, obs) for obs in _observables(stage)))
-
-
 def play_batch(game: RepGame, t1: RepStrategy, t2: RepStrategy) -> ExpectedPayoffs:
     """Expected payoffs with all ten flips applied before any readout."""
     layer = strategy_qubit_map(1, t1).merge(strategy_qubit_map(2, t2))
-    return _expected_from(apply_flips(game.initial, layer), game.stage)
+    return _expected_from(apply_flips(game.initial, layer), _observables(game.stage))
 
 
 @dataclass(frozen=True)
@@ -186,18 +183,6 @@ class OutcomeBranch:
 def _check_branch_total(total: float) -> None:
     if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"branch probabilities sum to {total!r}, not 1")
-
-
-def stage1_distributions(first_factor: PureState) -> np.ndarray:
-    """Stage-1 chance of a two-qubit factor, as ``chance[k, o]``.
-
-    ``chance[k, o]`` is the weight of outcome o after the stage-1 flips k,
-    both read as 2-bit numbers (``2*k1 + k2``, ``2*o1 + o2``).  Flipping
-    by k moves the factor's pattern o XOR k to o, so row k is a gather of
-    its Born weights.
-    """
-    patterns = np.arange(4)
-    return first_factor.probabilities[patterns[:, None] ^ patterns]
 
 
 def _measure_stage1(
@@ -327,7 +312,7 @@ def play_sequential(game: RepGame, t1: RepStrategy, t2: RepStrategy) -> PlayTran
     return PlayTranscript(
         stage1_choices=stage1_choices,
         branches=tuple(branches),
-        expected=_expected_from(ensemble, game.stage),
+        expected=_expected_from(ensemble, _observables(game.stage)),
     )
 
 
@@ -425,30 +410,37 @@ def rep_bimatrix(game: RepGame) -> Bimatrix:
     )
 
 
-def factor_pairs(state: PureState) -> tuple[PureState, ...] | None:
-    """Split a register into two-qubit factors, if it is such a product.
+class NotPairProductError(ValueError):
+    """A start that does not factor across the five qubit pairs."""
+
+
+def _pair_rows(state: PureState) -> np.ndarray | None:
+    """Amplitude rows of a register's two-qubit factors, if it is such a product.
 
     Peels two qubits at a time with a singular value decomposition; the
     state factors at a cut exactly when the second singular value
-    vanishes.  Returns the tuple of two-qubit states whose tensor
-    product reconstructs the input, or None if any cut is entangled
-    beyond ``SUPPORT_TOL``.
+    vanishes.  Returns one row of four amplitudes per qubit pair, first
+    pair first, or None if any cut is entangled beyond ``SUPPORT_TOL``.
     """
     if state.num_qubits % 2 != 0:
         raise ValueError("pair factoring needs an even number of qubits")
-    factors = []
+    rows = []
     remaining = state.amplitudes
-    qubits_left = state.num_qubits
-    while qubits_left > 2:
-        matrix = remaining.reshape(4, -1)
-        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+    for _ in range(state.num_qubits // 2 - 1):
+        u, s, vh = np.linalg.svd(remaining.reshape(4, -1), full_matrices=False)
         if s[1] > SUPPORT_TOL:
             return None
-        factors.append(PureState(2, u[:, 0]))
+        rows.append(u[:, 0])
         remaining = vh[0, :]
-        qubits_left -= 2
-    factors.append(PureState(2, remaining))
-    return tuple(factors)
+    rows.append(remaining)
+    return np.array(rows)
+
+
+def factor_pairs(state: PureState) -> tuple[PureState, ...] | None:
+    """The two-qubit states of :func:`_pair_rows`, whose tensor product
+    reconstructs the input, or None if the register is not a pair product."""
+    rows = _pair_rows(state)
+    return None if rows is None else tuple(PureState(2, row) for row in rows)
 
 
 def _is_two_term(state: PureState) -> bool:
@@ -658,18 +650,20 @@ def _assemble_tree(stage: StageGame, chance: np.ndarray, stage2) -> ExtensiveTre
     return ExtensiveTree(tuple(nodes), 0)
 
 
-def _product_tables(
-    stage: StageGame, factors: tuple[PureState, ...]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Chance and per-outcome continuation tables of a pair-product start.
+def _product_tables(game: RepGame) -> tuple[np.ndarray, np.ndarray] | None:
+    """Chance ``chance[k, o]`` and one-stage tables of a pair product, or None.
 
-    Outcome o's continuation is the one-stage game on its own pair
-    factor, so one table serves after every stage-1 flip and is defined
-    even where o has weight zero.
+    Stage-1 flips k move the first factor's pattern o XOR k to o.  Table 0
+    is the stage-1 (player, k) table and table 1 + o outcome o's (player,
+    ``2*a1 + a2``) continuation.  Each is ``flip_table``'s product on one
+    factor's Born weights; a gemm over all five would sum in another order.
     """
-    weights = stage_weights(stage)
-    continuations = [flip_table(f, (1, 2), weights) for f in factors[1:]]
-    return stage1_distributions(factors[0]), continuations
+    rows = _pair_rows(game.initial)
+    if rows is None:
+        return None
+    born = np.abs(rows) ** 2
+    table = stage_weights(game.stage)[..., _xor_patterns(4)]
+    return born[0][_xor_patterns(4)], np.stack([table @ row for row in born])
 
 
 def build_extensive(game: RepGame) -> ExtensiveTree:
@@ -686,16 +680,17 @@ def build_extensive(game: RepGame) -> ExtensiveTree:
 
     Both kinds fill the chance table and continuation tables that
     :func:`_assemble_tree` reads.  A pair product reads them off its
-    factors.  A two-term start reads them off its measured branches: each
-    post state lives where qubits 1-2 spell its outcome, so one
+    factors' Born weights (:func:`_product_tables`).  A two-term start
+    reads them off its measured branches: each post state lives where
+    qubits 1-2 spell its outcome, so one
     ``flip_table`` call on the outcome's pair gives its stage-2 payoffs
     under all four flips (stage-1 flips leave that marginal alone), and
     pruned outcomes keep weight 0.0 and no continuation.
     """
-    factors = factor_pairs(game.initial)
-    if factors is not None:
-        chance, continuations = _product_tables(game.stage, factors)
-        return _assemble_tree(game.stage, chance, [continuations] * 4)
+    tables = _product_tables(game)
+    if tables is not None:
+        chance, stage_tables = tables
+        return _assemble_tree(game.stage, chance, [stage_tables[1:]] * 4)
     if not _is_two_term(game.initial):
         raise ValueError(
             "extensive form is defined only for pair-product initial states "

@@ -431,6 +431,23 @@ def test_spe_reports_both_profiles_of_the_entangled_example(tmp_path, capsys):
     assert doc["equilibria"][1]["payoffs"] == pytest.approx([2.0, 2.0], abs=1e-9)
 
 
+def test_spe_factors_the_start_once(tmp_path, capsys, monkeypatch):
+    """One peel of a pair product: one SVD per cut, four in all."""
+    pair = [{"basis": "00", "prob": 0.2}, {"basis": "11", "prob": 0.8}]
+    config = write_config(tmp_path, mw10_document({"pair_product": [pair] * 5}))
+    svd = np.linalg.svd
+    calls = []
+
+    def counted_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    code, _, _ = run_cli(capsys, "spe", "--config", config)
+    assert code == 0
+    assert calls == [(4, 256), (4, 64), (4, 16), (4, 4)]
+
+
 def test_spe_rejects_cross_pair_entanglement(tmp_path, capsys):
     config = write_config(tmp_path, mw10_document("ghz(0.3)"))
     code, _, err = run_cli(capsys, "spe", "--config", config)

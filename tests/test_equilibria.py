@@ -30,7 +30,12 @@ from qrgames.qstate import (
     random_state,
     tensor_all,
 )
-from qrgames.repeated10 import RepGame, factor_pairs, rep_bimatrix
+from qrgames.repeated10 import (
+    NotPairProductError,
+    RepGame,
+    factor_pairs,
+    rep_bimatrix,
+)
 from qrgames.stagegames import (
     Bimatrix,
     RepStrategy,
@@ -329,8 +334,9 @@ def scalar_spe_oracle(game, tol=1e-9):
         make_pd(5.7, 3.3, 1.1, -0.4),
         make_pd(4.2, 2.5, -0.3, -1.7),
         make_pd(1e8, 3, 1, 0),
+        make_pd(2.5, -0.0, -1.2, -3.1),
     ],
-    ids=["pd", "fractional", "negative", "t1e8"],
+    ids=["pd", "fractional", "negative", "t1e8", "signed-zero"],
 )
 def test_subgame_search_equals_the_scalar_loop_bit_for_bit(stage):
     rng = np.random.default_rng(20261020)
@@ -344,7 +350,11 @@ def test_subgame_search_equals_the_scalar_loop_bit_for_bit(stage):
     for index, state in enumerate(starts):
         game = RepGame(state, stage)
         want = scalar_spe_oracle(game)
-        assert list(spe_pair_product(game).equilibria) == want, index
+        got = list(spe_pair_product(game).equilibria)
+        assert got == want, index
+        assert [np.signbit(eq.payoffs).tolist() for eq in got] == [
+            np.signbit(eq.payoffs).tolist() for eq in want
+        ], index
 
 
 def test_subgame_search_equals_the_scalar_loop_on_sixteen_selections():
@@ -434,7 +444,8 @@ def test_subgame_search_needs_pair_factors():
     ghz = PureState.from_terms(
         10, {"0" * 10: np.sqrt(0.3), "1" * 10: np.sqrt(0.7)}
     )
-    with pytest.raises(ValueError, match="factors across"):
+    assert issubclass(NotPairProductError, ValueError)
+    with pytest.raises(NotPairProductError, match="factors across"):
         spe_pair_product(RepGame(ghz, PD))
 
 

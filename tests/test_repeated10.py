@@ -903,8 +903,14 @@ def pair_product_starts():
 
 @pytest.mark.parametrize(
     "stage",
-    [PD, FRACTIONAL, make_pd(4.2, 2.5, -0.3, -1.7), make_pd(1e8, 3, 1, 0)],
-    ids=["pd", "fractional", "negative", "t1e8"],
+    [
+        PD,
+        FRACTIONAL,
+        make_pd(4.2, 2.5, -0.3, -1.7),
+        make_pd(1e8, 3, 1, 0),
+        make_pd(2.5, -0.0, -1.2, -3.1),
+    ],
+    ids=["pd", "fractional", "negative", "t1e8", "signed-zero"],
 )
 def test_pair_product_tree_equals_the_per_factor_tree(stage):
     for index, state in enumerate(pair_product_starts()):

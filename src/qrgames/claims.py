@@ -1,7 +1,8 @@
-"""The package's nine headline claims, each stated once.
+"""The package's nine headline claims, each stated once, and the two
+deviation checks ``qrgames compare-protocols`` runs.
 
-``qrgames paper-repro`` runs them with seed 271828 and the acceptance
-tests with seed 20260501.  Every check takes ``(seed, grid_step,
+``qrgames paper-repro`` runs the claims with seed 271828 and the acceptance
+tests with seed 20260501.  Every claim check takes ``(seed, grid_step,
 perturb)`` and returns ``(ok, detail)``: the seed draws the claim's
 random inputs, ``grid_step`` is read by the cooperation scan only, and
 ``perturb`` (added to the dilemma's T) by the second-stage table only.
@@ -17,6 +18,13 @@ permutation and no rounding can occur.
 7. entangled pair, two profiles exactly two, payoffs <= 1e-9
 8. register size formula        exact
 9. randomized invariants        1000 cases
+
+Each deviation check sets a protocol's production tables against an
+independent path on random starts.  ``mw10_deviation`` compares the
+one-shot ten-qubit table (read from marginals) with the sequential one
+(measure, then flip).  ``it_deviation`` compares the four-qubit table
+and mixed payoffs (read from the marginals of qubits 1-2 and 3-4) with
+dense evaluation of every pure flip mask on the whole register.
 """
 
 from __future__ import annotations
@@ -29,8 +37,11 @@ import numpy as np
 from .equilibria import cooperation_scan, pure_nash, spe_pair_product
 from .iqbaltoor import (
     ITGame,
+    ITStrategy,
     it_batch_expected,
+    it_expected,
     it_no_cooperation_check,
+    it_pure_bimatrix,
     sample_dilemma_state,
 )
 from .mw import MWGame, mw_bimatrix
@@ -76,6 +87,41 @@ def mw10_deviation(stage: StageGame, samples: int, seed: int) -> tuple[float, in
         for key, table in batch.items():
             worst = max(worst, float(np.abs(table - sequential[key]).max()))
         checked += batch[(1, 1)].size
+    return worst, checked
+
+
+def it_deviation(stage: StageGame, samples: int, seed: int) -> tuple[float, int]:
+    """Max |marginal path - dense path| on the four-qubit protocol.
+
+    Per random state, the 16 cells of ``it_pure_bimatrix`` are compared
+    with the totals of ``it_batch_expected`` at the same flips, and one
+    random mixed ``it_expected`` with the blend of those 16 dense corners
+    under the product of the four flip probabilities.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    checked = 0
+    for _ in range(samples):
+        game = ITGame(random_state(4, rng), stage)
+        a1, b1, a2, b2 = (float(rng.uniform()) for _ in range(4))
+        # Axes k1, k2, k3, k4 (flips of qubits 1-4), then ExpectedPayoffs order.
+        corners = np.array(
+            [
+                it_batch_expected(game, *bits).as_array()
+                for bits in np.ndindex(2, 2, 2, 2)
+            ]
+        ).reshape(2, 2, 2, 2, 4)
+        # A cell's row is player 1's bits 2*k1 + k3, its column 2*k2 + k4.
+        cells = corners.transpose(0, 2, 1, 3, 4).reshape(4, 4, 4)
+        bm = it_pure_bimatrix(game)
+        for table, stage1, stage2 in ((bm.payoffs1, 0, 1), (bm.payoffs2, 2, 3)):
+            dense = cells[..., stage1] + cells[..., stage2]
+            worst = max(worst, float(np.abs(table - dense).max()))
+        flips = [[1.0 - a1, a1], [1.0 - a2, a2], [1.0 - b1, b1], [1.0 - b2, b2]]
+        blend = np.einsum("i,j,k,l,ijklm->m", *flips, corners)
+        mixed = it_expected(game, ITStrategy(a1, b1), ITStrategy(a2, b2))
+        worst = max(worst, float(np.abs(blend - mixed.as_array()).max()))
+        checked += bm.payoffs1.size + 1
     return worst, checked
 
 

@@ -21,17 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .claims import mw10_deviation, run_claims
+from .claims import it_deviation, mw10_deviation, run_claims
 from .equilibria import pure_nash, spe_pair_product, strictly_dominated
-from .iqbaltoor import (
-    IT_PURE_STRATEGIES,
-    ITGame,
-    ITStrategy,
-    it_batch_expected,
-    it_expected,
-    it_pure_bimatrix,
-)
-from .qstate import PureState, random_state, tensor_all
+from .iqbaltoor import ITGame, it_pure_bimatrix
+from .qstate import PureState, tensor_all
 from .repeated10 import NotPairProductError, RepGame, example_state, rep_bimatrix
 from .stagegames import (
     STRATEGY_LABELS,
@@ -338,50 +331,6 @@ def cmd_dominance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _it_deviation(stage: StageGame, samples: int, seed: int) -> tuple[float, int]:
-    """Max |ensemble path - single-mask path| on the 4-qubit protocol.
-
-    Pure profiles are compared directly; one random mixed profile per
-    state is compared against the convex combination of the sixteen
-    pure-corner results.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    checked = 0
-    for _ in range(samples):
-        game = ITGame(random_state(4, rng), stage)
-        corners = {}
-        for s1 in IT_PURE_STRATEGIES:
-            for s2 in IT_PURE_STRATEGIES:
-                bits = (
-                    int(s1.stage1_flip_prob),
-                    int(s2.stage1_flip_prob),
-                    int(s1.stage2_flip_prob),
-                    int(s2.stage2_flip_prob),
-                )
-                corners[bits] = it_batch_expected(game, *bits).as_array()
-                ensemble_path = it_expected(game, s1, s2).as_array()
-                worst = max(
-                    worst, float(np.abs(corners[bits] - ensemble_path).max())
-                )
-                checked += 1
-        mixed1 = ITStrategy(float(rng.uniform()), float(rng.uniform()))
-        mixed2 = ITStrategy(float(rng.uniform()), float(rng.uniform()))
-        blend = np.zeros(4)
-        for (k1, k2, k3, k4), value in corners.items():
-            weight = (
-                (mixed1.stage1_flip_prob if k1 else 1 - mixed1.stage1_flip_prob)
-                * (mixed2.stage1_flip_prob if k2 else 1 - mixed2.stage1_flip_prob)
-                * (mixed1.stage2_flip_prob if k3 else 1 - mixed1.stage2_flip_prob)
-                * (mixed2.stage2_flip_prob if k4 else 1 - mixed2.stage2_flip_prob)
-            )
-            blend += weight * value
-        mixed_path = it_expected(game, mixed1, mixed2).as_array()
-        worst = max(worst, float(np.abs(blend - mixed_path).max()))
-        checked += 1
-    return worst, checked
-
-
 def cmd_compare_protocols(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.protocol)
     if args.samples < 0:
@@ -395,7 +344,7 @@ def cmd_compare_protocols(args: argparse.Namespace) -> int:
     elif config.protocol == "mw10":
         worst, checked = mw10_deviation(config.stage, args.samples, args.seed)
     else:
-        worst, checked = _it_deviation(config.stage, args.samples, args.seed)
+        worst, checked = it_deviation(config.stage, args.samples, args.seed)
     # Rounding grows with the payoffs, and a two-stage total reaches 2*max|u|.
     scale = max(1.0, 2.0 * float(np.abs(config.stage.outcomes).max()))
     passed = worst <= args.tol * scale
@@ -469,7 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "compare-protocols",
-        help="batch vs sequential evaluation on random states",
+        help=(
+            "check the payoff tables against an independent evaluation "
+            "on random states"
+        ),
     )
     add_config_flags(p)
     p.add_argument("--samples", type=int, default=20)

@@ -19,7 +19,6 @@ import numpy as np
 from .equilibria import pure_nash
 from .qstate import (
     DiagonalObservable,
-    Ensemble,
     FlipLayer,
     PureState,
     apply_flips,
@@ -86,43 +85,38 @@ def _observables(stage: StageGame) -> tuple[DiagonalObservable, ...]:
     )
 
 
-def _mix(flip_prob: float) -> list[tuple[float, int]]:
-    options = [(1.0 - flip_prob, 0), (flip_prob, 1)]
-    return [(p, bit) for p, bit in options if p > 0.0]
-
-
 def it_expected(game: ITGame, s1: ITStrategy, s2: ITStrategy) -> ExpectedPayoffs:
     """Expected payoffs per player and stage under (possibly mixed) strategies.
 
-    The final density operator is represented as the ensemble of the up
-    to 16 flip-layer images of the initial state, weighted by the four
-    independent per-qubit mixing probabilities; stage-1 mixing is applied
-    first and stage-2 mixing on top of it.  Expectations of the diagonal
-    payoff observables are exact on that ensemble.
+    Each stage reads one qubit pair, 1-2 or 3-4, and the four per-qubit
+    flips are drawn independently, so a stage's expectation is the
+    blend of its :func:`~.qstate.flip_table` row over the four flips of
+    its pair, each weighted by the product of the two qubits' chances of
+    taking it.  A pure profile puts weight 1.0 on one flip, so its totals
+    are the :func:`it_pure_bimatrix` cell exactly.
     """
-    stage1_members = [
-        (p1 * p2, FlipLayer({1: k1, 2: k2}))
-        for p1, k1 in _mix(s1.stage1_flip_prob)
-        for p2, k2 in _mix(s2.stage1_flip_prob)
-    ]
-    members = []
-    for weight, first_layer in stage1_members:
-        mid = apply_flips(game.initial, first_layer)
-        for p3, k3 in _mix(s1.stage2_flip_prob):
-            for p4, k4 in _mix(s2.stage2_flip_prob):
-                final = apply_flips(mid, FlipLayer({3: k3, 4: k4}))
-                members.append((weight * p3 * p4, final))
-    return _expected_from(Ensemble(tuple(members)), _observables(game.stage))
+    weights = stage_weights(game.stage)
+    stage1, stage2 = (
+        flip_table(game.initial, pair, weights) @ np.kron([1.0 - a, a], [1.0 - b, b])
+        for pair, a, b in (
+            ((1, 2), s1.stage1_flip_prob, s2.stage1_flip_prob),
+            ((3, 4), s1.stage2_flip_prob, s2.stage2_flip_prob),
+        )
+    )
+    return ExpectedPayoffs(
+        float(stage1[0]), float(stage2[0]), float(stage1[1]), float(stage2[1])
+    )
 
 
 def it_batch_expected(
     game: ITGame, k1: int, k2: int, k3: int, k4: int
 ) -> ExpectedPayoffs:
-    """Pure-profile payoffs computed the short way: one combined flip layer.
+    """Pure-profile payoffs read densely: one combined flip layer on all
+    four qubits, then the four payoff observables.
 
-    For pure strategies the sequential mixing above collapses to a
-    single flip mask, so this must agree with :func:`it_expected`
-    exactly; keeping both paths makes that equivalence testable.
+    This path builds the flipped state and never reads a marginal, so it
+    is the independent check on :func:`it_pure_bimatrix` and
+    :func:`it_expected` (see :func:`~.claims.it_deviation`).
     """
     final = apply_flips(game.initial, FlipLayer({1: k1, 2: k2, 3: k3, 4: k4}))
     return _expected_from(final, _observables(game.stage))

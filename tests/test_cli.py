@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -19,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrgames import claims
 from qrgames.cli import ConfigError, _number, _parse_terms, main, parse_config
 from qrgames.qstate import PureState, tensor_all
-from qrgames.stagegames import classical_twice_repeated, make_pd
+from qrgames.stagegames import Bimatrix, classical_twice_repeated, make_pd
 
 
 def write_config(tmp_path, document, name="config.json"):
@@ -572,6 +574,71 @@ def test_compare_protocols_fails_a_deviation_beyond_the_scaled_bound(
     doc = json.loads(out)
     assert doc["scale"] == 10.0
     assert doc["max_deviation"] > 1e-20 * 10.0
+    assert doc["pass"] is False and code == 1
+
+
+@pytest.mark.parametrize("samples", [1, 3])
+def test_compare_protocols_checks_seventeen_four_qubit_profiles_per_state(
+    tmp_path, capsys, samples
+):
+    """The 16 table cells and one mixed profile per random state."""
+    config = write_config(tmp_path, mw10_document())
+    code, out, _ = run_cli(
+        capsys,
+        "compare-protocols",
+        "--config",
+        config,
+        "--protocol",
+        "iqbal-toor",
+        "--samples",
+        str(samples),
+    )
+    doc = json.loads(out)
+    assert doc["profiles_checked"] == 17 * samples
+    assert doc["max_deviation"] <= doc["tolerance"] * doc["scale"]
+    assert doc["pass"] is True and code == 0
+
+
+def _nudge_one_cell(table):
+    def nudged(game):
+        bm = table(game)
+        payoffs1 = bm.payoffs1.copy()
+        payoffs1[2, 1] += 1e-6
+        return Bimatrix(payoffs1, bm.payoffs2, bm.row_labels, bm.col_labels)
+
+    return nudged
+
+
+def _nudge_one_payoff(expected):
+    def nudged(game, s1, s2):
+        payoffs = expected(game, s1, s2)
+        return dataclasses.replace(payoffs, p2_stage2=payoffs.p2_stage2 + 1e-6)
+
+    return nudged
+
+
+@pytest.mark.parametrize(
+    "path, nudge",
+    [("it_pure_bimatrix", _nudge_one_cell), ("it_expected", _nudge_one_payoff)],
+)
+def test_compare_protocols_catches_a_nudged_four_qubit_path(
+    tmp_path, capsys, monkeypatch, path, nudge
+):
+    """Negative control: each checked path, off by 1e-6, fails the check."""
+    monkeypatch.setattr(claims, path, nudge(getattr(claims, path)))
+    config = write_config(tmp_path, mw10_document())
+    code, out, _ = run_cli(
+        capsys,
+        "compare-protocols",
+        "--config",
+        config,
+        "--protocol",
+        "iqbal-toor",
+        "--samples",
+        "2",
+    )
+    doc = json.loads(out)
+    assert abs(doc["max_deviation"] - 1e-6) <= 1e-12
     assert doc["pass"] is False and code == 1
 
 

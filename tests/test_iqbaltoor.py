@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from exact_eval import exact_flip_table
 
 from qrgames import iqbaltoor
 from qrgames.iqbaltoor import (
@@ -11,6 +14,7 @@ from qrgames.iqbaltoor import (
     IT_STRATEGY_LABELS,
     ITGame,
     ITStrategy,
+    _observables,
     it_batch_expected,
     it_expected,
     it_no_cooperation_check,
@@ -18,13 +22,14 @@ from qrgames.iqbaltoor import (
     it_stage1_pattern,
     sample_dilemma_state,
 )
-from qrgames.mw import payoff_observable
-from qrgames.qstate import PureState, random_state
+from qrgames.mw import _expected_from, payoff_observable, stage_weights
+from qrgames.qstate import Ensemble, FlipLayer, PureState, apply_flips, random_state
 from qrgames.stagegames import Bimatrix, make_pd
 
 PD = make_pd(5, 3, 1, 0)
 # Payoffs whose sums round, so only exact arithmetic keeps ties exact.
 FRACTIONAL = make_pd(5.7, 3.3, 1.1, -0.4)
+SIGNED_ZERO = make_pd(2.5, -0.0, -1.2, -3.1)
 
 
 def pd_game(state: PureState) -> ITGame:
@@ -56,6 +61,54 @@ def batch_oracle(game, k1, k2, k3, k4):
             ]
         )
     return flipped
+
+
+def _mix(flip_prob: float) -> list[tuple[float, int]]:
+    options = [(1.0 - flip_prob, 0), (flip_prob, 1)]
+    return [(p, bit) for p, bit in options if p > 0.0]
+
+
+def ensemble_oracle(game, s1, s2):
+    """Expected payoffs on the ensemble of the up to 16 flipped states.
+
+    Each member is the initial state under one pure flip assignment,
+    weighted by the four per-qubit mixing probabilities; stage-1 mixing
+    is applied first and stage-2 mixing on top of it.  The dense
+    observables are read on every member.
+    """
+    stage1_members = [
+        (p1 * p2, FlipLayer({1: k1, 2: k2}))
+        for p1, k1 in _mix(s1.stage1_flip_prob)
+        for p2, k2 in _mix(s2.stage1_flip_prob)
+    ]
+    members = []
+    for weight, first_layer in stage1_members:
+        mid = apply_flips(game.initial, first_layer)
+        for p3, k3 in _mix(s1.stage2_flip_prob):
+            for p4, k4 in _mix(s2.stage2_flip_prob):
+                final = apply_flips(mid, FlipLayer({3: k3, 4: k4}))
+                members.append((weight * p3 * p4, final))
+    return _expected_from(Ensemble(tuple(members)), _observables(game.stage))
+
+
+def exact_expected(game, s1, s2):
+    """Exact it_expected in ExpectedPayoffs order, as Fractions.
+
+    The Born weights, payoffs and flip probabilities are read as the
+    exact values of their floats; every product and sum is exact.
+    """
+    weights = stage_weights(game.stage)
+    stages = []
+    for pair, a, b in (
+        ((1, 2), s1.stage1_flip_prob, s2.stage1_flip_prob),
+        ((3, 4), s1.stage2_flip_prob, s2.stage2_flip_prob),
+    ):
+        table = exact_flip_table(game.initial.probabilities, pair, weights)
+        a, b = Fraction(a), Fraction(b)
+        mix = [(1 - a) * (1 - b), (1 - a) * b, a * (1 - b), a * b]
+        stages.append([sum(w * value for w, value in zip(mix, row)) for row in table])
+    (p1_stage1, p2_stage1), (p1_stage2, p2_stage2) = stages
+    return [p1_stage1, p1_stage2, p2_stage1, p2_stage2]
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +189,34 @@ def test_mixed_strategies_blend_the_pure_corners():
         assert np.allclose(got.as_array(), blend, atol=1e-12)
 
 
+@pytest.mark.parametrize("stage", [PD, FRACTIONAL, SIGNED_ZERO])
+def test_expected_payoffs_match_the_ensemble_oracle(stage):
+    rng = np.random.default_rng(16)
+    for _ in range(10):
+        game = ITGame(random_state(4, rng), stage)
+        profiles = [(s1, s2) for s1 in IT_PURE_STRATEGIES for s2 in IT_PURE_STRATEGIES]
+        a1, b1, a2, b2 = rng.uniform(size=4)
+        profiles.append((ITStrategy(a1, b1), ITStrategy(a2, b2)))
+        profiles.append((ITStrategy(a1, 1.0), ITStrategy(0.0, b2)))
+        for s1, s2 in profiles:
+            got = it_expected(game, s1, s2).as_array()
+            want = ensemble_oracle(game, s1, s2).as_array()
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def test_expected_payoffs_round_the_exact_value():
+    """Each component is within 8 eps max|u| of the exact rational value."""
+    rng = np.random.default_rng(17)
+    bound = 8 * np.finfo(float).eps * float(np.abs(FRACTIONAL.outcomes).max())
+    for _ in range(40):
+        game = ITGame(random_state(4, rng), FRACTIONAL)
+        a1, b1, a2, b2 = rng.uniform(size=4)
+        s1, s2 = ITStrategy(a1, b1), ITStrategy(a2, b2)
+        got = it_expected(game, s1, s2).as_array()
+        for value, exact in zip(got.tolist(), exact_expected(game, s1, s2)):
+            assert abs(Fraction(value) - exact) <= bound
+
+
 def test_stage_one_flips_leave_stage_two_payoffs_alone():
     rng = np.random.default_rng(14)
     for _ in range(4):
@@ -173,13 +254,16 @@ def test_flipped_start_bimatrix_cells():
 
 
 def test_bimatrix_totals_match_batch_runs():
+    """A pure profile blends one flip_table entry per stage with weight
+    1.0, so its totals are the bimatrix cell bit for bit."""
     rng = np.random.default_rng(15)
-    game = pd_game(random_state(4, rng))
-    bm = it_pure_bimatrix(game)
-    for row, s1 in enumerate(IT_PURE_STRATEGIES):
-        for col, s2 in enumerate(IT_PURE_STRATEGIES):
-            totals = it_expected(game, s1, s2).totals
-            assert np.allclose(bm.cell(row, col), totals, atol=1e-12)
+    for stage in (PD, FRACTIONAL, SIGNED_ZERO):
+        for _ in range(10):
+            game = ITGame(random_state(4, rng), stage)
+            bm = it_pure_bimatrix(game)
+            for row, s1 in enumerate(IT_PURE_STRATEGIES):
+                for col, s2 in enumerate(IT_PURE_STRATEGIES):
+                    assert it_expected(game, s1, s2).totals == bm.cell(row, col)
 
 
 @pytest.mark.parametrize("seed", range(5))

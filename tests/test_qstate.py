@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_eval import exact_flip_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -424,6 +426,23 @@ def test_flip_table_reads_weights_exactly_on_a_basis_state():
     weights = np.array([5.7, 3.3, 1.1, -0.4])
     table = flip_table(PureState.basis(4, "0110"), (3, 1), weights)
     assert table.tolist() == [weights[2 ^ flips] for flips in range(4)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_flip_table_rounds_the_exact_rational_table(seed):
+    """The exact evaluator gives the value flip_table rounds: the same on
+    a basis state, and within a few ulps of max|w| on a dense one."""
+    rng = np.random.default_rng(300 + seed)
+    weights = rng.standard_normal((2, 8))
+    qubits = (4, 2, 5)
+    basis = PureState.basis(5, int(rng.integers(32)))
+    exact = exact_flip_table(basis.probabilities, qubits, weights)
+    assert flip_table(basis, qubits, weights).tolist() == exact.tolist()
+    dense = random_state(5, rng)
+    exact = exact_flip_table(dense.probabilities, qubits, weights)
+    got = flip_table(dense, qubits, weights).ravel().tolist()
+    error = max(abs(Fraction(value) - e) for value, e in zip(got, exact.ravel()))
+    assert error <= 16 * np.finfo(float).eps * np.abs(weights).max()
 
 
 def test_flip_table_on_the_whole_register_in_order_reads_the_born_weights():

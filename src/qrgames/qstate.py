@@ -232,14 +232,10 @@ def flip_table(
         raise ValueError(
             f"expected {size} weights on the last axis, got shape {weights.shape}"
         )
-    if tuple(qubits) == tuple(range(1, n + 1)):
-        # The whole register in order: the marginal is the Born distribution.
-        marginal = state.probabilities
-    else:
-        others = tuple(q - 1 for q in range(1, n + 1) if q not in qubits)
-        kept = state.probabilities.reshape((2,) * n).sum(axis=others)
-        ascending = sorted(qubits)
-        marginal = kept.transpose([ascending.index(q) for q in qubits]).reshape(size)
+    others = tuple(q - 1 for q in range(1, n + 1) if q not in qubits)
+    kept = state.probabilities.reshape((2,) * n).sum(axis=others)
+    ascending = sorted(qubits)
+    marginal = kept.transpose([ascending.index(q) for q in qubits]).reshape(size)
     return weights[..., _xor_patterns(size)] @ marginal
 
 

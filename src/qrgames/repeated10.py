@@ -205,22 +205,21 @@ def _continue(
     return apply_flips(post, FlipLayer({qubit_a: a1, qubit_b: a2}))
 
 
-def _stage1_branches(game: RepGame) -> dict[tuple[int, int], list]:
+def _stage1_chance(game: RepGame) -> tuple[np.ndarray, list[PureState | None]]:
     """``_measure_stage1`` for all four stage-1 flips k, from one measurement.
 
     Flipping qubits 1-2 by k moves block b of the start (where they spell
     b) to outcome b XOR k, low bits in order: the same probability summed
-    in the same order, the same pruning.  So per k the measured branches
-    come relabelled, in ``OUTCOMES`` order, with their unflipped post states.
+    in the same order, the same pruning.  So ``chance[k, o]`` is block
+    ``k ^ o``'s measured weight, 0.0 where the block was pruned, and
+    ``posts[b]`` is block b's unflipped post state, None where pruned.
     """
-    measured = measure_pair(game.initial, 1, 2)
-    return {
-        (k1, k2): sorted(
-            ((b1 ^ k1, b2 ^ k2), p, post) for (b1, b2), p, post in measured
-        )
-        for k1 in (0, 1)
-        for k2 in (0, 1)
-    }
+    block_weights = np.zeros(4)
+    posts: list[PureState | None] = [None] * 4
+    for (b1, b2), probability, post in measure_pair(game.initial, 1, 2):
+        block_weights[2 * b1 + b2] = probability
+        posts[2 * b1 + b2] = post
+    return block_weights[_xor_patterns(4)], posts
 
 
 @lru_cache(maxsize=1)
@@ -369,25 +368,23 @@ def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarr
     # Stacked (1 x n) @ (n x 1) products go to the dot a 1-D ``w @ p`` uses;
     # (1 x n) @ (n x 4) would go to BLAS gemv, which sums in another order.
     weights = np.stack([obs.weights for obs in _observables(game.stage)])[None, :, None]
-    branches = _stage1_branches(game)
-    born = np.zeros((4, 2 ** NUM_QUBITS))
-    for (b1, b2), _, post in branches[(0, 0)]:
-        born[2 * b1 + b2] = post.probabilities
-    # renormalized[o, k]: the ensemble weight of outcome o after flips k.
-    renormalized = np.zeros((4, 4))
-    for (k1, k2), measured in branches.items():
-        kept = sum_in_order(probability for _, probability, _ in measured)
+    chance, posts = _stage1_chance(game)
+    empty = np.zeros(2 ** NUM_QUBITS)
+    born = np.stack([empty if post is None else post.probabilities for post in posts])
+    # renormalized[k, o]: the ensemble weight of outcome o after flips k.  A
+    # pruned block adds +0.0 to its row's total, which leaves the total as is.
+    renormalized = np.empty((4, 4))
+    for k, row in enumerate(chance.tolist()):
+        kept = sum_in_order(row)
         _check_branch_total(kept)
+        renormalized[k] = chance[k] / kept
         # Every profile with these stage-1 flips ends in this ensemble;
         # building it once runs its checks once.
-        ensemble = Ensemble(
-            tuple((probability / kept, post) for _, probability, post in measured)
-        )
-        for (weight, _), ((o1, o2), _, _) in zip(ensemble.members, measured):
-            renormalized[2 * o1 + o2, 2 * k1 + k2] = weight
+        members = zip(renormalized[k].tolist(), [posts[k ^ o] for o in range(4)])
+        Ensemble(tuple((weight, post) for weight, post in members if post is not None))
     continued = born.ravel()[_sequential_gather()]
     values = (weights @ continued[:, None, :, None]).reshape(16, 4, 4)
-    weighted = (values * renormalized.reshape(16, 1, 1)).reshape(64, 4)
+    weighted = (values * renormalized.T.reshape(16, 1, 1)).reshape(64, 4)
     picked = np.take(weighted, _CONTINUATION_ROW, axis=0)
     table = 0.0
     for outcome_picks in picked:
@@ -514,45 +511,30 @@ class ExtensiveTree:
         return json.dumps(document, indent=2)
 
 
-@dataclass(frozen=True)
-class _TreeSkeleton:
-    """The node shape every extensive form shares.
-
-    ``nodes`` lists all 119 ids depth first, with the three stage-1
-    decision nodes in place and None where the chance nodes and terminals
-    go.  ``chance_ids[k]`` is the chance node after the stage-1 flips k
-    (a 2-bit number) and ``outcome_heads[k]`` its children.
-    ``subtrees[k][o][live]`` is the seven nodes below outcome o there, on
-    consecutive ids: player 1's decision, then per a1 player 2's reply
-    and its two terminals, all with ``reachable=live``, the terminals
-    without payoffs.
-    """
-
-    nodes: tuple[TreeNode | None, ...]
-    chance_ids: tuple[int, ...]
-    outcome_heads: tuple[tuple[int, ...], ...]
-    subtrees: tuple[tuple[tuple[tuple[TreeNode, ...], ...], ...], ...]
-
-
+# Ids of the chance nodes after the stage-1 flips k (a 2-bit number).  Ids
+# run depth first: the root is 0, and player 2's stage-1 node after player
+# 1's flip k1 sits just before the chance node of k = 2*k1 (ids 1 and 60).
+# Each chance node is followed by the seven-node subtrees of its outcomes,
+# outcome o's from ``_CHANCE_IDS[k] + 1 + 7*o``: player 1's decision, then
+# per a1 player 2's reply and its two terminals.
+_CHANCE_IDS = (2, 31, 61, 90)
 # Offsets of the terminals in a subtree, in ``2*a1 + a2`` order.
 _LEAF_OFFSETS = (2, 3, 5, 6)
 
 
 @lru_cache(maxsize=1)
-def _tree_skeleton() -> _TreeSkeleton:
+def _tree_skeleton() -> tuple[tuple[TreeNode | None, ...], ...]:
     """The fixed tree shape, built on first use and shared by every tree.
 
-    Information sets follow what the players observe: stage-1 nodes per
-    player form one set each (moves are simultaneous), and second-stage
-    nodes group by measurement outcome alone, since the protocol reveals
-    the outcome bits and nothing else.  The nodes are immutable, so trees
-    hold the same objects.
+    Two tuples of the 119 nodes by id, indexed by ``reachable``: both hold
+    the same three stage-1 decision nodes and None at the chance nodes,
+    and below those every node has that ``reachable``, terminals without
+    payoffs.  Information sets follow what the players observe: stage-1
+    nodes per player form one set each (moves are simultaneous), and
+    second-stage nodes group by measurement outcome alone, since the
+    protocol reveals the outcome bits and nothing else.  The nodes are
+    immutable, so trees hold the same objects.
     """
-    nodes: list[TreeNode | None] = []
-
-    def reserve(count: int = 1) -> int:
-        nodes.extend([None] * count)
-        return len(nodes) - count
 
     def decision(
         node_id: int, owner: int, info_set: str, children, live: bool = True
@@ -569,44 +551,31 @@ def _tree_skeleton() -> _TreeSkeleton:
             live,
         )
 
-    def subtree(first: int, after: str, live: bool) -> tuple[TreeNode, ...]:
-        replies = (first + 1, first + 4)
-        block = [decision(first, 1, "1:" + after, replies, live)]
-        for reply in replies:
-            leaves = (reply + 1, reply + 2)
-            block.append(decision(reply, 2, "2:" + after, leaves, live))
-            block += [
-                TreeNode(leaf, "terminal", None, None, (), (), None, None, live)
-                for leaf in leaves
-            ]
-        return tuple(block)
-
-    root_id = reserve()
-    root_children = []
-    chance_ids = []
-    outcome_heads = []
-    subtrees = []
-    for _ in (0, 1):
-        second_id = reserve()
-        for _ in (0, 1):
-            chance_ids.append(reserve())
-            heads = []
-            per_outcome = []
-            for outcome in OUTCOMES:
-                first = reserve(7)
-                after = f"after-{outcome[0]}{outcome[1]}"
-                heads.append(first)
-                per_outcome.append(
-                    tuple(subtree(first, after, live) for live in (False, True))
-                )
-            outcome_heads.append(tuple(heads))
-            subtrees.append(tuple(per_outcome))
-        nodes[second_id] = decision(second_id, 2, "2:stage1", chance_ids[-2:])
-        root_children.append(second_id)
-    nodes[root_id] = decision(root_id, 1, "1:stage1", root_children)
-    return _TreeSkeleton(
-        tuple(nodes), tuple(chance_ids), tuple(outcome_heads), tuple(subtrees)
-    )
+    seconds = (_CHANCE_IDS[0] - 1, _CHANCE_IDS[2] - 1)
+    stage1 = [decision(0, 1, "1:stage1", seconds)] + [
+        decision(second, 2, "2:stage1", _CHANCE_IDS[2 * k1 : 2 * k1 + 2])
+        for k1, second in enumerate(seconds)
+    ]
+    variants = []
+    for live in (False, True):
+        nodes: list[TreeNode | None] = [None] * 119
+        for node in stage1:
+            nodes[node.node_id] = node
+        for chance_id in _CHANCE_IDS:
+            for o, (o1, o2) in enumerate(OUTCOMES):
+                first = chance_id + 1 + 7 * o
+                after = f"after-{o1}{o2}"
+                replies = (first + 1, first + 4)
+                nodes[first] = decision(first, 1, "1:" + after, replies, live)
+                for reply in replies:
+                    leaves = (reply + 1, reply + 2)
+                    nodes[reply] = decision(reply, 2, "2:" + after, leaves, live)
+                    for leaf in leaves:
+                        nodes[leaf] = TreeNode(
+                            leaf, "terminal", None, None, (), (), None, None, live
+                        )
+        variants.append(tuple(nodes))
+    return tuple(variants)
 
 
 def _assemble_tree(stage: StageGame, chance: np.ndarray, stage2) -> ExtensiveTree:
@@ -616,32 +585,33 @@ def _assemble_tree(stage: StageGame, chance: np.ndarray, stage2) -> ExtensiveTre
     read as 2-bit numbers.  ``stage2[k][o]`` is the continuation after
     them: a (player, ``2*a1 + a2``) table of second-stage payoffs, which
     terminals add to the outcome's own, or None where no continuation is
-    defined.  Nodes below a zero chance weight are unreachable.  Only the
-    four chance nodes and the terminals with payoffs are built here; every
-    other node comes from :func:`_tree_skeleton`.
+    defined.  Nodes below a zero chance weight are the skeleton's
+    unreachable ones.  Only the four chance nodes and the terminals with
+    payoffs are built here; every other node comes from
+    :func:`_tree_skeleton`.
     """
-    skeleton = _tree_skeleton()
-    nodes = list(skeleton.nodes)
+    unreachable, reachable = _tree_skeleton()
+    nodes = list(reachable)
     outcome_payoffs = np.array(stage.outcomes).reshape(4, 2, 1)
-    for k, (weights, tables) in enumerate(zip(chance.tolist(), stage2)):
-        chance_id = skeleton.chance_ids[k]
+    for chance_id, weights, tables in zip(_CHANCE_IDS, chance.tolist(), stage2):
+        heads = tuple(chance_id + 1 + 7 * o for o in range(4))
         nodes[chance_id] = TreeNode(
             chance_id,
             "chance",
             None,
             None,
             _OUTCOME_LABELS,
-            skeleton.outcome_heads[k],
+            heads,
             tuple(weights),
             None,
         )
-        for o, (weight, table) in enumerate(zip(weights, tables)):
+        for first, weight, table, own in zip(heads, weights, tables, outcome_payoffs):
             live = weight > 0.0
-            first = skeleton.outcome_heads[k][o]
-            nodes[first : first + 7] = skeleton.subtrees[k][o][live]
+            if not live:
+                nodes[first : first + 7] = unreachable[first : first + 7]
             if table is None:
                 continue
-            totals = (outcome_payoffs[o] + table).T.tolist()
+            totals = (own + table).T.tolist()
             for offset, payoffs in zip(_LEAF_OFFSETS, totals):
                 leaf_id = first + offset
                 nodes[leaf_id] = TreeNode(
@@ -681,11 +651,12 @@ def build_extensive(game: RepGame) -> ExtensiveTree:
     Both kinds fill the chance table and continuation tables that
     :func:`_assemble_tree` reads.  A pair product reads them off its
     factors' Born weights (:func:`_product_tables`).  A two-term start
-    reads them off its measured branches: each post state lives where
-    qubits 1-2 spell its outcome, so one
-    ``flip_table`` call on the outcome's pair gives its stage-2 payoffs
-    under all four flips (stage-1 flips leave that marginal alone), and
-    pruned outcomes keep weight 0.0 and no continuation.
+    reads them off its measured blocks (:func:`_stage1_chance`): outcome
+    o after stage-1 flips k is block ``k ^ o``, flipped to where qubits
+    1-2 spell o, so its stage-2 payoffs read only the outcome's pair.  One
+    ``flip_table`` call there on the block's post state gives them under
+    all four flips (stage-1 flips leave that marginal alone), and pruned
+    blocks keep weight 0.0 and no continuation.
     """
     tables = _product_tables(game)
     if tables is not None:
@@ -696,12 +667,15 @@ def build_extensive(game: RepGame) -> ExtensiveTree:
             "extensive form is defined only for pair-product initial states "
             "or two-term all-zeros/all-ones superpositions"
         )
+    chance, posts = _stage1_chance(game)
     weights = stage_weights(game.stage)
-    chance = np.zeros((4, 4))
-    stage2: list[list[np.ndarray | None]] = [[None] * 4 for _ in range(4)]
-    for (k1, k2), branches in _stage1_branches(game).items():
-        for outcome, probability, post in branches:
-            k, o = 2 * k1 + k2, 2 * outcome[0] + outcome[1]
-            chance[k, o] = probability
-            stage2[k][o] = flip_table(post, outcome_qubit_pair(outcome), weights)
+    stage2 = [
+        [
+            None
+            if posts[k ^ o] is None
+            else flip_table(posts[k ^ o], outcome_qubit_pair(outcome), weights)
+            for o, outcome in enumerate(OUTCOMES)
+        ]
+        for k in range(4)
+    ]
     return _assemble_tree(game.stage, chance, stage2)

@@ -452,6 +452,8 @@ def test_flip_table_on_the_whole_register_in_order_reads_the_born_weights():
     state = seeded_state(3, 14)
     weights = np.random.default_rng(15).standard_normal((2, 8))
     table = flip_table(state, (1, 2, 3), weights)
+    born = weights[..., qstate._xor_patterns(8)] @ state.probabilities
+    assert np.array_equal(table, born)
     padded = state.tensor(PureState.basis(1, 0))
     assert np.array_equal(flip_table(padded, (1, 2, 3), weights), table)
     # Reversed, pattern z of (3, 2, 1) is pattern reverse(z) of (1, 2, 3).

@@ -397,6 +397,16 @@ def test_transcript_structure_is_consistent():
             assert branch.outcome not in distribution
 
 
+def test_transcript_refuses_branches_that_do_not_sum_to_one():
+    transcript = play_sequential(all_zero_game(), ALL[0], ALL[0])
+    halved = tuple(
+        dataclasses.replace(branch, probability=branch.probability / 2)
+        for branch in transcript.branches
+    )
+    with pytest.raises(ValueError, match="branch probabilities sum to 0.5, not 1"):
+        dataclasses.replace(transcript, branches=halved)
+
+
 def test_sequential_play_on_basis_start_has_one_branch():
     transcript = play_sequential(all_zero_game(), ALL[16], ALL[0])
     reachable = [b for b in transcript.branches if b.reachable]
@@ -955,6 +965,19 @@ def test_tree_serialization_round_trips():
         assert abs(sum(entry["probabilities"]) - 1.0) <= 1e-9
 
 
+def test_tree_refuses_a_chance_node_that_does_not_sum_to_one():
+    tree = build_extensive(all_zero_game())
+    nodes = list(tree.nodes)
+    chance_id = nodes[tree.nodes[tree.root].children[0]].children[0]
+    assert nodes[chance_id].probabilities == (1.0, 0.0, 0.0, 0.0)
+    nodes[chance_id] = dataclasses.replace(
+        nodes[chance_id], probabilities=(0.5, 0.0, 0.0, 0.0)
+    )
+    message = f"chance node {chance_id} probabilities sum to 0.5"
+    with pytest.raises(ValueError, match=message):
+        ExtensiveTree(tuple(nodes), tree.root)
+
+
 def test_tree_skeleton_is_built_once_per_process():
     script = (
         "import numpy as np\n"
@@ -996,19 +1019,21 @@ def test_a_pruned_two_term_start_uses_the_unreachable_variants():
     stage-1 flip pair: the nodes below the others are the skeleton's
     unreachable ones, terminals included, and the rest its reachable ones."""
     tree = build_extensive(ghz_game(1e-14))
-    skeleton = repeated10._tree_skeleton()
+    unreachable_nodes, reachable_nodes = repeated10._tree_skeleton()
     unreachable = 0
-    for k, chance_id in enumerate(skeleton.chance_ids):
-        weights = tree.nodes[chance_id].probabilities
+    for chance_id in repeated10._CHANCE_IDS:
+        chance = tree.nodes[chance_id]
+        weights = chance.probabilities
         assert sum(weight > 0.0 for weight in weights) == 1
-        for o, weight in enumerate(weights):
-            first = skeleton.outcome_heads[k][o]
+        for o, (first, weight) in enumerate(zip(chance.children, weights)):
+            assert first == chance_id + 1 + 7 * o
             block = tree.nodes[first : first + 7]
-            variant = skeleton.subtrees[k][o][weight > 0.0]
             if weight > 0.0:
+                variant = reachable_nodes[first : first + 7]
                 assert all(block[i] is variant[i] for i in (0, 1, 4))
                 assert all(block[i].payoffs is not None for i in (2, 3, 5, 6))
             else:
+                variant = unreachable_nodes[first : first + 7]
                 assert all(got is want for got, want in zip(block, variant))
                 unreachable += 7
     assert unreachable == sum(not node.reachable for node in tree.nodes) == 84

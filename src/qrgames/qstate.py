@@ -126,6 +126,11 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> PureState:
     return PureState(num_qubits, amps / np.linalg.norm(amps))
 
 
+def _is_index(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FlipLayer:
     """Bit-flip assignment: qubit index (1-based) -> operator bit.
@@ -141,7 +146,7 @@ class FlipLayer:
         for qubit, bit in dict(self.flips).items():
             if bit not in (0, 1):
                 raise ValueError(f"operator bit must be 0 or 1, got {bit!r}")
-            if not isinstance(qubit, (int, np.integer)) or qubit < 1:
+            if not _is_index(qubit) or qubit < 1:
                 raise ValueError(f"qubit indices are 1-based integers, got {qubit!r}")
             clean[int(qubit)] = int(bit)
         object.__setattr__(self, "flips", clean)
@@ -167,7 +172,7 @@ class FlipLayer:
 
 def _check_qubit(qubit: int, num_qubits: int) -> None:
     """Refuse a qubit that is not a 1-based integer index into the register."""
-    if not isinstance(qubit, (int, np.integer)):
+    if not _is_index(qubit):
         raise ValueError(f"qubit indices are 1-based integers, got {qubit!r}")
     if not 1 <= qubit <= num_qubits:
         raise ValueError(f"qubit {qubit} out of range for {num_qubits}-qubit state")
@@ -197,6 +202,30 @@ def _xor_patterns(size: int) -> np.ndarray:
     return table
 
 
+# One plan per (register size, read qubits) call a protocol makes; every
+# protocol uses fewer than a dozen.  typed=True gives a float or bool qubit
+# its own key, so 1.0 and True reach the checks instead of the plan of 1.
+@lru_cache(maxsize=32, typed=True)
+def _flip_plan(
+    num_qubits: int, *qubits: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+    """How :func:`flip_table` reads the marginal of ``qubits``.
+
+    Returns the register's ``(2,) * num_qubits`` shape, the axes summed
+    away, the transpose order that puts the kept axes in listed order and
+    the marginal's size.  The qubits are checked first, so a plan is only
+    cached for distinct 1-based integers inside the register.
+    """
+    for qubit in qubits:
+        _check_qubit(qubit, num_qubits)
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"read qubits must be distinct, got {qubits}")
+    others = tuple(q - 1 for q in range(1, num_qubits + 1) if q not in qubits)
+    ascending = sorted(qubits)
+    order = tuple(ascending.index(q) for q in qubits)
+    return (2,) * num_qubits, others, order, 2 ** len(qubits)
+
+
 def flip_table(
     state: PureState, qubits: Sequence[int], weights: np.ndarray
 ) -> np.ndarray:
@@ -220,22 +249,25 @@ def flip_table(
         ``2**k``, meant for the two or four qubits a payoff reads.  On a
         basis state the marginal is one-hot, so every entry is a weight
         read exactly.
+
+    The marginal sums the Born weights, reshaped to one axis per qubit,
+    over the unread axes; the axes and the transpose to listed order come
+    from a plan cached per register size and qubits (:func:`_flip_plan`).
     """
-    n = state.num_qubits
-    for qubit in qubits:
-        _check_qubit(qubit, n)
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"read qubits must be distinct, got {tuple(qubits)}")
-    size = 2 ** len(qubits)
+    try:
+        shape, others, order, size = _flip_plan(state.num_qubits, *qubits)
+    except TypeError:
+        # The cache hashes the qubits, and an unhashable one is no index.
+        for qubit in qubits:
+            _check_qubit(qubit, state.num_qubits)
+        raise
     weights = np.asarray(weights, dtype=float)
     if weights.shape[-1:] != (size,):
         raise ValueError(
             f"expected {size} weights on the last axis, got shape {weights.shape}"
         )
-    others = tuple(q - 1 for q in range(1, n + 1) if q not in qubits)
-    kept = state.probabilities.reshape((2,) * n).sum(axis=others)
-    ascending = sorted(qubits)
-    marginal = kept.transpose([ascending.index(q) for q in qubits]).reshape(size)
+    kept = state.probabilities.reshape(shape).sum(axis=others)
+    marginal = kept.transpose(order).reshape(size)
     return weights[..., _xor_patterns(size)] @ marginal
 
 
@@ -254,6 +286,14 @@ def measure_pair(
         outcome with probability above :data:`PROB_FLOOR`, in the fixed
         order (0,0), (0,1), (1,0), (1,1).  Each post state is the
         renormalized projection onto the outcome.
+
+    With ``low < high`` the two qubits, the register is reshaped to
+    ``(2**(low-1), 2, 2**(high-low-1), 2, 2**(n-high))``, so an outcome is
+    one view with those two axes fixed.  Its probability sums the view's
+    Born weights copied in C order, which is ascending basis index, so
+    the additions do not depend on how numpy iterates a strided view.
+    The post state is zero elsewhere and holds the view's amplitudes over
+    the square root of the probability.
     """
     n = state.num_qubits
     for qubit in (qubit_a, qubit_b):
@@ -261,21 +301,21 @@ def measure_pair(
     if qubit_a == qubit_b:
         raise ValueError("measured qubits must be distinct")
 
-    indices = np.arange(state.amplitudes.shape[0])
-    bits_a = (indices >> (n - qubit_a)) & 1
-    bits_b = (indices >> (n - qubit_b)) & 1
-    weights = state.probabilities
+    low, high = sorted((int(qubit_a), int(qubit_b)))
+    shape = (2 ** (low - 1), 2, 2 ** (high - low - 1), 2, 2 ** (n - high))
+    amplitudes = state.amplitudes.reshape(shape)
+    weights = state.probabilities.reshape(shape)
 
     results = []
-    for outcome_a, outcome_b in OUTCOMES:
-        selector = (bits_a == outcome_a) & (bits_b == outcome_b)
-        probability = float(weights[selector].sum())
+    for outcome in OUTCOMES:
+        bit_low, bit_high = outcome if qubit_a < qubit_b else outcome[::-1]
+        block = (slice(None), bit_low, slice(None), bit_high)
+        probability = float(weights[block].ravel().sum())
         if probability <= PROB_FLOOR:
             continue
-        post = np.where(selector, state.amplitudes, 0.0) / np.sqrt(probability)
-        results.append(
-            ((outcome_a, outcome_b), probability, PureState(n, post))
-        )
+        post = np.zeros_like(amplitudes)
+        post[block] = amplitudes[block] / np.sqrt(probability)
+        results.append((outcome, probability, PureState(n, post.reshape(-1))))
     return results
 
 

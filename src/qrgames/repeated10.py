@@ -51,6 +51,8 @@ from .stagegames import (
 )
 
 NUM_QUBITS = 10
+# Basis states per value of qubits 1-2: the block a stage-1 outcome keeps.
+_BLOCK = 2 ** (NUM_QUBITS - 2)
 _ACTION_LABELS = ("0", "1")
 _OUTCOME_LABELS = tuple(f"{o[0]}{o[1]}" for o in OUTCOMES)
 # (player, stage) keys of the component tables, in ExpectedPayoffs order.
@@ -224,25 +226,44 @@ def _stage1_chance(game: RepGame) -> tuple[np.ndarray, list[PureState | None]]:
 
 @lru_cache(maxsize=1)
 def _sequential_gather() -> np.ndarray:
-    """Basis gather of every continuation, from the stacked block Born weights.
+    """Gather of every continuation's nonzero block, from the measured blocks.
 
     Row ``16*o + 4*k + a`` serves outcome o after the stage-1 flips k and
-    the stage-2 flips a (each a 2-bit number): the outcome's branch is
-    block ``o XOR k`` of the unflipped start, and the continuation holds,
-    at basis index x, that block's weight at ``x XOR (k << 8) XOR m``,
-    where ``m = a << (6 - 2*o)`` flips outcome o's pair.  So
-    ``born.ravel()[gather]`` is all 64 continuations' Born weights when
-    row b of ``born`` is block b's.  The array is 64x1024 and read-only,
-    since the cache hands the same one to every caller, and built on
-    first use, so only the sequential path holds its 512 KB.
+    the stage-2 flips a (each a 2-bit number).  The outcome's branch is
+    block ``o XOR k`` of the unflipped start, which the flips k move to
+    block o with its low 8 bits in order; the flips a then move low bits
+    ``x`` to ``x XOR (a << (6 - 2*o))``, outcome o's pair.  So the
+    continuation is zero outside block o, and block o is
+    ``blocks.ravel()[row]`` when row b of ``blocks`` holds block b's 256
+    Born weights: row ``16*o + 4*k + a`` reads block ``o ^ k`` at
+    ``low ^ (a << (6 - 2*o))``.  The array is 64x256 and read-only, since
+    the cache hands the same one to every caller, and built on first use,
+    so only the sequential path holds its 128 KB.
     """
     o, k, a = np.ogrid[:4, :4, :4]
-    mask = (k << 8) ^ (a << (6 - 2 * o))
-    size = 2 ** NUM_QUBITS
-    block = (o ^ k)[..., None] * size
-    gather = (block + (np.arange(size) ^ mask[..., None])).reshape(64, size)
+    low = np.arange(_BLOCK)
+    block = (o ^ k)[..., None] * _BLOCK
+    gather = (block + (low ^ (a << (6 - 2 * o))[..., None])).reshape(64, _BLOCK)
     gather.setflags(write=False)
     return gather
+
+
+def _continuations(posts: list[PureState | None]) -> np.ndarray:
+    """The Born weights of all 64 continuations, in ``_sequential_gather`` rows.
+
+    ``posts[b]`` is block b's measured post state, None where pruned (its
+    block reads as zeros).  The 16 rows of outcome o are zero outside
+    block o and hold the gathered block there.
+    """
+    blocks = np.zeros((4, _BLOCK))
+    for b, post in enumerate(posts):
+        if post is not None:
+            blocks[b] = post.probabilities[b * _BLOCK : (b + 1) * _BLOCK]
+    gathered = blocks.ravel()[_sequential_gather()].reshape(4, 16, _BLOCK)
+    continued = np.zeros((4, 16, 4, _BLOCK))
+    for o in range(4):
+        continued[o, :, o] = gathered[o]
+    return continued.reshape(64, 2 ** NUM_QUBITS)
 
 
 @dataclass(frozen=True)
@@ -356,8 +377,9 @@ def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarr
     measurement: flipping by k sends block b to outcome b XOR k.  Flips
     only permute amplitudes, so the 64 continuations' Born weights are
     one gather of the four measured blocks' weights (pruned blocks read
-    as zeros), and their 256 payoff values are one stacked call of 1-D
-    dot products with the observables ``play_sequential`` reads.  Each
+    as zeros) into zero registers (:func:`_continuations`), and their
+    256 payoff values are one stacked call of 1-D dot products over all
+    1024 entries with the observables ``play_sequential`` reads.  Each
     value is scaled by its renormalized branch weight, one ``np.take``
     picks every cell's row per outcome, and the picks are summed from 0.0
     in ``OUTCOMES`` order: the products and the sum ``play_sequential``
@@ -369,8 +391,6 @@ def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarr
     # (1 x n) @ (n x 4) would go to BLAS gemv, which sums in another order.
     weights = np.stack([obs.weights for obs in _observables(game.stage)])[None, :, None]
     chance, posts = _stage1_chance(game)
-    empty = np.zeros(2 ** NUM_QUBITS)
-    born = np.stack([empty if post is None else post.probabilities for post in posts])
     # renormalized[k, o]: the ensemble weight of outcome o after flips k.  A
     # pruned block adds +0.0 to its row's total, which leaves the total as is.
     renormalized = np.empty((4, 4))
@@ -382,7 +402,7 @@ def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarr
         # building it once runs its checks once.
         members = zip(renormalized[k].tolist(), [posts[k ^ o] for o in range(4)])
         Ensemble(tuple((weight, post) for weight, post in members if post is not None))
-    continued = born.ravel()[_sequential_gather()]
+    continued = _continuations(posts)
     values = (weights @ continued[:, None, :, None]).reshape(16, 4, 4)
     weighted = (values * renormalized.T.reshape(16, 1, 1)).reshape(64, 4)
     picked = np.take(weighted, _CONTINUATION_ROW, axis=0)

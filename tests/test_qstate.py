@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qrgames import qstate
 from qrgames.qstate import (
     OUTCOMES,
+    PROB_FLOOR,
     DiagonalObservable,
     Ensemble,
     FlipLayer,
@@ -179,6 +180,13 @@ def test_flip_layer_validates_entries():
     assert FlipLayer({np.int64(3): 1}).flips == {3: 1}
 
 
+@pytest.mark.parametrize("qubit", [True, False])
+def test_flip_layer_refuses_a_bool_qubit(qubit):
+    """True == 1, but a bool names no qubit: it would flip qubit 1."""
+    with pytest.raises(ValueError, match=f"1-based integers, got {qubit}"):
+        FlipLayer({qubit: 1})
+
+
 def test_mask_places_qubit_one_at_the_top_bit():
     assert FlipLayer({1: 1}).mask(4) == 0b1000
     assert FlipLayer({4: 1}).mask(4) == 0b0001
@@ -313,6 +321,20 @@ def test_measure_pair_and_flip_table_refuse_a_qubit_that_is_not_an_integer(qubit
         flip_table(state, (qubit, 2), np.zeros(4))
 
 
+@pytest.mark.parametrize("qubit", [True, False])
+def test_measure_pair_and_flip_table_refuse_a_bool_qubit(qubit):
+    state = seeded_state(4, 71)
+    message = f"qubit indices are 1-based integers, got {qubit}"
+    with pytest.raises(ValueError, match=message):
+        qstate._check_qubit(qubit, 4)
+    with pytest.raises(ValueError, match=message):
+        measure_pair(state, qubit, 2)
+    with pytest.raises(ValueError, match=message):
+        measure_pair(state, 3, qubit)
+    with pytest.raises(ValueError, match=message):
+        flip_table(state, (qubit, 2), np.zeros(4))
+
+
 def test_measure_pair_and_flip_table_take_numpy_integer_qubits():
     state = seeded_state(4, 70)
     assert [p for _, p, _ in measure_pair(state, np.int64(1), 2)] == [
@@ -323,6 +345,108 @@ def test_measure_pair_and_flip_table_take_numpy_integer_qubits():
         flip_table(state, (np.int64(3), np.int32(1)), weights),
         flip_table(state, (3, 1), weights),
     )
+
+
+def selector_measure_oracle(
+    state: PureState, qubit_a: int, qubit_b: int
+) -> list[tuple[tuple[int, int], float, PureState]]:
+    """``measure_pair`` by boolean selectors over every basis index.
+
+    Each outcome's probability sums the Born weights its selector picks,
+    in ascending index order, and its post state divides the selected
+    amplitudes, zeros elsewhere, by the probability's square root.
+    """
+    n = state.num_qubits
+    indices = np.arange(state.amplitudes.shape[0])
+    bits_a = (indices >> (n - qubit_a)) & 1
+    bits_b = (indices >> (n - qubit_b)) & 1
+    results = []
+    for outcome_a, outcome_b in OUTCOMES:
+        selector = (bits_a == outcome_a) & (bits_b == outcome_b)
+        probability = float(state.probabilities[selector].sum())
+        if probability <= PROB_FLOOR:
+            continue
+        post = np.where(selector, state.amplitudes, 0.0) / np.sqrt(probability)
+        results.append(((outcome_a, outcome_b), probability, PureState(n, post)))
+    return results
+
+
+def measured_start(
+    num_qubits: int, qubit_a: int, qubit_b: int, seed: int, scale: float
+) -> PureState:
+    """A random start with signed zero amplitudes whose outcome
+    ``seed % 4`` on the pair is scaled by ``scale`` before normalizing."""
+    rng = np.random.default_rng(seed)
+    size = 2**num_qubits
+    amplitudes = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    signed_zeros = np.array([complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)])
+    zeroed = rng.random(size) < 0.25
+    amplitudes[zeroed] = signed_zeros[rng.integers(0, 4, zeroed.sum())]
+    indices = np.arange(size)
+    outcome = seed % 4
+    bits = 2 * ((indices >> (num_qubits - qubit_a)) & 1) + (
+        (indices >> (num_qubits - qubit_b)) & 1
+    )
+    amplitudes[bits == outcome] *= scale
+    if not np.any(amplitudes):
+        amplitudes[0] = 1.0
+    return PureState(num_qubits, amplitudes / np.linalg.norm(amplitudes))
+
+
+def assert_measure_is_the_oracle(state: PureState, qubit_a: int, qubit_b: int):
+    """Outcomes, probabilities, post amplitudes and post Born weights agree
+    bit for bit, signed zeros included."""
+    got = measure_pair(state, qubit_a, qubit_b)
+    want = selector_measure_oracle(state, qubit_a, qubit_b)
+    assert [outcome for outcome, _, _ in got] == [outcome for outcome, _, _ in want]
+    for (_, p, post), (_, p_want, post_want) in zip(got, want):
+        assert p.hex() == p_want.hex()
+        assert post.amplitudes.tobytes() == post_want.amplitudes.tobytes()
+        assert post.probabilities.tobytes() == post_want.probabilities.tobytes()
+
+
+# Scales of the scaled outcome: emptied (its amplitudes turn into signed
+# zeros), pruned at PROB_FLOOR with weight ~1e-14, kept at ~1e-12 to 1e-10.
+OUTCOME_SCALES = (0.0, 1e-7, 2e-6, 1e-5, 1.0)
+
+
+def test_measure_pair_is_the_selector_oracle_on_every_ordered_pair():
+    for num_qubits in range(2, 11):
+        for qubit_a in range(1, num_qubits + 1):
+            for qubit_b in range(1, num_qubits + 1):
+                if qubit_a == qubit_b:
+                    continue
+                seed = 100 * num_qubits + 10 * qubit_a + qubit_b
+                scale = OUTCOME_SCALES[seed % len(OUTCOME_SCALES)]
+                state = measured_start(num_qubits, qubit_a, qubit_b, seed, scale)
+                assert_measure_is_the_oracle(state, qubit_a, qubit_b)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=10),
+    st.data(),
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from(OUTCOME_SCALES),
+)
+def test_measure_pair_is_the_selector_oracle(num_qubits, data, seed, scale):
+    qubits = st.integers(min_value=1, max_value=num_qubits)
+    qubit_a = data.draw(qubits)
+    qubit_b = data.draw(qubits.filter(lambda q: q != qubit_a))
+    state = measured_start(num_qubits, qubit_a, qubit_b, seed, scale)
+    assert_measure_is_the_oracle(state, qubit_a, qubit_b)
+
+
+def test_measure_pair_oracle_cases_prune_and_keep_signed_zeros():
+    """The starts above reach the floor and carry negative zeros into posts."""
+    state = measured_start(10, 7, 3, 4, 1e-7)
+    branches = measure_pair(state, 7, 3)
+    assert [outcome for outcome, _, _ in branches] == [(0, 1), (1, 0), (1, 1)]
+    assert len(measure_pair(measured_start(10, 7, 3, 4, 2e-6), 7, 3)) == 4
+    zeros = state.amplitudes[state.amplitudes == 0.0]
+    assert np.signbit(zeros.real).any() and np.signbit(zeros.imag).any()
+    posts = np.concatenate([post.amplitudes for _, _, post in branches])
+    assert np.signbit(posts[posts == 0.0].view(float)).any()
 
 
 # ---------------------------------------------------------------------------
@@ -480,3 +604,56 @@ def test_flip_table_argument_checks():
         flip_table(state, (2, 2), np.zeros(4))
     with pytest.raises(ValueError, match="expected 4 weights"):
         flip_table(state, (1, 2), np.zeros(8))
+
+
+@pytest.mark.parametrize(
+    "qubits, message",
+    [
+        ((1.0, 2), "1-based integers, got 1.0"),
+        (([1], 2), r"1-based integers, got \[1\]"),
+        ((2, np.array(1)), "1-based integers, got array"),
+        ((2, 2), r"distinct, got \(2, 2\)"),
+        ((1, 4), "qubit 4 out of range for 3-qubit state"),
+        ((0, 1), "qubit 0 out of range"),
+    ],
+    ids=["float", "list", "array", "duplicate", "high", "zero"],
+)
+def test_flip_table_refuses_the_same_qubits_with_its_plan_cache(qubits, message):
+    """Refusals raise ValueError every time, unhashable qubits included."""
+    state = seeded_state(3, 72)
+    flip_table(state, (1, 2), np.zeros(4))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            flip_table(state, qubits, np.zeros(4))
+
+
+def test_flip_table_never_reads_a_float_qubit_through_the_plan_of_an_integer():
+    """1.0 == 1 and hash(1.0) == hash(1), so only a typed key refuses it."""
+    state = seeded_state(3, 73)
+    qstate._flip_plan.cache_clear()
+    table = flip_table(state, (1, 2), np.arange(4.0))
+    assert qstate._flip_plan.cache_info().currsize == 1
+    with pytest.raises(ValueError, match="1-based integers, got 1.0"):
+        flip_table(state, (1.0, 2), np.arange(4.0))
+    with pytest.raises(ValueError, match="1-based integers, got True"):
+        flip_table(state, (True, 2), np.arange(4.0))
+    assert qstate._flip_plan.cache_info().currsize == 1
+    assert np.array_equal(flip_table(state, (np.int64(1), 2), np.arange(4.0)), table)
+    assert qstate._flip_plan.cache_info().currsize == 2
+
+
+def test_flip_table_plans_are_bounded_immutable_tuples():
+    qstate._flip_plan.cache_clear()
+    for num_qubits in range(2, 7):
+        state = PureState.basis(num_qubits, 0)
+        for qubit_a in range(1, num_qubits + 1):
+            for qubit_b in range(1, num_qubits + 1):
+                if qubit_a != qubit_b:
+                    flip_table(state, (qubit_a, qubit_b), np.zeros(4))
+    info = qstate._flip_plan.cache_info()
+    assert info.misses == 70
+    assert info.currsize == info.maxsize == 32
+    plan = qstate._flip_plan(10, 3, 1)
+    assert plan == ((2,) * 10, (1, 3, 4, 5, 6, 7, 8, 9), (1, 0), 4)
+    assert all(isinstance(part, (tuple, int)) for part in plan)
+    hash(plan)

@@ -537,28 +537,61 @@ def test_sequential_gather_is_one_read_only_array_per_process():
     sequential_component_tables(pd_game(random_state(10, np.random.default_rng(67))))
     assert repeated10._sequential_gather() is gather
     assert repeated10._sequential_gather.cache_info().misses == 1
-    assert gather.shape == (64, 1024)
+    assert gather.shape == (64, 256)
     assert not gather.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         gather[0, 0] = 0
 
 
-def test_sequential_gather_rows_are_the_flips_of_a_sequential_play():
-    """Row ``16*o + 4*k + a`` reads block ``o XOR k`` through the mask of the
-    stage-1 flips k and outcome o's stage-2 flips a."""
-    gather = repeated10._sequential_gather()
+def full_register_gather() -> np.ndarray:
+    """The (64, 1024) index of every continuation over whole registers.
+
+    Row ``16*o + 4*k + a`` holds, at basis index x, the index into the
+    stacked (4, 1024) post-state Born weights that the flips of a
+    sequential play read: block ``o XOR k`` at ``x`` under the mask of
+    the stage-1 flips k and outcome o's stage-2 flips a.
+    """
     x = np.arange(1024)
+    rows = []
     for o, outcome in enumerate(OUTCOMES):
         qubit_a, qubit_b = outcome_qubit_pair(outcome)
         for k in range(4):
             for a in range(4):
                 flips = {1: k >> 1, 2: k & 1, qubit_a: a >> 1, qubit_b: a & 1}
-                want = 1024 * (o ^ k) + (x ^ FlipLayer(flips).mask(10))
+                rows.append(1024 * (o ^ k) + (x ^ FlipLayer(flips).mask(10)))
+    return np.array(rows)
+
+
+def test_sequential_gather_rows_are_the_flips_of_a_sequential_play():
+    """Row ``16*o + 4*k + a`` reads block ``o XOR k`` at ``low ^ (a << (6 -
+    2*o))``, and the rows written into block o of zero registers are the
+    whole-register gather of the flips a sequential play applies."""
+    gather = repeated10._sequential_gather()
+    low = np.arange(256)
+    for o in range(4):
+        for k in range(4):
+            for a in range(4):
+                want = 256 * (o ^ k) + (low ^ (a << (6 - 2 * o)))
                 assert np.array_equal(gather[16 * o + 4 * k + a], want)
+    old_gather = full_register_gather()
+    starts = [
+        random_state(10, np.random.default_rng(69)),
+        start_with_a_light_block(1, 1e-13, 70),
+        one_point_per_block(),
+        ghz_game().initial,
+    ]
+    for start in starts:
+        _, posts = repeated10._stage1_chance(pd_game(start))
+        born = np.stack(
+            [np.zeros(1024) if post is None else post.probabilities for post in posts]
+        )
+        continued = repeated10._continuations(posts)
+        assert continued.shape == (64, 1024)
+        assert continued.tobytes() == born.ravel()[old_gather].tobytes()
 
 
 def test_only_the_sequential_table_builds_the_sequential_gather():
-    """The batch table leaves the 512 KB gather unbuilt in a fresh process."""
+    """The batch table leaves the 128 KB gather unbuilt in a fresh process."""
     script = (
         "import numpy as np\n"
         "from qrgames import repeated10 as r\n"

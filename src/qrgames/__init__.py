@@ -12,8 +12,8 @@ played twice through bit-flip protocols on small qubit registers:
   before measuring, plus the analysis showing it cannot sustain
   first-stage cooperation in a dilemma.
 - ``equilibria``: pure Nash enumeration, strict dominance,
-  backward-induction subgame perfection for pair-product states, and
-  the cooperation threshold of the entangled stage game.
+  subgame perfection by backward induction over per-outcome subgames,
+  and the cooperation threshold of the entangled stage game.
 - ``qstate``/``stagegames``: dense state vectors, flips, projective
   pair measurements, ensembles, payoff tables, strategy encodings.
 - ``claims``: the nine headline claims, run by ``qrgames paper-repro``

@@ -25,13 +25,14 @@ from .claims import it_deviation, mw10_deviation, run_claims
 from .equilibria import pure_nash, spe_pair_product, strictly_dominated
 from .iqbaltoor import ITGame, it_pure_bimatrix
 from .qstate import PureState, tensor_all
-from .repeated10 import NotPairProductError, RepGame, example_state, rep_bimatrix
+from .repeated10 import RepGame, example_state, rep_bimatrix
 from .stagegames import (
     STRATEGY_LABELS,
     Bimatrix,
     StageGame,
     classical_twice_repeated,
     make_pd,
+    payoff_scale,
 )
 
 PROTOCOLS = ("mw10", "iqbal-toor", "classical")
@@ -304,10 +305,9 @@ def cmd_spe(args: argparse.Namespace) -> int:
     )
     try:
         report = spe_pair_product(RepGame(initial, config.stage), tol=args.tol)
-    except NotPairProductError:
-        raise ConfigError("SPE undefined for cross-pair entanglement") from None
     except ValueError as err:
-        # Some outcome's subgame has no pure equilibrium to fold back.
+        # Some outcome heads no self-contained subgame, or one with no pure
+        # equilibrium to fold back.
         raise ConfigError(str(err)) from None
     _emit(report.to_json(STRATEGY_LABELS, STRATEGY_LABELS), args.out)
     return 0
@@ -345,8 +345,8 @@ def cmd_compare_protocols(args: argparse.Namespace) -> int:
         worst, checked = mw10_deviation(config.stage, args.samples, args.seed)
     else:
         worst, checked = it_deviation(config.stage, args.samples, args.seed)
-    # Rounding grows with the payoffs, and a two-stage total reaches 2*max|u|.
-    scale = max(1.0, 2.0 * float(np.abs(config.stage.outcomes).max()))
+    # Rounding grows with the payoffs; the floor keeps small games at --tol.
+    scale = max(1.0, payoff_scale(config.stage))
     passed = worst <= args.tol * scale
     document = {
         "protocol": config.protocol,
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(handler=cmd_nash)
 
-    p = sub.add_parser("spe", help="subgame perfect equilibria (pair-product states)")
+    p = sub.add_parser("spe", help="subgame perfect equilibria (a subgame after every outcome)")
     add_config_flags(p)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(handler=cmd_spe)

@@ -2,9 +2,9 @@
 
 Pure Nash enumeration and strict-dominance checks work on any
 :class:`~.stagegames.Bimatrix`.  Subgame-perfect search is provided for
-the ten-qubit game whenever the initial state factors across the five
-qubit pairs, because only then does each measurement outcome head a
-self-contained one-stage subgame that backward induction can solve.
+the ten-qubit game whenever each measurement outcome heads one
+self-contained subgame, the same after every stage-1 flip (as on a pair
+product), which backward induction can solve: a decision on the tables.
 The cooperation analysis quantifies when an entangled first pair makes
 mutual identity the unique stage equilibrium of a dilemma, which is
 what lets the repeated game sustain cooperation on the path.
@@ -21,7 +21,7 @@ import numpy as np
 
 from .mw import stage_weights
 from .qstate import NORM_ATOL, OUTCOMES
-from .repeated10 import NotPairProductError, RepGame, _product_tables
+from .repeated10 import NotPairProductError, RepGame, start_tables
 from .stagegames import Bimatrix, Payoffs, StageGame
 
 
@@ -128,15 +128,16 @@ def strictly_dominated(bm: Bimatrix, player: int) -> list[tuple[int, int]]:
 
 
 def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
-    """Subgame perfect equilibria of a pair-product twice-played game.
+    """Subgame perfect equilibria of a twice-played game whose outcomes
+    each head a self-contained subgame.
 
     Backward induction: solve the one-stage game of each outcome's qubit
     pair, then, for every way of selecting one second-stage equilibrium
     per outcome, fold the selected continuation values into a 2x2 game
     over the stage-1 flips and keep its equilibria.  The inputs are the
-    tables the extensive form reads off the factors' Born weights: the
-    chance ``chance[k, o]``, the stage-1 table and one continuation table
-    per outcome.  The cell at flips k is the stage-1 payoff there plus
+    tables the extensive form reads (:func:`~.repeated10.start_tables`):
+    the chance ``chance[k, o]``, the stage-1 table and each outcome's
+    subgame.  The cell at flips k is the stage-1 payoff there plus
     ``chance[k, o]`` times the selected value of outcome o, summed over
     the outcomes in order.  Each hit is emitted as a full pair of
     five-bit strategies, indexed like :func:`~.repeated10.rep_bimatrix`
@@ -148,21 +149,23 @@ def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
     are the induced games of every selection, stacked in the order of
     ``itertools.product`` over the subgames' equilibria.
 
-    Raises ``NotPairProductError`` if the start is not a pair product, or
-    ``ValueError`` if some outcome's subgame has no pure equilibrium.
+    Raises ``NotPairProductError`` (its gap and the bound named) after
+    the first outcome that heads no subgame, or ``ValueError`` if some
+    outcome's subgame has no pure equilibrium.
     """
-    tables = _product_tables(game)
-    if tables is None:
-        raise NotPairProductError(
-            "subgame search needs an initial state that factors across "
-            "the five qubit pairs"
-        )
+    tables = start_tables(game)
+    for (o1, o2), heads, gap in zip(OUTCOMES, tables.subgames, tables.gaps):
+        if not heads:
+            raise NotPairProductError(
+                f"no self-contained subgame after outcome {o1}{o2}: its "
+                f"continuations differ by {gap!r} across the stage-1 flips, "
+                f"above the bound {tables.bound!r}"
+            )
     _check_tolerance(tol)
-    chance, stage_tables = tables
     # Row k holds both players' stage-1 payoffs at flips k.
-    base = stage_tables[0].T
+    base = tables.stage1.T
     # values[o, player, a]: outcome o's subgame at its flips a = 2*a1 + a2.
-    values = stage_tables[1:]
+    values = np.stack(tables.stage2[0])
     sub_eq, sub_strict = _nash_masks(
         values[:, 0].reshape(4, 2, 2), values[:, 1].reshape(4, 2, 2), tol
     )
@@ -178,7 +181,7 @@ def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
     selected = np.array(list(product(*hits))).T
     extra = 0.0
     for o, picks in enumerate(selected):
-        extra = extra + chance[:, o, None] * values[o][:, picks].T[:, None, :]
+        extra = extra + tables.chance[:, o, None] * values[o][:, picks].T[:, None, :]
     cells = base + extra
     # cells[s, k, player]; the induced game of selection s is u[s, k1, k2].
     u1, u2 = cells.transpose(2, 0, 1).reshape(2, -1, 2, 2)

@@ -30,6 +30,7 @@ import numpy as np
 from .mw import _expected_from, payoff_observable, stage_weights
 from .qstate import (
     OUTCOMES,
+    PROB_FLOOR,
     DiagonalObservable,
     Ensemble,
     FlipLayer,
@@ -48,6 +49,7 @@ from .stagegames import (
     Payoffs,
     RepStrategy,
     StageGame,
+    payoff_scale,
 )
 
 NUM_QUBITS = 10
@@ -72,9 +74,13 @@ for _bits in (
     _STAGE1_BITS, _AFTER_BITS, _FIRST_PATTERN, _SECOND_PATTERN, _CONTINUATION_ROW
 ):
     _bits.setflags(write=False)
-# Largest singular value or amplitude read as zero when deciding whether a
-# start is a pair product or a two-term superposition.
+# Second singular value read as zero when ``factor_pairs`` peels a cut.
 SUPPORT_TOL = 1e-9
+# Largest spread of an outcome's continuations, in units of payoff_scale,
+# read as one subgame; rounding leaves spreads near 1e-15 on products.
+SUBGAME_TOL = 1e-9
+# Per outcome o, the pair axes its joint marginal with qubits 1-2 sums away.
+_OTHER_PAIRS = tuple(tuple(a for a in range(1, 5) if a != o + 1) for o in range(4))
 
 
 def outcome_qubit_pair(outcome: tuple[int, int]) -> tuple[int, int]:
@@ -428,41 +434,29 @@ def rep_bimatrix(game: RepGame) -> Bimatrix:
 
 
 class NotPairProductError(ValueError):
-    """A start that does not factor across the five qubit pairs."""
+    """A start after which some outcome heads no self-contained subgame."""
 
 
-def _pair_rows(state: PureState) -> np.ndarray | None:
-    """Amplitude rows of a register's two-qubit factors, if it is such a product.
+def factor_pairs(state: PureState) -> tuple[PureState, ...] | None:
+    """The two-qubit factors whose tensor product reconstructs the register,
+    or None if it is entangled across its qubit pairs.
 
     Peels two qubits at a time with a singular value decomposition; the
     state factors at a cut exactly when the second singular value
-    vanishes.  Returns one row of four amplitudes per qubit pair, first
-    pair first, or None if any cut is entangled beyond ``SUPPORT_TOL``.
+    vanishes, up to ``SUPPORT_TOL``.  No table builder reads this.
     """
     if state.num_qubits % 2 != 0:
         raise ValueError("pair factoring needs an even number of qubits")
-    rows = []
+    factors = []
     remaining = state.amplitudes
     for _ in range(state.num_qubits // 2 - 1):
         u, s, vh = np.linalg.svd(remaining.reshape(4, -1), full_matrices=False)
         if s[1] > SUPPORT_TOL:
             return None
-        rows.append(u[:, 0])
+        factors.append(PureState(2, u[:, 0]))
         remaining = vh[0, :]
-    rows.append(remaining)
-    return np.array(rows)
-
-
-def factor_pairs(state: PureState) -> tuple[PureState, ...] | None:
-    """The two-qubit states of :func:`_pair_rows`, whose tensor product
-    reconstructs the input, or None if the register is not a pair product."""
-    rows = _pair_rows(state)
-    return None if rows is None else tuple(PureState(2, row) for row in rows)
-
-
-def _is_two_term(state: PureState) -> bool:
-    """True if only the all-zeros and all-ones basis terms are present."""
-    return bool(np.abs(state.amplitudes[1:-1]).max() <= SUPPORT_TOL)
+    factors.append(PureState(2, remaining))
+    return tuple(factors)
 
 
 @dataclass(frozen=True)
@@ -599,16 +593,11 @@ def _tree_skeleton() -> tuple[tuple[TreeNode | None, ...], ...]:
 
 
 def _assemble_tree(stage: StageGame, chance: np.ndarray, stage2) -> ExtensiveTree:
-    """Fill the fixed tree shape from a chance table and continuation tables.
-
-    ``chance[k, o]`` is the weight of outcome o after stage-1 flips k, both
-    read as 2-bit numbers.  ``stage2[k][o]`` is the continuation after
-    them: a (player, ``2*a1 + a2``) table of second-stage payoffs, which
-    terminals add to the outcome's own, or None where no continuation is
-    defined.  Nodes below a zero chance weight are the skeleton's
+    """Fill the fixed tree shape from the ``chance`` and ``stage2`` tables
+    of :func:`start_tables`; terminals add a continuation to the outcome's
+    own payoffs.  Nodes below a zero chance weight are the skeleton's
     unreachable ones.  Only the four chance nodes and the terminals with
-    payoffs are built here; every other node comes from
-    :func:`_tree_skeleton`.
+    payoffs are built here; every other node is :func:`_tree_skeleton`'s.
     """
     unreachable, reachable = _tree_skeleton()
     nodes = list(reachable)
@@ -640,62 +629,63 @@ def _assemble_tree(stage: StageGame, chance: np.ndarray, stage2) -> ExtensiveTre
     return ExtensiveTree(tuple(nodes), 0)
 
 
-def _product_tables(game: RepGame) -> tuple[np.ndarray, np.ndarray] | None:
-    """Chance ``chance[k, o]`` and one-stage tables of a pair product, or None.
+@dataclass(frozen=True)
+class StartTables:
+    """The tables :func:`start_tables` reads off a start."""
 
-    Stage-1 flips k move the first factor's pattern o XOR k to o.  Table 0
-    is the stage-1 (player, k) table and table 1 + o outcome o's (player,
-    ``2*a1 + a2``) continuation.  Each is ``flip_table``'s product on one
-    factor's Born weights; a gemm over all five would sum in another order.
+    chance: np.ndarray
+    stage1: np.ndarray
+    stage2: tuple[tuple[np.ndarray | None, ...], ...]
+    gaps: tuple[float, ...]
+    subgames: tuple[bool, ...]
+    bound: float
+
+
+def start_tables(game: RepGame) -> StartTables:
+    """What the tree and the subgame search read, from Born weights alone
+    (flips permute amplitudes and payoffs are diagonal).
+
+    Indexed ``(4,) * 5``, one axis per qubit pair, block b (qubits 1-2
+    spelling b) weighs its 256-entry sum, pruned at ``PROB_FLOOR`` as
+    :func:`~.qstate.measure_pair` prunes.  ``chance[k, o]`` is block
+    ``k ^ o``'s weight, and ``stage1`` the (player, k) table ``flip_table``
+    forms on the blocks.  Outcome o from block b continues with the joint
+    marginal of block b and o's pair over b's weight: a (player, ``2*a1 +
+    a2``) table under ``stage_weights[..., xor]``, four reshape-sums in
+    all.  o heads a self-contained subgame (``subgames[o]``) when the
+    spread ``gaps[o]`` of its continuations over the kept blocks is at
+    most ``bound = SUBGAME_TOL * payoff_scale(stage)``.  ``stage2[k][o]``
+    is then the first kept block's continuation for every k, on and off
+    the path; otherwise block ``k ^ o``'s, or None where it is pruned.
     """
-    rows = _pair_rows(game.initial)
-    if rows is None:
-        return None
-    born = np.abs(rows) ** 2
+    born = game.initial.probabilities.reshape((4,) * 5)
+    blocks = born.reshape(4, -1).sum(axis=1)
+    blocks[blocks <= PROB_FLOOR] = 0.0
+    kept = np.flatnonzero(blocks)
     table = stage_weights(game.stage)[..., _xor_patterns(4)]
-    return born[0][_xor_patterns(4)], np.stack([table @ row for row in born])
+    joint = np.stack([born.sum(axis=others) for others in _OTHER_PAIRS])
+    conditional = joint[:, kept] / blocks[kept, None]
+    # values[o, i]: the continuation of outcome o from block kept[i].
+    values = (table @ conditional[..., None, :, None])[..., 0]
+    gaps = (values.max(axis=1) - values.min(axis=1)).max(axis=(1, 2))
+    bound = SUBGAME_TOL * payoff_scale(game.stage)
+    subgames = tuple((gaps <= bound).tolist())
+    reached = [dict(zip(kept.tolist(), rows)) for rows in values]
+    stage2 = tuple(
+        tuple(values[o, 0] if subgames[o] else reached[o].get(k ^ o) for o in range(4))
+        for k in range(4)
+    )
+    chance, stage1 = blocks[_xor_patterns(4)], table @ blocks
+    return StartTables(chance, stage1, stage2, tuple(gaps.tolist()), subgames, bound)
 
 
 def build_extensive(game: RepGame) -> ExtensiveTree:
-    """Extensive form with chance nodes for the measurement.
+    """Extensive form with chance nodes for the measurement, for any start.
 
-    Supported initial states are products across the five qubit pairs
-    (each outcome then heads a well-defined subgame, present in the tree
-    even off the equilibrium path) and two-term superpositions of
-    all-zeros with all-ones (whose trees have genuinely random chance
-    nodes; outcomes ruled out by the superposition are kept as
-    unreachable branches without payoffs).  Anything else is rejected:
-    entanglement across qubit pairs gives the second stage no
-    self-contained continuation to put at a node.
-
-    Both kinds fill the chance table and continuation tables that
-    :func:`_assemble_tree` reads.  A pair product reads them off its
-    factors' Born weights (:func:`_product_tables`).  A two-term start
-    reads them off its measured blocks (:func:`_stage1_chance`): outcome
-    o after stage-1 flips k is block ``k ^ o``, flipped to where qubits
-    1-2 spell o, so its stage-2 payoffs read only the outcome's pair.  One
-    ``flip_table`` call there on the block's post state gives them under
-    all four flips (stage-1 flips leave that marginal alone), and pruned
-    blocks keep weight 0.0 and no continuation.
+    Reads :func:`start_tables`: nodes below a pruned block's 0.0 chance
+    weight are unreachable.  An outcome that heads a subgame has it after
+    every stage-1 flip, so off-path terminals carry payoffs too; otherwise
+    (a GHZ-like start) only the reached branches do.
     """
-    tables = _product_tables(game)
-    if tables is not None:
-        chance, stage_tables = tables
-        return _assemble_tree(game.stage, chance, [stage_tables[1:]] * 4)
-    if not _is_two_term(game.initial):
-        raise ValueError(
-            "extensive form is defined only for pair-product initial states "
-            "or two-term all-zeros/all-ones superpositions"
-        )
-    chance, posts = _stage1_chance(game)
-    weights = stage_weights(game.stage)
-    stage2 = [
-        [
-            None
-            if posts[k ^ o] is None
-            else flip_table(posts[k ^ o], outcome_qubit_pair(outcome), weights)
-            for o, outcome in enumerate(OUTCOMES)
-        ]
-        for k in range(4)
-    ]
-    return _assemble_tree(game.stage, chance, stage2)
+    tables = start_tables(game)
+    return _assemble_tree(game.stage, tables.chance, tables.stage2)

@@ -90,6 +90,12 @@ class StageGame:
         )
 
 
+def payoff_scale(stage: StageGame) -> float:
+    """``2*max|u|``, the most a two-stage total reaches: the unit of payoff
+    tolerances.  A zero game has scale 0.0, so its compares are exact."""
+    return 2.0 * float(np.abs(stage.outcomes).max())
+
+
 def make_pd(t: float, r: float, p: float, s: float) -> StageGame:
     """Prisoner's Dilemma payoff table.
 

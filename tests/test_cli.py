@@ -17,10 +17,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qrgames import claims
+from qrgames import claims, qstate, repeated10
 from qrgames.cli import ConfigError, _number, _parse_terms, main, parse_config
 from qrgames.qstate import PureState, tensor_all
 from qrgames.stagegames import Bimatrix, classical_twice_repeated, make_pd
@@ -433,28 +433,54 @@ def test_spe_reports_both_profiles_of_the_entangled_example(tmp_path, capsys):
     assert doc["equilibria"][1]["payoffs"] == pytest.approx([2.0, 2.0], abs=1e-9)
 
 
-def test_spe_factors_the_start_once(tmp_path, capsys, monkeypatch):
-    """One peel of a pair product: one SVD per cut, four in all."""
+@pytest.mark.parametrize("initial_state", ["pair", "ghz(0.3)"])
+def test_spe_reads_the_start_without_svd_or_measurement(
+    tmp_path, capsys, monkeypatch, initial_state
+):
+    """The search reads the start's Born weights: no SVD peel of the
+    amplitudes and no measured post states, whether it solves or refuses."""
     pair = [{"basis": "00", "prob": 0.2}, {"basis": "11", "prob": 0.8}]
-    config = write_config(tmp_path, mw10_document({"pair_product": [pair] * 5}))
-    svd = np.linalg.svd
+    if initial_state == "pair":
+        initial_state = {"pair_product": [pair] * 5}
+    config = write_config(tmp_path, mw10_document(initial_state))
     calls = []
-
-    def counted_svd(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append("svd"))
+    for module in (repeated10, qstate):
+        monkeypatch.setattr(module, "measure_pair", lambda *_: calls.append("measure"))
     code, _, _ = run_cli(capsys, "spe", "--config", config)
-    assert code == 0
-    assert calls == [(4, 256), (4, 64), (4, 16), (4, 4)]
+    assert code in (0, 2)
+    assert calls == []
 
 
 def test_spe_rejects_cross_pair_entanglement(tmp_path, capsys):
+    """Blocks 00 and 11 hold pair patterns 00 and 11, so the continuations
+    after outcome 00 differ by |S - T| = 5; the bound is 1e-9 * 2 * 5."""
     config = write_config(tmp_path, mw10_document("ghz(0.3)"))
-    code, _, err = run_cli(capsys, "spe", "--config", config)
-    assert code == 2
-    assert "SPE undefined for cross-pair entanglement" in err
+    code, out, err = run_cli(capsys, "spe", "--config", config)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: no self-contained subgame after outcome 00: its continuations "
+        "differ by 5.0 across the stage-1 flips, above the bound 1e-08\n"
+    )
+
+
+def test_spe_on_a_phased_pair_product_prints_the_plain_products_report(
+    tmp_path, capsys
+):
+    """0.5 (|0000> + |0011> + |1100> - |1111>) |0>^6 has a phase between
+    pairs 1 and 2 and the Born weights of the product without it."""
+    reports = []
+    for sign in (1, -1):
+        terms = [
+            {"basis": bits + "0" * 6, "re": 0.5}
+            for bits in ("0000", "0011", "1100")
+        ] + [{"basis": "1111" + "0" * 6, "re": 0.5 * sign}]
+        config = write_config(tmp_path, mw10_document(terms), name=f"s{sign}.json")
+        reports.append(run_cli(capsys, "spe", "--config", config))
+    plain, phased = reports
+    assert plain[0] == 0 and plain[2] == ""
+    assert phased == plain
+    assert [e["row"] for e in json.loads(plain[1])["equilibria"]]
 
 
 def test_spe_rejects_the_four_qubit_protocol(tmp_path, capsys):
@@ -1019,8 +1045,23 @@ def _numbers_in(command: str, out: str) -> list[float]:
     return found
 
 
+def _dense_start_document() -> dict:
+    """A seeded random ten-qubit start given as all 1024 terms."""
+    amplitudes = np.random.default_rng(2026).standard_normal((1024, 2))
+    amplitudes /= np.linalg.norm(amplitudes)
+    terms = [
+        {"basis": format(index, "010b"), "re": re, "im": im}
+        for index, (re, im) in enumerate(amplitudes.tolist())
+    ]
+    return mw10_document(terms)
+
+
+_DENSE_START = _dense_start_document()
+
+
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(document=_configs())
+@example(document=_DENSE_START)
 def test_any_config_ends_in_a_finite_result_or_exit_two(tmp_path_factory, document):
     path = tmp_path_factory.mktemp("fuzz") / "config.json"
     path.write_text(json.dumps(document))
@@ -1029,5 +1070,9 @@ def test_any_config_ends_in_a_finite_result_or_exit_two(tmp_path_factory, docume
         with redirect_stdout(out), redirect_stderr(err):
             code = main([command, "--config", str(path)])
         assert code in (0, 2), (command, code, err.getvalue())
+        if command == "spe" and document == _DENSE_START:
+            # Every outcome's continuations differ across the dense blocks.
+            assert code == 2
+            assert err.getvalue().startswith("error: no self-contained subgame after")
         if code == 0:
             assert all(math.isfinite(v) for v in _numbers_in(command, out.getvalue()))

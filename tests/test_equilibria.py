@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+from exact_eval import assert_start_tables_within_rounding
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,9 +22,10 @@ from qrgames.equilibria import (
     spe_pair_product,
     strictly_dominated,
 )
-from qrgames.mw import MWGame, mw_bimatrix
+from qrgames.mw import MWGame, mw_bimatrix, stage_weights
 from qrgames.qstate import (
     OUTCOMES,
+    PROB_FLOOR,
     FlipLayer,
     PureState,
     apply_flips,
@@ -35,6 +37,7 @@ from qrgames.repeated10 import (
     RepGame,
     factor_pairs,
     rep_bimatrix,
+    start_tables,
 )
 from qrgames.stagegames import (
     Bimatrix,
@@ -43,6 +46,7 @@ from qrgames.stagegames import (
     classical_twice_repeated,
     make_bos,
     make_pd,
+    payoff_scale,
 )
 
 PD = make_pd(5, 3, 1, 0)
@@ -288,21 +292,20 @@ def backward_induction_oracle(factors, stage, tol=1e-9):
     return sorted(results)
 
 
-def scalar_spe_oracle(game, tol=1e-9):
-    """Backward induction cell by cell: chance weights of the flipped first
-    factor, each outcome's ``mw_bimatrix`` and one scalar sum per player and
-    stage-1 cell, in the order the table search must keep bit for bit."""
-    factors = factor_pairs(game.initial)
-    stage1_bm = mw_bimatrix(MWGame(factors[0], game.stage))
-    subgames = {
-        o: mw_bimatrix(MWGame(f, game.stage)) for o, f in zip(OUTCOMES, factors[1:])
-    }
-    distributions = {}
-    for k1 in (0, 1):
-        for k2 in (0, 1):
-            flipped = apply_flips(factors[0], FlipLayer({1: k1, 2: k2}))
-            weights = flipped.probabilities.tolist()
-            distributions[(k1, k2)] = {o: weights[2 * o[0] + o[1]] for o in OUTCOMES}
+def scalar_spe_fold(stage1, chance, values, tol=1e-9):
+    """Backward induction cell by cell on given tables: ``stage1[player, k]``,
+    ``chance[k, o]`` and ``values[o][player, a]``, with flips k and a read
+    as 2-bit numbers.  One ``pure_nash`` per subgame and per selection's
+    induced game, and one scalar sum per player and stage-1 cell, in the
+    order the table search must keep bit for bit."""
+
+    def bimatrix(table):
+        u1, u2 = np.asarray(table).reshape(2, 2, 2)
+        return Bimatrix(u1, u2, ("0", "1"), ("0", "1"))
+
+    stage1_bm = bimatrix(stage1)
+    subgames = {o: bimatrix(table) for o, table in zip(OUTCOMES, values)}
+    chance = np.asarray(chance).tolist()
     subgame_ne = [pure_nash(subgames[o], tol=tol).equilibria for o in OUTCOMES]
     found = []
     for selection in itertools.product(*subgame_ne):
@@ -313,9 +316,10 @@ def scalar_spe_oracle(game, tol=1e-9):
                 base = stage1_bm.cell(k1, k2)
                 extra1 = extra2 = 0.0
                 for o, chosen in zip(OUTCOMES, selection):
+                    weight = chance[2 * k1 + k2][2 * o[0] + o[1]]
                     value = subgames[o].cell(chosen.row, chosen.col)
-                    extra1 += distributions[(k1, k2)][o] * value[0]
-                    extra2 += distributions[(k1, k2)][o] * value[1]
+                    extra1 += weight * value[0]
+                    extra2 += weight * value[1]
                 row.append((base[0] + extra1, base[1] + extra2))
             cells.append(row)
         induced = Bimatrix.from_cells(cells, ("0", "1"), ("0", "1"))
@@ -327,7 +331,40 @@ def scalar_spe_oracle(game, tol=1e-9):
     return sorted(found, key=lambda eq: (eq.row, eq.col))
 
 
-@pytest.mark.parametrize(
+def start_table_fold(game, tol=1e-9):
+    """The scalar fold on ``start_tables(game)``, the tables the search reads."""
+    tables = start_tables(game)
+    return scalar_spe_fold(tables.stage1, tables.chance, tables.stage2[0], tol)
+
+
+def scalar_spe_oracle(game, tol=1e-9):
+    """The scalar fold on the factors' tables: chance weights of the
+    flipped first factor and one ``mw_bimatrix`` per factor, a path that
+    shares nothing with ``start_tables``."""
+    factors = factor_pairs(game.initial)
+    tables = [mw_bimatrix(MWGame(f, game.stage)) for f in factors]
+    stage1, *values = [
+        np.stack([bm.payoffs1.ravel(), bm.payoffs2.ravel()]) for bm in tables
+    ]
+    chance = [
+        apply_flips(factors[0], FlipLayer({1: k >> 1, 2: k & 1})).probabilities
+        for k in range(4)
+    ]
+    return scalar_spe_fold(stage1, chance, values, tol)
+
+
+def decisions(equilibria):
+    return [(eq.row, eq.col, eq.strict) for eq in equilibria]
+
+
+def assert_same_bits(got, want):
+    assert got == want
+    assert [np.signbit(eq.payoffs).tolist() for eq in got] == [
+        np.signbit(eq.payoffs).tolist() for eq in want
+    ]
+
+
+SPE_STAGES = pytest.mark.parametrize(
     "stage",
     [
         PD,
@@ -338,6 +375,9 @@ def scalar_spe_oracle(game, tol=1e-9):
     ],
     ids=["pd", "fractional", "negative", "t1e8", "signed-zero"],
 )
+
+
+@SPE_STAGES
 def test_subgame_search_equals_the_scalar_loop_bit_for_bit(stage):
     rng = np.random.default_rng(20261020)
     starts = [tensor_all([random_state(2, rng) for _ in range(5)]) for _ in range(20)]
@@ -347,14 +387,32 @@ def test_subgame_search_equals_the_scalar_loop_bit_for_bit(stage):
             tensor_all([pair_state(weight)] * 5),
             tensor_all([pair_state(weight), zero, pair_state(weight), zero, zero]),
         ]
-    for index, state in enumerate(starts):
+    for state in starts:
         game = RepGame(state, stage)
-        want = scalar_spe_oracle(game)
         got = list(spe_pair_product(game).equilibria)
-        assert got == want, index
-        assert [np.signbit(eq.payoffs).tolist() for eq in got] == [
-            np.signbit(eq.payoffs).tolist() for eq in want
-        ], index
+        # The fold, bit for bit, on the tables the search reads.
+        assert_same_bits(got, start_table_fold(game))
+        # Those tables within rounding of exact arithmetic, and the
+        # decisions of the factor path.
+        assert_start_tables_within_rounding(
+            start_tables(game), state.probabilities, stage_weights(stage), PROB_FLOOR
+        )
+        assert decisions(got) == decisions(scalar_spe_oracle(game))
+
+
+@SPE_STAGES
+def test_subgame_search_keeps_the_factor_path_decisions_on_64_products(stage):
+    """Reading the start's Born weights in place of its SVD factors moves
+    payoffs by rounding only: the same profiles, the same strict flags."""
+    rng = np.random.default_rng(20261021)
+    for index in range(64):
+        game = RepGame(tensor_all([random_state(2, rng) for _ in range(5)]), stage)
+        got = spe_pair_product(game).equilibria
+        want = scalar_spe_oracle(game)
+        assert decisions(got) == decisions(want), index
+        for eq, old in zip(got, want):
+            gap = np.abs(np.subtract(eq.payoffs, old.payoffs)).max()
+            assert gap <= 1e-13 * payoff_scale(stage), index
 
 
 def test_subgame_search_equals_the_scalar_loop_on_sixteen_selections():
@@ -368,12 +426,10 @@ def test_subgame_search_equals_the_scalar_loop_on_sixteen_selections():
                 subgame = mw_bimatrix(MWGame(factor, stage))
                 assert len(pure_nash(subgame).equilibria) == 2
             got = list(spe_pair_product(game).equilibria)
-            want = scalar_spe_oracle(game)
-            assert got == want
+            assert_same_bits(got, start_table_fold(game))
+            # One-hot Born weights: both paths read every payoff exactly.
+            assert_same_bits(got, scalar_spe_oracle(game))
             assert len(got) >= 16
-            assert [np.signbit(eq.payoffs).tolist() for eq in got] == [
-                np.signbit(eq.payoffs).tolist() for eq in want
-            ]
 
 
 def test_a_tied_subgame_leaves_no_subgame_perfect_profile_strict():
@@ -383,7 +439,8 @@ def test_a_tied_subgame_leaves_no_subgame_perfect_profile_strict():
     zero = PureState.basis(2, 0)
     game = RepGame(tensor_all([zero, zero, tie, zero, zero]), PD)
     got = list(spe_pair_product(game).equilibria)
-    assert got == scalar_spe_oracle(game)
+    assert_same_bits(got, start_table_fold(game))
+    assert decisions(got) == decisions(scalar_spe_oracle(game))
     assert len(got) == 2
     assert not any(eq.strict for eq in got)
 
@@ -445,8 +502,15 @@ def test_subgame_search_needs_pair_factors():
         10, {"0" * 10: np.sqrt(0.3), "1" * 10: np.sqrt(0.7)}
     )
     assert issubclass(NotPairProductError, ValueError)
-    with pytest.raises(NotPairProductError, match="factors across"):
+    # Blocks 00 and 11 hold pair patterns 00 and 11: the continuations
+    # after outcome 00 differ by |S - T| = 5, and the bound is 1e-9 * 10.
+    message = (
+        "no self-contained subgame after outcome 00: its continuations differ "
+        "by 5.0 across the stage-1 flips, above the bound 1e-08"
+    )
+    with pytest.raises(NotPairProductError) as raised:
         spe_pair_product(RepGame(ghz, PD))
+    assert str(raised.value) == message
 
 
 def test_subgame_search_reports_an_unsolvable_outcome():

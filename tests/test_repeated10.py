@@ -9,10 +9,13 @@ import sys
 
 import numpy as np
 import pytest
+from exact_eval import assert_start_tables_within_rounding
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qrgames.equilibria import pure_nash, strictly_dominated
-from qrgames.mw import MWGame, mw_bimatrix, payoff_observable
-from qrgames import repeated10
+from qrgames.equilibria import pure_nash, spe_pair_product, strictly_dominated
+from qrgames.mw import MWGame, mw_bimatrix, payoff_observable, stage_weights
+from qrgames import qstate, repeated10
 from qrgames.qstate import (
     OUTCOMES,
     PROB_FLOOR,
@@ -43,6 +46,7 @@ from qrgames.repeated10 import (
     rep_bimatrix,
     rep_component_tables,
     sequential_component_tables,
+    start_tables,
     strategy_qubit_map,
 )
 from qrgames.stagegames import (
@@ -628,9 +632,26 @@ def test_sequential_table_measures_the_start_once(measure_pair_calls):
     assert len(measure_pair_calls) == 1
 
 
-def test_two_term_tree_measures_the_start_once(measure_pair_calls):
-    build_extensive(ghz_game(0.3))
-    assert len(measure_pair_calls) == 1
+@pytest.mark.parametrize(
+    "make_game",
+    [
+        ghz_game,
+        all_zero_game,
+        lambda: pd_game(tensor_all([random_state(2, np.random.default_rng(65))] * 5)),
+        lambda: pd_game(random_state(10, np.random.default_rng(66))),
+    ],
+    ids=["ghz", "basis", "pair-product", "dense"],
+)
+def test_trees_read_the_start_without_svd_or_measurement(
+    make_game, measure_pair_calls, monkeypatch
+):
+    """The tree reads Born weights only: no SVD peel, no measured posts."""
+    game = make_game()
+    svd_calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: svd_calls.append(args))
+    monkeypatch.setattr(qstate, "measure_pair", measure_pair_calls.append)
+    build_extensive(game)
+    assert svd_calls == [] and measure_pair_calls == []
 
 
 def test_play_sequential_measures_once_per_profile(measure_pair_calls):
@@ -908,6 +929,62 @@ def product_tree_oracle(game: RepGame):
     )
 
 
+def start_table_tree(game: RepGame) -> ExtensiveTree:
+    """``callback_tree`` fed with ``start_tables(game)``: the assembly the
+    tree must equal bit for bit, apart from how the tables are read."""
+    tables = start_tables(game)
+    distributions = {
+        (k >> 1, k & 1): dict(zip(OUTCOMES, row))
+        for k, row in enumerate(tables.chance.tolist())
+    }
+
+    def stage2_fn(k1, k2, outcome, a1, a2):
+        table = tables.stage2[2 * k1 + k2][2 * outcome[0] + outcome[1]]
+        return None if table is None else table[:, 2 * a1 + a2].tolist()
+
+    return callback_tree(game.stage, distributions, stage2_fn)
+
+
+def assert_tables_within_rounding(game: RepGame) -> None:
+    """``start_tables(game)`` against the exact tables of its Born weights."""
+    assert_start_tables_within_rounding(
+        start_tables(game),
+        game.initial.probabilities,
+        stage_weights(game.stage),
+        PROB_FLOOR,
+    )
+
+
+def assert_oracle_structure(tree, oracle, subgames) -> None:
+    """The tree has the oracle's shape, where the oracle reads the start on
+    another path.
+
+    Node ids, kinds, owners, information sets, actions and children are
+    the oracle's.  A subtree is reachable where the oracle's chance weight
+    above it exceeds ``PROB_FLOOR`` (the tree prunes as the measurement
+    does).  A terminal has payoffs where the oracle's has, and also where
+    its outcome heads a subgame (``subgames[o]``), which serves off the
+    path too.  Zero payoffs in both carry the oracle's sign.
+    """
+    shape = ("node_id", "kind", "owner", "info_set", "actions", "children")
+    assert [[getattr(n, f) for f in shape] for n in tree.nodes] == [
+        [getattr(n, f) for f in shape] for n in oracle.nodes
+    ]
+    for chance in (node for node in oracle.nodes if node.kind == "chance"):
+        for o, (head, weight) in enumerate(zip(chance.children, chance.probabilities)):
+            subtree = slice(head, head + 7)
+            for got, want in zip(tree.nodes[subtree], oracle.nodes[subtree]):
+                assert got.reachable == (weight > PROB_FLOOR)
+                if got.kind != "terminal":
+                    continue
+                undefined = want.payoffs is None and not subgames[o]
+                assert (got.payoffs is None) == undefined
+                if got.payoffs is not None and want.payoffs is not None:
+                    for mine, theirs in zip(got.payoffs, want.payoffs):
+                        if mine == theirs == 0.0:
+                            assert np.signbit(mine) == np.signbit(theirs)
+
+
 @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.4, 2.9)])
 @pytest.mark.parametrize("weight", [0.3, 0.05, 0.95, 1e-14, 1.0 - 1e-14])
 @pytest.mark.parametrize("stage", [PD, FRACTIONAL, make_pd(4.2, 2.5, -0.3, -1.7)])
@@ -922,8 +999,13 @@ def test_two_term_tree_equals_the_dense_expectation_tree(stage, weight, phases):
     game = RepGame(state, stage)
     assert factor_pairs(state) is None
     tree = build_extensive(game)
-    assert tree.to_json() == two_term_tree_oracle(game).to_json()
+    assert tree.to_json() == start_table_tree(game).to_json()
+    assert_tables_within_rounding(game)
     pruned = min(weight, 1.0 - weight) <= PROB_FLOOR
+    # One kept block heads every subgame; two disagree after every outcome.
+    subgames = start_tables(game).subgames
+    assert subgames == (pruned,) * 4
+    assert_oracle_structure(tree, two_term_tree_oracle(game), subgames)
     probabilities = [
         p for node in tree.nodes if node.kind == "chance" for p in node.probabilities
     ]
@@ -956,10 +1038,16 @@ def pair_product_starts():
     ids=["pd", "fractional", "negative", "t1e8", "signed-zero"],
 )
 def test_pair_product_tree_equals_the_per_factor_tree(stage):
+    """Assembly bit for bit from the tables, the tables within rounding of
+    exact arithmetic, and the per-factor tree's shape: every outcome heads
+    a subgame, whose payoffs serve off the path too."""
     for index, state in enumerate(pair_product_starts()):
         game = RepGame(state, stage)
-        want = product_tree_oracle(game).to_json()
-        assert build_extensive(game).to_json() == want, index
+        tree = build_extensive(game)
+        assert tree.to_json() == start_table_tree(game).to_json(), index
+        assert_tables_within_rounding(game)
+        assert start_tables(game).subgames == (True,) * 4, index
+        assert_oracle_structure(tree, product_tree_oracle(game), (True,) * 4)
 
 
 def test_pair_product_tree_differs_only_after_the_entangled_outcome():
@@ -982,6 +1070,137 @@ def test_pair_product_tree_differs_only_after_the_entangled_outcome():
             assert np.allclose(terminal_q.payoffs, want, atol=1e-12)
         else:
             assert terminal_q.payoffs == terminal_c.payoffs
+
+
+def test_start_tables_prune_blocks_as_the_measurement_does():
+    """The block weights are the measured outcome probabilities bit for
+    bit, 0.0 where ``measure_pair`` prunes (blocks scaled to 0 and 1e-7
+    fall below ``PROB_FLOOR``, 1e-5 stays above it)."""
+    for seed, scale in enumerate((1.0, 0.0, 1e-7, 1e-5)):
+        rng = np.random.default_rng(70 + seed)
+        amplitudes = random_state(10, rng).amplitudes.copy()
+        amplitudes[256 * seed : 256 * (seed + 1)] *= scale
+        game = pd_game(PureState(10, amplitudes / np.linalg.norm(amplitudes)))
+        chance, _ = repeated10._stage1_chance(game)
+        assert np.array_equal(start_tables(game).chance, chance)
+        assert np.count_nonzero(chance) == (12 if scale in (0.0, 1e-7) else 16)
+
+
+def seeded_start(kind: str, seed: int) -> PureState:
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        return random_state(10, rng)
+    if kind == "pair-product":
+        return tensor_all([random_state(2, rng) for _ in range(5)])
+    if kind == "two-term":
+        weight = rng.uniform(0.01, 0.99)
+        phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 2))
+        return PureState.from_terms(
+            10,
+            {
+                "0" * 10: np.sqrt(weight) * phases[0],
+                "1" * 10: np.sqrt(1.0 - weight) * phases[1],
+            },
+        )
+    return PureState.basis(10, int(rng.integers(1024)))
+
+
+_STARTS = st.tuples(
+    st.sampled_from(["dense", "pair-product", "two-term", "basis"]),
+    st.integers(0, 2**32 - 1),
+)
+BATTLE = StageGame((((3, 2), (0, 0)), ((0, 0), (2, 3))))
+_STAGES = st.sampled_from([PD, FRACTIONAL, BATTLE])
+
+
+def spe_or_refusal(game: RepGame) -> str:
+    try:
+        return spe_pair_product(game).to_json()
+    except ValueError as err:
+        return f"refused: {err}"
+
+
+def tree_shape(tree: ExtensiveTree) -> list:
+    return [
+        (node.node_id, node.kind, node.children, node.reachable, node.payoffs is None)
+        for node in tree.nodes
+    ]
+
+
+def every_output(game: RepGame) -> list:
+    """Every table, tree, Nash set and SPE report of a game, as bytes or text."""
+    tables = start_tables(game)
+    stage2 = [None if t is None else t.tobytes() for row in tables.stage2 for t in row]
+    batch = rep_component_tables(game)
+    sequential = sequential_component_tables(game)
+    return [
+        tables.chance.tobytes(),
+        tables.stage1.tobytes(),
+        stage2,
+        tables.gaps,
+        [batch[key].tobytes() for key in TABLE_KEYS],
+        [sequential[key].tobytes() for key in TABLE_KEYS],
+        build_extensive(game).to_json(),
+        pure_nash(rep_bimatrix(game)).to_json(),
+        spe_or_refusal(game),
+    ]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(start=_STARTS, stage=_STAGES, seed=st.integers(0, 2**32 - 1))
+def test_a_sign_pattern_leaves_every_output_bit_identical(start, stage, seed):
+    """Flipping the sign of any amplitudes keeps every Born weight, and
+    every output reads only those."""
+    state = seeded_start(*start)
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=1024)
+    signed = PureState(10, state.amplitudes * signs)
+    assert every_output(RepGame(signed, stage)) == every_output(RepGame(state, stage))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(start=_STARTS, stage=_STAGES, seed=st.integers(0, 2**32 - 1))
+def test_a_phase_pattern_leaves_every_decision_unchanged(start, stage, seed):
+    """Phases move Born weights by rounding only: the same subgame
+    decision, SPE profiles and strict flags (or the same refused outcome),
+    and the same tree shape."""
+    state = seeded_start(*start)
+    phases = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2 * np.pi, 1024))
+    phased = PureState(10, state.amplitudes * phases)
+    games = [RepGame(start, stage) for start in (state, phased)]
+    tables = [start_tables(game) for game in games]
+    assert tables[0].subgames == tables[1].subgames
+    if all(tables[0].subgames):
+        first, second = (spe_pair_product(game).equilibria for game in games)
+        assert [(e.row, e.col, e.strict) for e in first] == [
+            (e.row, e.col, e.strict) for e in second
+        ]
+    else:
+        refused = [spe_or_refusal(game).split(": its")[0] for game in games]
+        assert refused[0] == refused[1]
+    first_tree, second_tree = (build_extensive(game) for game in games)
+    assert tree_shape(first_tree) == tree_shape(second_tree)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(start=_STARTS, stage=_STAGES, k=st.integers(-40, 40))
+def test_payoffs_times_a_power_of_two_leave_the_subgame_decision(start, stage, k):
+    """A power of two scales every table entry, gap and the bound exactly,
+    so the subgame decision and the tree's shape do not move."""
+    state = seeded_start(*start)
+    factor = 2.0**k
+    scaled = StageGame((np.array(stage.outcomes) * factor).tolist())
+    plain, times = (start_tables(RepGame(state, s)) for s in (stage, scaled))
+    assert times.subgames == plain.subgames
+    assert times.gaps == tuple(gap * factor for gap in plain.gaps)
+    assert times.bound == plain.bound * factor
+    assert np.array_equal(times.stage1, plain.stage1 * factor)
+    for row, plain_row in zip(times.stage2, plain.stage2):
+        for table, plain_table in zip(row, plain_row):
+            assert (table is None) == (plain_table is None)
+            if table is not None:
+                assert np.array_equal(table, plain_table * factor)
+    trees = (build_extensive(RepGame(state, s)) for s in (stage, scaled))
+    assert tree_shape(next(trees)) == tree_shape(next(trees))
 
 
 def test_tree_serialization_round_trips():
@@ -1048,9 +1267,10 @@ def test_trees_share_their_decision_nodes():
 
 
 def test_a_pruned_two_term_start_uses_the_unreachable_variants():
-    """At weight 1e-14 the measurement prunes all but one outcome per
-    stage-1 flip pair: the nodes below the others are the skeleton's
-    unreachable ones, terminals included, and the rest its reachable ones."""
+    """At weight 1e-14 the pruning keeps one outcome per stage-1 flip
+    pair: the decisions below the others are the skeleton's unreachable
+    ones and the rest its reachable ones.  The one kept block makes every
+    outcome head a subgame, so every terminal carries payoffs."""
     tree = build_extensive(ghz_game(1e-14))
     unreachable_nodes, reachable_nodes = repeated10._tree_skeleton()
     unreachable = 0
@@ -1061,20 +1281,38 @@ def test_a_pruned_two_term_start_uses_the_unreachable_variants():
         for o, (first, weight) in enumerate(zip(chance.children, weights)):
             assert first == chance_id + 1 + 7 * o
             block = tree.nodes[first : first + 7]
-            if weight > 0.0:
-                variant = reachable_nodes[first : first + 7]
-                assert all(block[i] is variant[i] for i in (0, 1, 4))
-                assert all(block[i].payoffs is not None for i in (2, 3, 5, 6))
-            else:
-                variant = unreachable_nodes[first : first + 7]
-                assert all(got is want for got, want in zip(block, variant))
-                unreachable += 7
+            variant = (reachable_nodes if weight > 0.0 else unreachable_nodes)[
+                first : first + 7
+            ]
+            assert all(block[i] is variant[i] for i in (0, 1, 4))
+            assert all(block[i].payoffs is not None for i in (2, 3, 5, 6))
+            assert all(node.reachable == (weight > 0.0) for node in block)
+            unreachable += 7 * (weight == 0.0)
     assert unreachable == sum(not node.reachable for node in tree.nodes) == 84
 
 
-def test_tree_rejects_unsupported_entanglement():
+def test_tree_accepts_a_start_entangled_across_pairs():
+    """Blocks 00 and 01 hold different patterns of pair 3-4, so outcome 00
+    heads no subgame: its reached branches carry their own continuations,
+    and the terminals below a pruned block have no payoffs.  Pairs 5-10
+    are |00> in both blocks, so the other outcomes head subgames."""
     state = PureState.from_terms(
         10, {"0" * 10: np.sqrt(0.5), "0110000000": np.sqrt(0.5)}
     )
-    with pytest.raises(ValueError, match="pair-product"):
-        build_extensive(pd_game(state))
+    game = pd_game(state)
+    tree = build_extensive(game)
+    assert start_tables(game).subgames == (False, True, True, True)
+    for a1, a2, outcome, b1, b2, terminal in walk_terminals(tree):
+        block = (2 * a1 + a2) ^ (2 * outcome[0] + outcome[1])
+        if outcome != (0, 0):
+            assert terminal.payoffs == tuple(np.add(PD.pair(*outcome), PD.pair(b1, b2)))
+        elif block in (0, 1):
+            # Block 01 holds pair 3-4 at 10, which the stage-2 flips move.
+            held = (block, 0)
+            second = PD.pair(held[0] ^ b1, held[1] ^ b2)
+            assert terminal.payoffs == tuple(np.add(PD.pair(0, 0), second))
+        else:
+            assert terminal.payoffs is None and not terminal.reachable
+    assert_tables_within_rounding(game)
+    with pytest.raises(ValueError, match="no self-contained subgame after outcome 00"):
+        spe_pair_product(game)

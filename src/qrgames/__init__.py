@@ -31,7 +31,6 @@ from .qstate import (
     basis_index,
     bits_of,
     expectation,
-    flip_table,
     measure_pair,
     random_state,
     tensor_all,
@@ -48,7 +47,7 @@ from .stagegames import (
     make_pd,
     qubit_count,
 )
-from .mw import MWGame, mw_bimatrix, payoff_observable
+from .mw import MWGame, mw_bimatrix, pair_table, payoff_observable
 from .iqbaltoor import (
     IT_PURE_STRATEGIES,
     IT_STRATEGY_LABELS,
@@ -103,7 +102,6 @@ __all__ = [
     "basis_index",
     "bits_of",
     "expectation",
-    "flip_table",
     "measure_pair",
     "random_state",
     "tensor_all",
@@ -119,6 +117,7 @@ __all__ = [
     "qubit_count",
     "MWGame",
     "mw_bimatrix",
+    "pair_table",
     "payoff_observable",
     "IT_PURE_STRATEGIES",
     "IT_STRATEGY_LABELS",

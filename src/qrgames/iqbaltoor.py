@@ -17,15 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import pure_nash
-from .qstate import (
-    DiagonalObservable,
-    FlipLayer,
-    PureState,
-    apply_flips,
-    flip_table,
-)
+from .qstate import DiagonalObservable, FlipLayer, PureState, apply_flips
 from .stagegames import Bimatrix, ExpectedPayoffs, StageGame
-from .mw import _expected_from, payoff_observable, stage_weights
+from .mw import _expected_from, pair_table, payoff_observable
 
 # Largest payoff difference read as equality by the stage-1 pattern's
 # symmetry test and by the no-cooperation check's margins and equilibria.
@@ -85,22 +79,32 @@ def _observables(stage: StageGame) -> tuple[DiagonalObservable, ...]:
     )
 
 
+def _stage_tables(game: ITGame) -> tuple[np.ndarray, np.ndarray]:
+    """Both stages' (player, flip) tables: :func:`~.mw.pair_table` on the
+    marginals of qubits 1-2 (the Born weights, four by four, summed over
+    qubits 3-4) and of qubits 3-4 (summed over qubits 1-2).
+    """
+    born = game.initial.probabilities.reshape(4, 4)
+    table = pair_table(game.stage)
+    return table @ born.sum(axis=1), table @ born.sum(axis=0)
+
+
 def it_expected(game: ITGame, s1: ITStrategy, s2: ITStrategy) -> ExpectedPayoffs:
     """Expected payoffs per player and stage under (possibly mixed) strategies.
 
     Each stage reads one qubit pair, 1-2 or 3-4, and the four per-qubit
     flips are drawn independently, so a stage's expectation is the
-    blend of its :func:`~.qstate.flip_table` row over the four flips of
-    its pair, each weighted by the product of the two qubits' chances of
+    blend of its :func:`_stage_tables` row over the four flips of its
+    pair, each weighted by the product of the two qubits' chances of
     taking it.  A pure profile puts weight 1.0 on one flip, so its totals
     are the :func:`it_pure_bimatrix` cell exactly.
     """
-    weights = stage_weights(game.stage)
     stage1, stage2 = (
-        flip_table(game.initial, pair, weights) @ np.kron([1.0 - a, a], [1.0 - b, b])
-        for pair, a, b in (
-            ((1, 2), s1.stage1_flip_prob, s2.stage1_flip_prob),
-            ((3, 4), s1.stage2_flip_prob, s2.stage2_flip_prob),
+        table @ np.kron([1.0 - a, a], [1.0 - b, b])
+        for table, a, b in zip(
+            _stage_tables(game),
+            (s1.stage1_flip_prob, s1.stage2_flip_prob),
+            (s2.stage1_flip_prob, s2.stage2_flip_prob),
         )
     )
     return ExpectedPayoffs(
@@ -128,11 +132,11 @@ def it_pure_bimatrix(game: ITGame) -> Bimatrix:
     Rows and columns are labeled ``stage1_bit stage2_bit``; the cell
     holds (E11 + E12, E21 + E22).  Each stage's payoffs read one qubit
     pair, so both stage tables come from the marginals of qubits 1-2
-    and 3-4 (:func:`~.qstate.flip_table`), indexed by the flips there.
+    and 3-4 (:func:`_stage_tables`), indexed by the flips there.
     """
-    weights = stage_weights(game.stage)
-    stage1 = flip_table(game.initial, (1, 2), weights).reshape(2, 2, 1, 2, 1)
-    stage2 = flip_table(game.initial, (3, 4), weights).reshape(2, 1, 2, 1, 2)
+    stage1, stage2 = _stage_tables(game)
+    stage1 = stage1.reshape(2, 2, 1, 2, 1)
+    stage2 = stage2.reshape(2, 1, 2, 1, 2)
     # Axes: player, then k1, k3 (player 1's bits) and k2, k4 (player 2's),
     # so the row index is 2*k1 + k3 and the column index 2*k2 + k4.
     totals = (stage1 + stage2).reshape(2, 4, 4)
@@ -165,9 +169,10 @@ def it_stage1_pattern(game: ITGame) -> Stage1Pattern:
     """Classify the first-stage payoff pattern of an initial state.
 
     Stage-2 choices are irrelevant here because the stage-1 observables
-    act as the identity on qubits 3 and 4.
+    act as the identity on qubits 3 and 4: the pattern is the stage-1
+    table of :func:`_stage_tables`.
     """
-    e1, e2 = flip_table(game.initial, (1, 2), stage_weights(game.stage)).tolist()
+    e1, e2 = _stage_tables(game)[0].tolist()
     r, s, t, p = e1
     symmetric = (
         abs(e2[0] - r) <= PATTERN_TOL

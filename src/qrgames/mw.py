@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DiagonalObservable, Ensemble, PureState, expectation, flip_table
+from .qstate import DiagonalObservable, Ensemble, PureState, expectation
 from .stagegames import Bimatrix, ExpectedPayoffs, StageGame
 
 
@@ -45,9 +45,28 @@ def stage_weights(stage: StageGame) -> np.ndarray:
 
     Row ``player - 1`` holds the payoffs at bit patterns 00, 01, 10, 11
     of the pair (first qubit most significant), the layout
-    :func:`~.qstate.flip_table` reads.
+    :func:`pair_table` permutes.
     """
     return np.array(stage.outcomes).reshape(4, 2).T
+
+
+# The read-only index ``[f, z] -> z ^ f`` over a qubit pair's four patterns.
+_XOR_PATTERNS = np.arange(4)[:, None] ^ np.arange(4)
+_XOR_PATTERNS.setflags(write=False)
+
+
+def pair_table(stage: StageGame) -> np.ndarray:
+    """Both players' payoffs on a qubit pair under every flip of the pair.
+
+    Entry ``[player - 1, f, z]`` is the payoff at pattern ``z ^ f``: what
+    the pair pays when it is found at pattern z after flips f.  Flips
+    only permute amplitudes, so ``pair_table(stage) @ marginal`` is the
+    (player, f) table of expected payoffs under every flip f, where
+    ``marginal`` is the pair's Born distribution before the flips.  On a
+    basis state the marginal is one-hot, so every entry is a payoff read
+    exactly.
+    """
+    return stage_weights(stage)[..., _XOR_PATTERNS]
 
 
 @dataclass(frozen=True)
@@ -70,6 +89,6 @@ def mw_bimatrix(game: MWGame) -> Bimatrix:
     this is a relabeling of the stage table; on a superposition each
     cell mixes outcome entries with the Born weights.
     """
-    values = flip_table(game.initial, (1, 2), stage_weights(game.stage))
+    values = pair_table(game.stage) @ game.initial.probabilities
     u1, u2 = values.reshape(2, 2, 2)
     return Bimatrix(u1, u2, row_labels=("0", "1"), col_labels=("0", "1"))

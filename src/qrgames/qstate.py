@@ -4,10 +4,11 @@ Every protocol in this package reduces to three primitives on dense
 complex amplitude vectors: tensor-factor bit flips (pure index
 permutations), projective measurement of a qubit pair in the
 computational basis, and expectations of observables that are diagonal
-in that basis.  :func:`flip_table` combines the first and last: the
-expectation of an observable on a few qubits under every flip pattern
-of those qubits, read off their marginal.  There is no general gate
-machinery and none is needed.
+in that basis.  Flips only permute amplitudes, so the protocols read
+their production tables off a qubit pair's Born marginal
+(:func:`~.mw.pair_table`); the dense primitives here are the
+independent path those tables are checked against.  There is no
+general gate machinery and none is needed.
 
 Qubit 1 is the most significant bit of the basis index, matching the
 left-to-right order of ket labels, so qubit ``j`` of basis index ``x``
@@ -17,7 +18,6 @@ on an ``n``-qubit register is ``(x >> (n - j)) & 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -190,85 +190,6 @@ def apply_flips(state: PureState, layer: FlipLayer) -> PureState:
         return state
     indices = np.arange(state.amplitudes.shape[0]) ^ mask
     return PureState(state.num_qubits, state.amplitudes[indices])
-
-
-# Sizes 4 and 16 serve every protocol: two and four read qubits.
-@lru_cache(maxsize=4)
-def _xor_patterns(size: int) -> np.ndarray:
-    """The read-only ``size`` x ``size`` index ``[z, f] -> z ^ f`` of flip_table."""
-    patterns = np.arange(size)
-    table = patterns[:, None] ^ patterns[None, :]
-    table.setflags(write=False)
-    return table
-
-
-# One plan per (register size, read qubits) call a protocol makes; every
-# protocol uses fewer than a dozen.  typed=True gives a float or bool qubit
-# its own key, so 1.0 and True reach the checks instead of the plan of 1.
-@lru_cache(maxsize=32, typed=True)
-def _flip_plan(
-    num_qubits: int, *qubits: int
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
-    """How :func:`flip_table` reads the marginal of ``qubits``.
-
-    Returns the register's ``(2,) * num_qubits`` shape, the axes summed
-    away, the transpose order that puts the kept axes in listed order and
-    the marginal's size.  The qubits are checked first, so a plan is only
-    cached for distinct 1-based integers inside the register.
-    """
-    for qubit in qubits:
-        _check_qubit(qubit, num_qubits)
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"read qubits must be distinct, got {qubits}")
-    others = tuple(q - 1 for q in range(1, num_qubits + 1) if q not in qubits)
-    ascending = sorted(qubits)
-    order = tuple(ascending.index(q) for q in qubits)
-    return (2,) * num_qubits, others, order, 2 ** len(qubits)
-
-
-def flip_table(
-    state: PureState, qubits: Sequence[int], weights: np.ndarray
-) -> np.ndarray:
-    """Expectations of an observable on a few qubits under every flip of them.
-
-    Args:
-        state: register to read (not modified).
-        qubits: the ``k`` distinct 1-based qubits the observable reads.
-        weights: array whose last axis has ``2**k`` entries: the
-            observable's value at each bit pattern of ``qubits``, first
-            listed qubit most significant.  Leading axes stack several
-            observables on the same qubits.
-
-    Returns:
-        Array shaped like ``weights`` whose entry ``f`` is the expectation
-        after flipping the qubits whose bits are set in ``f``:
-        ``sum_z weights[..., z ^ f] * marginal[z]``, where ``marginal`` is
-        the state's Born distribution on ``qubits``.  Flips of other
-        qubits leave that marginal alone, so one call covers every
-        profile that differs only there.  The gather is ``2**k`` by
-        ``2**k``, meant for the two or four qubits a payoff reads.  On a
-        basis state the marginal is one-hot, so every entry is a weight
-        read exactly.
-
-    The marginal sums the Born weights, reshaped to one axis per qubit,
-    over the unread axes; the axes and the transpose to listed order come
-    from a plan cached per register size and qubits (:func:`_flip_plan`).
-    """
-    try:
-        shape, others, order, size = _flip_plan(state.num_qubits, *qubits)
-    except TypeError:
-        # The cache hashes the qubits, and an unhashable one is no index.
-        for qubit in qubits:
-            _check_qubit(qubit, state.num_qubits)
-        raise
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape[-1:] != (size,):
-        raise ValueError(
-            f"expected {size} weights on the last axis, got shape {weights.shape}"
-        )
-    kept = state.probabilities.reshape(shape).sum(axis=others)
-    marginal = kept.transpose(order).reshape(size)
-    return weights[..., _xor_patterns(size)] @ marginal
 
 
 def measure_pair(

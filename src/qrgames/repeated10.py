@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mw import _expected_from, payoff_observable, stage_weights
+from .mw import _XOR_PATTERNS, _expected_from, pair_table, payoff_observable
 from .qstate import (
     OUTCOMES,
     PROB_FLOOR,
@@ -35,10 +35,8 @@ from .qstate import (
     Ensemble,
     FlipLayer,
     PureState,
-    _xor_patterns,
     apply_flips,
     expectation,
-    flip_table,
     measure_pair,
     sum_in_order,
 )
@@ -49,6 +47,7 @@ from .stagegames import (
     Payoffs,
     RepStrategy,
     StageGame,
+    all_strategies,
     payoff_scale,
 )
 
@@ -63,16 +62,11 @@ _COMPONENT_KEYS = ((1, 1), (1, 2), (2, 1), (2, 2))
 # table: bit 4 is the stage-1 flip, bit ``3 - o`` the flip after outcome o.
 _STAGE1_BITS = np.arange(32) >> 4
 _AFTER_BITS = (np.arange(32) >> (3 - np.arange(4))[:, None]) & 1
-# Per profile, the flip pattern of the qubits a payoff reads: ``2*k1 + k2``
-# on qubits 1-2, and ``4*(2*k1 + k2) + 2*a1 + a2`` with outcome o's pair.
+# Per profile, the flips of the pairs a payoff reads: ``k = 2*k1 + k2`` on
+# qubits 1-2, and ``4*k + 2*a1 + a2`` with a = (a1, a2) on outcome o's pair.
 _FIRST_PATTERN = 2 * _STAGE1_BITS[:, None] + _STAGE1_BITS
 _SECOND_PATTERN = 4 * _FIRST_PATTERN + 2 * _AFTER_BITS[..., None] + _AFTER_BITS[:, None]
-# Per outcome o and profile, the row ``16*o + 4*k + a`` of the sequential
-# continuation values it reads (the layout of ``_sequential_gather``).
-_CONTINUATION_ROW = 16 * np.arange(4)[:, None, None] + _SECOND_PATTERN
-for _bits in (
-    _STAGE1_BITS, _AFTER_BITS, _FIRST_PATTERN, _SECOND_PATTERN, _CONTINUATION_ROW
-):
+for _bits in (_STAGE1_BITS, _AFTER_BITS, _FIRST_PATTERN, _SECOND_PATTERN):
     _bits.setflags(write=False)
 # Second singular value read as zero when ``factor_pairs`` peels a cut.
 SUPPORT_TOL = 1e-9
@@ -222,12 +216,35 @@ def _stage1_chance(game: RepGame) -> tuple[np.ndarray, list[PureState | None]]:
     ``k ^ o``'s measured weight, 0.0 where the block was pruned, and
     ``posts[b]`` is block b's unflipped post state, None where pruned.
     """
-    block_weights = np.zeros(4)
+    block_weights = [0.0] * 4
     posts: list[PureState | None] = [None] * 4
     for (b1, b2), probability, post in measure_pair(game.initial, 1, 2):
         block_weights[2 * b1 + b2] = probability
         posts[2 * b1 + b2] = post
-    return block_weights[_xor_patterns(4)], posts
+    chance = np.array([[block_weights[k ^ o] for o in range(4)] for k in range(4)])
+    return chance, posts
+
+
+@lru_cache(maxsize=1)
+def _continuation_rows() -> np.ndarray:
+    """Per outcome o and profile, the row ``16*o + 4*k + a`` of the
+    sequential continuation values it reads (``_sequential_gather``'s
+    layout), with k the stage-1 flips and a the flips after o.
+
+    Spelled from ``RepStrategy.stage1`` and ``.after`` over
+    :func:`~.stagegames.all_strategies`, as :func:`play_sequential` reads
+    a profile, so the sequential table shares no index with the
+    production encoding.  Built on first use and read-only, since the
+    cache hands the same array to every caller.
+    """
+    strategies = all_strategies()
+    stage1 = np.array([strat.stage1 for strat in strategies])
+    after = np.array([[strat.after(o) for strat in strategies] for o in OUTCOMES])
+    k = 2 * stage1[:, None] + stage1
+    a = 2 * after[:, :, None] + after[:, None, :]
+    rows = 16 * np.arange(4)[:, None, None] + 4 * k + a
+    rows.setflags(write=False)
+    return rows
 
 
 @lru_cache(maxsize=1)
@@ -342,31 +359,45 @@ def play_sequential(game: RepGame, t1: RepStrategy, t2: RepStrategy) -> PlayTran
     )
 
 
+def _pair_marginals(start: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """A ten-qubit start's Born weights, read with one axis per qubit pair.
+
+    Returns ``blocks[b]``, the weight of block b (qubits 1-2 spelling b),
+    and ``joint[o, b, z]``, the joint marginal of block b and pattern z
+    of outcome o's pair: four reshape-sums of the ``(4,) * 5`` view.
+    """
+    born = start.probabilities.reshape((4,) * 5)
+    blocks = born.reshape(4, -1).sum(axis=1)
+    joint = np.stack([born.sum(axis=others) for others in _OTHER_PAIRS])
+    return blocks, joint
+
+
 def rep_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarray]:
     """All four 32x32 per-stage payoff tables, computed in one sweep.
 
-    Every payoff observable reads few qubits: stage 1 reads qubits 1-2,
-    and the stage-2 piece of outcome o reads qubits 1-2 (the gate) and
-    the pair reserved for o.  One :func:`~.qstate.flip_table` call per
-    observable gives its value under every flip pattern of its qubits,
-    from the state's marginal there: a 4-entry stage-1 table and one
-    16-entry table per outcome.  A cell is the stage-1 entry its
-    profile's pattern picks, plus the stage-2 entries its patterns pick,
-    summed over the outcomes in ``OUTCOMES`` order.  Each pick is one
-    ``np.take`` of a (player, pattern) table through a 32x32 pattern
-    index, which copies the same entries as a fancy index, faster.
+    Every payoff reads one qubit pair: stage 1 reads qubits 1-2, and
+    stage 2 after outcome o reads o's pair, on the block that the
+    stage-1 flips k move to o, block ``o ^ k`` of the start.  So the
+    stage-1 table is :func:`~.mw.pair_table` on the block weights, and
+    outcome o's (player, ``4*k + a``) table is ``pair_table`` on the
+    joint marginal of block ``o ^ k`` and o's pair (:func:`_pair_marginals`),
+    with a the stage-2 flips.  A cell is the stage-1 entry its profile's
+    flips pick, plus the stage-2 entries they pick, summed over the
+    outcomes in ``OUTCOMES`` order.  Each pick is one ``np.take`` of a
+    (player, flips) table through a 32x32 index, which copies the same
+    entries as a fancy index, faster.
     """
-    weights = stage_weights(game.stage)
-    first = np.take(flip_table(game.initial, (1, 2), weights), _FIRST_PATTERN, axis=1)
+    table = pair_table(game.stage)
+    blocks, joint = _pair_marginals(game.initial)
+    first = np.take(table @ blocks, _FIRST_PATTERN, axis=1)
+    # continued[o, k]: the (player, a) table of outcome o after flips k,
+    # read on block o ^ k.
+    reached = joint[np.arange(4)[:, None], _XOR_PATTERNS]
+    continued = (table @ reached[..., None, :, None])[..., 0]
+    pieces = continued.transpose(0, 2, 1, 3).reshape(4, 2, 16)
     second = 0.0
-    for position, outcome in enumerate(OUTCOMES):
-        # Zero weight unless qubits 1-2 spell the outcome.
-        gated = np.zeros((2, 4, 4))
-        gated[:, position] = weights
-        piece = flip_table(
-            game.initial, (1, 2) + outcome_qubit_pair(outcome), gated.reshape(2, 16)
-        )
-        second = second + np.take(piece, _SECOND_PATTERN[position], axis=1)
+    for piece, pattern in zip(pieces, _SECOND_PATTERN):
+        second = second + np.take(piece, pattern, axis=1)
     by_stage = {1: first, 2: second}
     return {
         (player, stage): by_stage[stage][player - 1]
@@ -411,7 +442,7 @@ def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarr
     continued = _continuations(posts)
     values = (weights @ continued[:, None, :, None]).reshape(16, 4, 4)
     weighted = (values * renormalized.T.reshape(16, 1, 1)).reshape(64, 4)
-    picked = np.take(weighted, _CONTINUATION_ROW, axis=0)
+    picked = np.take(weighted, _continuation_rows(), axis=0)
     table = 0.0
     for outcome_picks in picked:
         table = table + outcome_picks
@@ -648,22 +679,21 @@ def start_tables(game: RepGame) -> StartTables:
     Indexed ``(4,) * 5``, one axis per qubit pair, block b (qubits 1-2
     spelling b) weighs its 256-entry sum, pruned at ``PROB_FLOOR`` as
     :func:`~.qstate.measure_pair` prunes.  ``chance[k, o]`` is block
-    ``k ^ o``'s weight, and ``stage1`` the (player, k) table ``flip_table``
-    forms on the blocks.  Outcome o from block b continues with the joint
-    marginal of block b and o's pair over b's weight: a (player, ``2*a1 +
-    a2``) table under ``stage_weights[..., xor]``, four reshape-sums in
-    all.  o heads a self-contained subgame (``subgames[o]``) when the
-    spread ``gaps[o]`` of its continuations over the kept blocks is at
-    most ``bound = SUBGAME_TOL * payoff_scale(stage)``.  ``stage2[k][o]``
+    ``k ^ o``'s weight, and ``stage1`` the (player, k) table
+    :func:`~.mw.pair_table` forms on the blocks.  Outcome o from block b
+    continues with the joint marginal of block b and o's pair over b's
+    weight (:func:`_pair_marginals`): a (player, ``2*a1 + a2``) table
+    under ``pair_table``.  o heads a self-contained subgame
+    (``subgames[o]``) when the spread ``gaps[o]`` of its continuations
+    over the kept blocks is at most
+    ``bound = SUBGAME_TOL * payoff_scale(stage)``.  ``stage2[k][o]``
     is then the first kept block's continuation for every k, on and off
     the path; otherwise block ``k ^ o``'s, or None where it is pruned.
     """
-    born = game.initial.probabilities.reshape((4,) * 5)
-    blocks = born.reshape(4, -1).sum(axis=1)
+    blocks, joint = _pair_marginals(game.initial)
     blocks[blocks <= PROB_FLOOR] = 0.0
     kept = np.flatnonzero(blocks)
-    table = stage_weights(game.stage)[..., _xor_patterns(4)]
-    joint = np.stack([born.sum(axis=others) for others in _OTHER_PAIRS])
+    table = pair_table(game.stage)
     conditional = joint[:, kept] / blocks[kept, None]
     # values[o, i]: the continuation of outcome o from block kept[i].
     values = (table @ conditional[..., None, :, None])[..., 0]
@@ -675,7 +705,7 @@ def start_tables(game: RepGame) -> StartTables:
         tuple(values[o, 0] if subgames[o] else reached[o].get(k ^ o) for o in range(4))
         for k in range(4)
     )
-    chance, stage1 = blocks[_xor_patterns(4)], table @ blocks
+    chance, stage1 = blocks[_XOR_PATTERNS], table @ blocks
     return StartTables(chance, stage1, stage2, tuple(gaps.tolist()), subgames, bound)
 
 

@@ -9,10 +9,14 @@ with each other.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
+
+from qrgames.qstate import OUTCOMES
+from qrgames.stagegames import RepStrategy
 
 
 def _exact_marginal(probabilities: np.ndarray, qubits: Sequence[int]) -> list[Fraction]:
@@ -43,25 +47,59 @@ def _exact_flips(weights: np.ndarray, marginal: Sequence[Fraction]) -> np.ndarra
     return table.reshape(weights.shape)
 
 
-def exact_flip_table(
-    probabilities: np.ndarray, qubits: Sequence[int], weights: np.ndarray
-) -> np.ndarray:
-    """``qstate.flip_table`` in exact arithmetic.
+def exact_pair_tables(probabilities: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The 2x2, 4x4 or 32x32 per-stage tables of a start, exactly.
 
     Args:
-        probabilities: the register's ``2**n`` Born weights, first qubit
-            most significant (``PureState.probabilities``).
-        qubits: the distinct 1-based qubits the observable reads.
-        weights: floats whose last axis has ``2**len(qubits)`` entries,
-            one per bit pattern of ``qubits``, first listed most
-            significant.
+        probabilities: the start's Born weights on 2, 4 or 10 qubits.
+        weights: ``stage_weights(stage)``, both players' payoffs over the
+            four patterns of a qubit pair.
 
     Returns:
-        Object array of ``Fraction`` shaped like ``weights``: entry ``f``
-        is ``sum_z weights[..., z ^ f] * marginal[z]`` with the marginal
-        on ``qubits`` summed exactly.
+        Object array of ``Fraction`` indexed ``[player - 1, stage - 1, row,
+        col]``.  On two qubits it holds the one stage of ``mw_bimatrix``
+        (row and column the flips of qubits 1 and 2).  On four qubits it
+        holds the two stages of ``it_pure_bimatrix`` (row ``2*k1 + k3``,
+        column ``2*k2 + k4``), and on ten the tables of
+        ``rep_component_tables``, rows and columns in the five-bit
+        encoding, spelled here from ``RepStrategy``.  Every entry is
+        ``sum_z weights[player, z ^ f] * marginal[z]`` on the pair a stage
+        reads, with the marginal summed exactly; after outcome o the
+        marginal is the joint one of o's pair and the block the stage-1
+        flips k move to o, block ``o ^ k``.
     """
-    return _exact_flips(weights, _exact_marginal(probabilities, qubits))
+    n = np.asarray(probabilities).size.bit_length() - 1
+    stage1 = _exact_flips(weights, _exact_marginal(probabilities, (1, 2)))
+    if n == 2:
+        return stage1.reshape(2, 1, 2, 2)
+    if n == 4:
+        stage2 = _exact_flips(weights, _exact_marginal(probabilities, (3, 4)))
+        table = np.empty((2, 2, 4, 4), dtype=object)
+        for row, col in np.ndindex(4, 4):
+            (k1, k3), (k2, k4) = divmod(row, 2), divmod(col, 2)
+            table[:, 0, row, col] = stage1[:, 2 * k1 + k2]
+            table[:, 1, row, col] = stage2[:, 2 * k3 + k4]
+        return table
+    if n != 10:
+        raise ValueError(f"no protocol runs on {n} qubits")
+    # continued[o][b]: the (player, a) table of outcome o on block b.
+    continued = []
+    for o in range(4):
+        joint = _exact_marginal(probabilities, (1, 2, 2 * o + 3, 2 * o + 4))
+        continued.append(
+            [_exact_flips(weights, joint[4 * b : 4 * b + 4]) for b in range(4)]
+        )
+    strategies = [RepStrategy.from_index(index) for index in range(32)]
+    table = np.empty((2, 2, 32, 32), dtype=object)
+    for (row, t1), (col, t2) in itertools.product(enumerate(strategies), repeat=2):
+        k = 2 * t1.stage1 + t2.stage1
+        a = [2 * t1.after(outcome) + t2.after(outcome) for outcome in OUTCOMES]
+        table[:, 0, row, col] = stage1[:, k]
+        for player in range(2):
+            table[player, 1, row, col] = sum(
+                (continued[o][o ^ k][player, a[o]] for o in range(4)), Fraction(0)
+            )
+    return table
 
 
 def exact_start_tables(
@@ -101,14 +139,21 @@ def exact_start_tables(
 
 # Unit roundoff of a double, Higham's u.
 UNIT_ROUNDOFF = 2.0**-53
-# Rounding steps on each value's path through ``start_tables``, added up
-# along the path as Higham's Lemma 3.3 allows: a block weight sums 256
+# Rounding steps on each value's path through the table builders, added
+# up along the path as Higham's Lemma 3.3 allows: a block weight sums 256
 # Born weights (255 additions), a joint-marginal entry sums 64 (63), a
 # conditional weight is one division, and a 4-term dot rounds 4 times (a
 # product each, and 3 additions; an FMA only rounds less).
 CHANCE_STEPS = 255
 STAGE1_STEPS = CHANCE_STEPS + 4
 CONTINUATION_STEPS = CHANCE_STEPS + 63 + 1 + 4
+# Steps on the paths of ``exact_pair_tables``' float twins: a 2x2 cell
+# dots the Born weights themselves; a 4x4 stage entry dots four-entry
+# sums, and a cell adds the two stages; a 32x32 second-stage cell adds
+# four outcomes' dots on 64-entry joint sums (stage 1 is STAGE1_STEPS).
+MW_STEPS = 4
+IT_STEPS = 3 + 4 + 1
+SECOND_STAGE_STEPS = 63 + 4 + 3
 
 
 def gamma(n: int) -> float:

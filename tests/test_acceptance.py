@@ -12,9 +12,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qrgames import claims
+from qrgames import claims, iqbaltoor, repeated10
 from qrgames.claims import CLAIMS, run_claims
+from qrgames.mw import pair_table, stage_weights
 from qrgames.qstate import PureState
+from qrgames.stagegames import make_pd, payoff_scale
 
 SEED = 20260501
 
@@ -98,3 +100,62 @@ def test_a_raising_check_fails_its_claim_with_the_message(monkeypatch):
         ("broken", False, "raised LinAlgError: no convergence"),
         ("register-size-formula", True, "got (2, 10, 42)"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# the deviation checks share nothing with the tables they check
+
+PD = make_pd(5, 3, 1, 0)
+# compare-protocols' bound at its default --tol.
+BOUND = 1e-9 * max(1.0, payoff_scale(PD))
+
+
+def _reversed_contingency():
+    after = (np.arange(32) >> np.arange(4)[:, None]) & 1
+    second = 4 * repeated10._FIRST_PATTERN + 2 * after[..., None] + after[:, None]
+    return {"_AFTER_BITS": after, "_SECOND_PATTERN": second}
+
+
+# Wrong but well-formed values of the ten-qubit encoding pieces.
+WRONG_ENCODINGS = {
+    "reversed-contingency": _reversed_contingency,
+    "players-swapped-at-stage-1": lambda: {
+        "_FIRST_PATTERN": repeated10._FIRST_PATTERN.T
+    },
+    "outcome-reads-the-next-pair": lambda: {
+        "_OTHER_PAIRS": repeated10._OTHER_PAIRS[1:] + repeated10._OTHER_PAIRS[:1]
+    },
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_ENCODINGS.values(), ids=WRONG_ENCODINGS)
+def test_a_wrong_encoding_fails_the_ten_qubit_check(monkeypatch, wrong):
+    """The sequential table reads a profile through ``RepStrategy`` and
+    its continuations through its own gather, so a production encoding
+    piece set wrong disagrees with it."""
+    for name, value in wrong().items():
+        monkeypatch.setattr(repeated10, name, value)
+    repeated10._continuation_rows.cache_clear()
+    worst, _ = claims.mw10_deviation(PD, samples=2, seed=3)
+    assert worst > BOUND
+
+
+# Wrong but well-formed (player, flip, pattern) tables.
+WRONG_PAIR_TABLES = {
+    "no-xor": lambda stage: np.repeat(stage_weights(stage)[:, None, :], 4, axis=1),
+    "players-swapped": lambda stage: pair_table(stage)[::-1],
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_PAIR_TABLES.values(), ids=WRONG_PAIR_TABLES)
+@pytest.mark.parametrize(
+    "module, deviation",
+    [(repeated10, claims.mw10_deviation), (iqbaltoor, claims.it_deviation)],
+    ids=["mw10", "iqbal-toor"],
+)
+def test_a_wrong_pair_table_fails_the_deviation_check(
+    monkeypatch, module, deviation, wrong
+):
+    monkeypatch.setattr(module, "pair_table", wrong)
+    worst, _ = deviation(PD, samples=2, seed=3)
+    assert worst > BOUND

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_eval import exact_flip_table
+from exact_eval import exact_pair_tables
 
 from qrgames import iqbaltoor
 from qrgames.iqbaltoor import (
@@ -97,13 +97,15 @@ def exact_expected(game, s1, s2):
     The Born weights, payoffs and flip probabilities are read as the
     exact values of their floats; every product and sum is exact.
     """
-    weights = stage_weights(game.stage)
+    exact = exact_pair_tables(game.initial.probabilities, stage_weights(game.stage))
+    # Stage 1 at rows 2*k1 and columns 2*k2, stage 2 at rows k3, columns k4.
+    tables = (exact[:, 0, ::2, ::2].reshape(2, 4), exact[:, 1, :2, :2].reshape(2, 4))
     stages = []
-    for pair, a, b in (
-        ((1, 2), s1.stage1_flip_prob, s2.stage1_flip_prob),
-        ((3, 4), s1.stage2_flip_prob, s2.stage2_flip_prob),
+    for table, a, b in zip(
+        tables,
+        (s1.stage1_flip_prob, s1.stage2_flip_prob),
+        (s2.stage1_flip_prob, s2.stage2_flip_prob),
     ):
-        table = exact_flip_table(game.initial.probabilities, pair, weights)
         a, b = Fraction(a), Fraction(b)
         mix = [(1 - a) * (1 - b), (1 - a) * b, a * (1 - b), a * b]
         stages.append([sum(w * value for w, value in zip(mix, row)) for row in table])
@@ -254,7 +256,7 @@ def test_flipped_start_bimatrix_cells():
 
 
 def test_bimatrix_totals_match_batch_runs():
-    """A pure profile blends one flip_table entry per stage with weight
+    """A pure profile blends one stage-table entry per stage with weight
     1.0, so its totals are the bimatrix cell bit for bit."""
     rng = np.random.default_rng(15)
     for stage in (PD, FRACTIONAL, SIGNED_ZERO):

@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_eval import exact_flip_table
+from exact_eval import (
+    IT_STEPS,
+    MW_STEPS,
+    SECOND_STAGE_STEPS,
+    STAGE1_STEPS,
+    exact_pair_tables,
+    gamma,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrgames import qstate
+from qrgames import mw, qstate
+from qrgames.iqbaltoor import ITGame, it_pure_bimatrix
+from qrgames.mw import MWGame, mw_bimatrix, pair_table, payoff_observable, stage_weights
 from qrgames.qstate import (
     OUTCOMES,
     PROB_FLOOR,
@@ -23,11 +33,12 @@ from qrgames.qstate import (
     basis_index,
     bits_of,
     expectation,
-    flip_table,
     measure_pair,
     random_state,
     tensor_all,
 )
+from qrgames.repeated10 import RepGame, rep_component_tables
+from qrgames.stagegames import StageGame, make_bos, make_pd
 
 
 def seeded_state(num_qubits: int, seed: int) -> PureState:
@@ -310,19 +321,17 @@ def test_measure_pair_argument_checks():
 
 
 @pytest.mark.parametrize("qubit", [1.5, 1.0, "1", None])
-def test_measure_pair_and_flip_table_refuse_a_qubit_that_is_not_an_integer(qubit):
+def test_measure_pair_refuses_a_qubit_that_is_not_an_integer(qubit):
     state = PureState.basis(4, 0)
     message = "qubit indices are 1-based integers"
     with pytest.raises(ValueError, match=message):
         measure_pair(state, qubit, 2)
     with pytest.raises(ValueError, match=message):
         measure_pair(state, 2, qubit)
-    with pytest.raises(ValueError, match=message):
-        flip_table(state, (qubit, 2), np.zeros(4))
 
 
 @pytest.mark.parametrize("qubit", [True, False])
-def test_measure_pair_and_flip_table_refuse_a_bool_qubit(qubit):
+def test_measure_pair_refuses_a_bool_qubit(qubit):
     state = seeded_state(4, 71)
     message = f"qubit indices are 1-based integers, got {qubit}"
     with pytest.raises(ValueError, match=message):
@@ -331,20 +340,13 @@ def test_measure_pair_and_flip_table_refuse_a_bool_qubit(qubit):
         measure_pair(state, qubit, 2)
     with pytest.raises(ValueError, match=message):
         measure_pair(state, 3, qubit)
-    with pytest.raises(ValueError, match=message):
-        flip_table(state, (qubit, 2), np.zeros(4))
 
 
-def test_measure_pair_and_flip_table_take_numpy_integer_qubits():
+def test_measure_pair_takes_numpy_integer_qubits():
     state = seeded_state(4, 70)
     assert [p for _, p, _ in measure_pair(state, np.int64(1), 2)] == [
         p for _, p, _ in measure_pair(state, 1, 2)
     ]
-    weights = np.arange(4.0)
-    assert np.array_equal(
-        flip_table(state, (np.int64(3), np.int32(1)), weights),
-        flip_table(state, (3, 1), weights),
-    )
 
 
 def selector_measure_oracle(
@@ -517,143 +519,134 @@ def test_expectation_checks_register_sizes():
 
 
 # ---------------------------------------------------------------------------
-# flip tables
+# pair tables
+
+# Dyadic, rounding, signed-zero, large and tiny payoffs.
+PAIR_STAGES = (
+    make_pd(5, 3, 1, 0),
+    make_pd(5.7, 3.3, 1.1, -0.4),
+    make_bos(3, 2, 1),
+    make_pd(2.5, -0.0, -1.2, -3.1),
+    make_pd(1e8, 3, 1, 0),
+    make_pd(5e-10, 3e-10, 1e-10, 0),
+)
 
 
-def test_flip_table_matches_flipping_then_reading_every_pattern():
-    state = seeded_state(5, 11)
-    qubits = (4, 2, 5)
-    weights = np.random.default_rng(12).standard_normal((2, 8))
-    table = flip_table(state, qubits, weights)
-    assert table.shape == (2, 8)
-    # Bit pattern of the read qubits at each basis index, qubit 4 on top.
-    indices = np.arange(32)
-    pattern = sum(
-        ((indices >> (5 - qubit)) & 1) << (2 - position)
-        for position, qubit in enumerate(qubits)
-    )
-    for flips in range(8):
-        layer = FlipLayer(
-            {
-                qubit: (flips >> (2 - position)) & 1
-                for position, qubit in enumerate(qubits)
-            }
-        )
-        final = apply_flips(state, layer)
-        for row in range(2):
-            obs = DiagonalObservable(5, weights[row][pattern])
-            assert abs(table[row, flips] - expectation(final, obs)) <= 1e-12
+def pair_marginal(state: PureState, qubit_a: int, qubit_b: int) -> np.ndarray:
+    """Born distribution of two qubits, ``qubit_a`` the high bit."""
+    n = state.num_qubits
+    indices = np.arange(2**n)
+    pattern = 2 * ((indices >> (n - qubit_a)) & 1) + ((indices >> (n - qubit_b)) & 1)
+    return np.bincount(pattern, weights=state.probabilities, minlength=4)
 
 
-def test_flip_table_reads_weights_exactly_on_a_basis_state():
-    # Qubit 3 of |0110> is 1 and qubit 1 is 0, so the start pattern is 0b10.
-    weights = np.array([5.7, 3.3, 1.1, -0.4])
-    table = flip_table(PureState.basis(4, "0110"), (3, 1), weights)
-    assert table.tolist() == [weights[2 ^ flips] for flips in range(4)]
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_flip_table_rounds_the_exact_rational_table(seed):
-    """The exact evaluator gives the value flip_table rounds: the same on
-    a basis state, and within a few ulps of max|w| on a dense one."""
-    rng = np.random.default_rng(300 + seed)
-    weights = rng.standard_normal((2, 8))
-    qubits = (4, 2, 5)
-    basis = PureState.basis(5, int(rng.integers(32)))
-    exact = exact_flip_table(basis.probabilities, qubits, weights)
-    assert flip_table(basis, qubits, weights).tolist() == exact.tolist()
-    dense = random_state(5, rng)
-    exact = exact_flip_table(dense.probabilities, qubits, weights)
-    got = flip_table(dense, qubits, weights).ravel().tolist()
-    error = max(abs(Fraction(value) - e) for value, e in zip(got, exact.ravel()))
-    assert error <= 16 * np.finfo(float).eps * np.abs(weights).max()
-
-
-def test_flip_table_on_the_whole_register_in_order_reads_the_born_weights():
-    """Reading every qubit in order takes the Born weights as the marginal:
-    a spare |0> qubit summed away gives the same table bit for bit, and
-    the qubits listed in reverse (summed in another order) to rounding."""
-    state = seeded_state(3, 14)
-    weights = np.random.default_rng(15).standard_normal((2, 8))
-    table = flip_table(state, (1, 2, 3), weights)
-    born = weights[..., qstate._xor_patterns(8)] @ state.probabilities
-    assert np.array_equal(table, born)
-    padded = state.tensor(PureState.basis(1, 0))
-    assert np.array_equal(flip_table(padded, (1, 2, 3), weights), table)
-    # Reversed, pattern z of (3, 2, 1) is pattern reverse(z) of (1, 2, 3).
-    reverse = np.array([int(format(z, "03b")[::-1], 2) for z in range(8)])
-    reversed_table = flip_table(state, (3, 2, 1), weights[:, reverse])
-    assert np.abs(reversed_table[:, reverse] - table).max() <= 1e-12
-
-
-def test_flip_table_xor_index_is_one_read_only_array_per_size():
-    flip_table(seeded_state(2, 16), (1, 2), np.zeros(4))
-    index = qstate._xor_patterns(4)
-    flip_table(seeded_state(4, 17), (3, 1), np.ones(4))
-    assert qstate._xor_patterns(4) is index
-    assert index.tolist() == [[z ^ f for f in range(4)] for z in range(4)]
+def test_pair_table_is_the_stage_weights_under_one_read_only_xor_index():
+    index = mw._XOR_PATTERNS
+    assert index.tolist() == [[z ^ f for z in range(4)] for f in range(4)]
     with pytest.raises(ValueError, match="read-only"):
         index[0, 0] = 1
+    for stage in PAIR_STAGES:
+        rows = stage_weights(stage).tolist()
+        want = [[[row[z ^ f] for z in range(4)] for f in range(4)] for row in rows]
+        assert pair_table(stage).tolist() == want
 
 
-def test_flip_table_argument_checks():
-    state = seeded_state(3, 13)
-    with pytest.raises(ValueError, match="out of range"):
-        flip_table(state, (1, 4), np.zeros(4))
-    with pytest.raises(ValueError, match="distinct"):
-        flip_table(state, (2, 2), np.zeros(4))
-    with pytest.raises(ValueError, match="expected 4 weights"):
-        flip_table(state, (1, 2), np.zeros(8))
+@pytest.mark.parametrize("num_qubits", [2, 4, 10])
+def test_pair_table_matches_flipping_then_reading_every_pair(num_qubits):
+    """``pair_table @ marginal`` is the payoff read densely after the flips,
+    on every flip of every ordered qubit pair: to rounding on a dense
+    start, and exactly on a basis one."""
+    rng = np.random.default_rng(400 + num_qubits)
+    stage = StageGame(rng.standard_normal((2, 2, 2)).tolist())
+    table = pair_table(stage)
+    dense = random_state(num_qubits, rng)
+    basis = PureState.basis(num_qubits, int(rng.integers(2**num_qubits)))
+    for qubit_a, qubit_b in itertools.permutations(range(1, num_qubits + 1), 2):
+        observables = [
+            payoff_observable(stage, player, num_qubits, (qubit_a, qubit_b))
+            for player in (1, 2)
+        ]
+        for state in (dense, basis):
+            values = table @ pair_marginal(state, qubit_a, qubit_b)
+            for flips in range(4):
+                layer = FlipLayer({qubit_a: flips >> 1, qubit_b: flips & 1})
+                final = apply_flips(state, layer)
+                read = [expectation(final, obs) for obs in observables]
+                if state is basis:
+                    assert values[:, flips].tolist() == read
+                else:
+                    assert np.abs(values[:, flips] - read).max() <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "qubits, message",
-    [
-        ((1.0, 2), "1-based integers, got 1.0"),
-        (([1], 2), r"1-based integers, got \[1\]"),
-        ((2, np.array(1)), "1-based integers, got array"),
-        ((2, 2), r"distinct, got \(2, 2\)"),
-        ((1, 4), "qubit 4 out of range for 3-qubit state"),
-        ((0, 1), "qubit 0 out of range"),
-    ],
-    ids=["float", "list", "array", "duplicate", "high", "zero"],
-)
-def test_flip_table_refuses_the_same_qubits_with_its_plan_cache(qubits, message):
-    """Refusals raise ValueError every time, unhashable qubits included."""
-    state = seeded_state(3, 72)
-    flip_table(state, (1, 2), np.zeros(4))
-    for _ in range(2):
-        with pytest.raises(ValueError, match=message):
-            flip_table(state, qubits, np.zeros(4))
+def production_tables(state: PureState, stage: StageGame) -> list:
+    """The table a start's protocol builds, ``[player, stage, row, col]``;
+    on four qubits the one stage is ``it_pure_bimatrix``'s totals."""
+    if state.num_qubits == 10:
+        tables = rep_component_tables(RepGame(state, stage))
+        return [[tables[(p, s)].tolist() for s in (1, 2)] for p in (1, 2)]
+    if state.num_qubits == 2:
+        bm = mw_bimatrix(MWGame(state, stage))
+    else:
+        bm = it_pure_bimatrix(ITGame(state, stage))
+    return [[bm.payoffs1.tolist()], [bm.payoffs2.tolist()]]
 
 
-def test_flip_table_never_reads_a_float_qubit_through_the_plan_of_an_integer():
-    """1.0 == 1 and hash(1.0) == hash(1), so only a typed key refuses it."""
-    state = seeded_state(3, 73)
-    qstate._flip_plan.cache_clear()
-    table = flip_table(state, (1, 2), np.arange(4.0))
-    assert qstate._flip_plan.cache_info().currsize == 1
-    with pytest.raises(ValueError, match="1-based integers, got 1.0"):
-        flip_table(state, (1.0, 2), np.arange(4.0))
-    with pytest.raises(ValueError, match="1-based integers, got True"):
-        flip_table(state, (True, 2), np.arange(4.0))
-    assert qstate._flip_plan.cache_info().currsize == 1
-    assert np.array_equal(flip_table(state, (np.int64(1), 2), np.arange(4.0)), table)
-    assert qstate._flip_plan.cache_info().currsize == 2
+@pytest.mark.parametrize("num_qubits", [2, 4, 10])
+def test_pair_tables_read_payoffs_exactly_on_a_basis_start(num_qubits):
+    """On a basis start every marginal is one-hot, so each stage entry is
+    a payoff read exactly; a four-qubit cell rounds the sum of two."""
+    rng = np.random.default_rng(500 + num_qubits)
+    for stage in PAIR_STAGES:
+        state = PureState.basis(num_qubits, int(rng.integers(2**num_qubits)))
+        exact = exact_pair_tables(state.probabilities, stage_weights(stage))
+        stages = exact.astype(float)
+        assert list(map(Fraction, stages.ravel().tolist())) == exact.ravel().tolist()
+        if num_qubits == 4:
+            stages = stages.sum(axis=1, keepdims=True)
+        assert production_tables(state, stage) == stages.tolist()
 
 
-def test_flip_table_plans_are_bounded_immutable_tuples():
-    qstate._flip_plan.cache_clear()
-    for num_qubits in range(2, 7):
-        state = PureState.basis(num_qubits, 0)
-        for qubit_a in range(1, num_qubits + 1):
-            for qubit_b in range(1, num_qubits + 1):
-                if qubit_a != qubit_b:
-                    flip_table(state, (qubit_a, qubit_b), np.zeros(4))
-    info = qstate._flip_plan.cache_info()
-    assert info.misses == 70
-    assert info.currsize == info.maxsize == 32
-    plan = qstate._flip_plan(10, 3, 1)
-    assert plan == ((2,) * 10, (1, 3, 4, 5, 6, 7, 8, 9), (1, 0), 4)
-    assert all(isinstance(part, (tuple, int)) for part in plan)
-    hash(plan)
+def rational_starts(num_qubits: int, rng: np.random.Generator) -> list[PureState]:
+    """A ``prob`` term list and a pair product of ``prob`` pairs, each term's
+    amplitude the square root of a rational weight."""
+
+    def prob_terms(n: int, count: int) -> PureState:
+        labels = rng.choice(2**n, size=count, replace=False)
+        weights = rng.integers(1, 20, size=count)
+        total = int(weights.sum())
+        return PureState.from_terms(
+            n,
+            {
+                int(label): math.sqrt(weight / total)
+                for label, weight in zip(labels, weights)
+            },
+        )
+
+    pairs = tensor_all([prob_terms(2, 3) for _ in range(num_qubits // 2)])
+    return [prob_terms(num_qubits, min(2**num_qubits, 40)), pairs]
+
+
+@pytest.mark.parametrize("num_qubits", [2, 4, 10])
+def test_pair_tables_round_the_exact_table_on_rational_starts(num_qubits):
+    """Each cell is off the exact table by at most ``gamma(n) * max|u|``
+    times the start's exact total weight, n counted along its path: 4
+    for the 2x2 dot, 8 for a 4x4 total (whose terms weigh twice the
+    total), ``STAGE1_STEPS`` and ``SECOND_STAGE_STEPS`` for the 32x32
+    stages."""
+    steps = {2: (MW_STEPS,), 4: (IT_STEPS,), 10: (STAGE1_STEPS, SECOND_STAGE_STEPS)}
+    rng = np.random.default_rng(600 + num_qubits)
+    for stage, state in itertools.product(
+        PAIR_STAGES, rational_starts(num_qubits, rng)
+    ):
+        exact = exact_pair_tables(state.probabilities, stage_weights(stage))
+        if num_qubits == 4:
+            exact = exact.sum(axis=1, keepdims=True)
+        got = production_tables(state, stage)
+        top = Fraction(float(np.abs(stage.outcomes).max()))
+        total = sum(map(Fraction, state.probabilities.tolist()), Fraction(0))
+        terms = 2 * total if num_qubits == 4 else total
+        for player, position in np.ndindex(exact.shape[:2]):
+            bound = Fraction(gamma(steps[num_qubits][position])) * top * terms
+            cells = zip(np.ravel(got[player][position]), exact[player, position].ravel())
+            for value, want in cells:
+                assert abs(Fraction(value) - want) <= bound

@@ -81,6 +81,8 @@ def _stage_game(raw: object) -> StageGame:
             raise ConfigError(
                 f"payoffs need keys T, R, P, S; missing {', '.join(missing)}"
             )
+        for key in ("T", "R", "P", "S"):
+            _refuse_bool(raw[key], f"payoff {key}")
         try:
             return make_pd(
                 float(raw["T"]), float(raw["R"]), float(raw["P"]), float(raw["S"])
@@ -95,15 +97,26 @@ def _stage_game(raw: object) -> StageGame:
             )
             if len(cells) != 2 or any(len(row) != 2 for row in cells):
                 raise ValueError
-            return StageGame(cells)
         except (TypeError, ValueError, OverflowError, LookupError):
             raise ConfigError(
                 "explicit payoffs must be a 2x2 nesting of [u1, u2] pairs"
             ) from None
+        for i, row in enumerate(raw):
+            for j, pair in enumerate(row):
+                for p in (0, 1):
+                    _refuse_bool(pair[p], f"payoff cell [{i}][{j}][{p}]")
+        return StageGame(cells)
     raise ConfigError("payoffs must be a {T,R,P,S} mapping or a 2x2 cell table")
 
 
+def _refuse_bool(raw: object, what: str) -> None:
+    """JSON true and false are not numbers, though ``float(True)`` is 1.0."""
+    if raw.__class__ is bool:
+        raise ConfigError(f"{what} must be a number, got {raw!r}")
+
+
 def _number(raw: object, what: str) -> float:
+    _refuse_bool(raw, what)
     try:
         return float(raw)
     except (TypeError, ValueError, OverflowError):
@@ -140,18 +153,21 @@ def _parse_terms(raw: object, num_qubits: int, where: str) -> PureState:
                 raise ConfigError(
                     f"{where} term {position}: give either prob or re/im, not both"
                 )
-            try:
-                probability = float(term["prob"])
-            except (TypeError, ValueError, OverflowError):
-                probability = _number(term["prob"], f"{where} term {position}: prob")
+            # JSON floats pass as they are; ``_number`` converts ints and
+            # refuses the rest by name, a bool included (``float(True)`` is 1.0).
+            prob = term["prob"]
+            if prob.__class__ is float:
+                probability = prob
+            else:
+                probability = _number(prob, f"{where} term {position}: prob")
             if probability < 0:
                 raise ConfigError(f"{where} term {position}: prob must be nonnegative")
             amplitude = complex(math.sqrt(probability))
         else:
             re, im = term.get("re", 0.0), term.get("im", 0.0)
-            try:
-                amplitude = complex(float(re), float(im))
-            except (TypeError, ValueError, OverflowError):
+            if re.__class__ is float and im.__class__ is float:
+                amplitude = complex(re, im)
+            else:
                 amplitude = complex(
                     _number(re, f"{where} term {position}: re"),
                     _number(im, f"{where} term {position}: im"),

@@ -26,6 +26,9 @@ from .mw import _expected_from, pair_table, payoff_observable
 PATTERN_TOL = 1e-9
 # Rejection-sampling budget of sample_dilemma_state.
 DILEMMA_DRAWS = 200
+# Per stage, the axis of the (qubits 1-2, qubits 3-4) Born weights that its
+# marginal sums away: stage 1 reads qubits 1-2, stage 2 qubits 3-4.
+_SUMMED_AXES = (1, 0)
 
 
 @dataclass(frozen=True)
@@ -82,11 +85,12 @@ def _observables(stage: StageGame) -> tuple[DiagonalObservable, ...]:
 def _stage_tables(game: ITGame) -> tuple[np.ndarray, np.ndarray]:
     """Both stages' (player, flip) tables: :func:`~.mw.pair_table` on the
     marginals of qubits 1-2 (the Born weights, four by four, summed over
-    qubits 3-4) and of qubits 3-4 (summed over qubits 1-2).
+    qubits 3-4) and of qubits 3-4 (summed over qubits 1-2), the axes of
+    ``_SUMMED_AXES``.
     """
     born = game.initial.probabilities.reshape(4, 4)
     table = pair_table(game.stage)
-    return table @ born.sum(axis=1), table @ born.sum(axis=0)
+    return tuple(table @ born.sum(axis=axis) for axis in _SUMMED_AXES)
 
 
 def it_expected(game: ITGame, s1: ITStrategy, s2: ITStrategy) -> ExpectedPayoffs:

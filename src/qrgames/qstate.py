@@ -67,8 +67,9 @@ class PureState:
             raise ValueError(
                 f"expected 2**{self.num_qubits} amplitudes, got shape {amps.shape}"
             )
-        probabilities = np.abs(amps) ** 2
-        total = float(np.sum(probabilities))
+        probabilities = np.abs(amps)
+        np.square(probabilities, out=probabilities)
+        total = float(probabilities.sum())
         if not abs(total - 1.0) <= NORM_ATOL:
             raise ValueError(f"state is not normalized: sum |amp|^2 = {total!r}")
         amps.setflags(write=False)

@@ -154,6 +154,23 @@ def _observables_of(payoffs: bytes) -> tuple[DiagonalObservable, ...]:
     return tuple(observables)
 
 
+# Each entry holds 32 KB; built on first use, so only processes that build
+# the sequential table hold any.
+@lru_cache(maxsize=16)
+def _block_weights_of(payoffs: bytes) -> np.ndarray:
+    """Per outcome o, the four ``_observables_of(payoffs)`` weights on block o.
+
+    A (4 outcomes, 4 components, 256) array in ``ExpectedPayoffs`` order,
+    read-only, since the cache hands the same one to every caller.  Keyed
+    on the payoff bytes, as ``_observables_of`` is, so a -0.0 stage keeps
+    its own zeros.
+    """
+    dense = np.stack([obs.weights for obs in _observables_of(payoffs)])
+    blocks = np.ascontiguousarray(dense.reshape(4, 4, _BLOCK).transpose(1, 0, 2))
+    blocks.setflags(write=False)
+    return blocks
+
+
 def play_batch(game: RepGame, t1: RepStrategy, t2: RepStrategy) -> ExpectedPayoffs:
     """Expected payoffs with all ten flips applied before any readout."""
     layer = strategy_qubit_map(1, t1).merge(strategy_qubit_map(2, t2))
@@ -259,7 +276,9 @@ def _sequential_gather() -> np.ndarray:
     continuation is zero outside block o, and block o is
     ``blocks.ravel()[row]`` when row b of ``blocks`` holds block b's 256
     Born weights: row ``16*o + 4*k + a`` reads block ``o ^ k`` at
-    ``low ^ (a << (6 - 2*o))``.  The array is 64x256 and read-only, since
+    ``low ^ (a << (6 - 2*o))``.  The sequential table dots each row with
+    block o of the observables alone, so no continuation is ever written
+    into a whole register.  The array is 64x256 and read-only, since
     the cache hands the same one to every caller, and built on first use,
     so only the sequential path holds its 128 KB.
     """
@@ -269,24 +288,6 @@ def _sequential_gather() -> np.ndarray:
     gather = (block + (low ^ (a << (6 - 2 * o))[..., None])).reshape(64, _BLOCK)
     gather.setflags(write=False)
     return gather
-
-
-def _continuations(posts: list[PureState | None]) -> np.ndarray:
-    """The Born weights of all 64 continuations, in ``_sequential_gather`` rows.
-
-    ``posts[b]`` is block b's measured post state, None where pruned (its
-    block reads as zeros).  The 16 rows of outcome o are zero outside
-    block o and hold the gathered block there.
-    """
-    blocks = np.zeros((4, _BLOCK))
-    for b, post in enumerate(posts):
-        if post is not None:
-            blocks[b] = post.probabilities[b * _BLOCK : (b + 1) * _BLOCK]
-    gathered = blocks.ravel()[_sequential_gather()].reshape(4, 16, _BLOCK)
-    continued = np.zeros((4, 16, 4, _BLOCK))
-    for o in range(4):
-        continued[o, :, o] = gathered[o]
-    return continued.reshape(64, 2 ** NUM_QUBITS)
 
 
 @dataclass(frozen=True)
@@ -412,21 +413,22 @@ def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarr
     flip pair k and, per observed outcome o, the continuation flip pair
     a.  One measurement of the unflipped start gives every stage-1
     measurement: flipping by k sends block b to outcome b XOR k.  Flips
-    only permute amplitudes, so the 64 continuations' Born weights are
-    one gather of the four measured blocks' weights (pruned blocks read
-    as zeros) into zero registers (:func:`_continuations`), and their
-    256 payoff values are one stacked call of 1-D dot products over all
-    1024 entries with the observables ``play_sequential`` reads.  Each
-    value is scaled by its renormalized branch weight, one ``np.take``
-    picks every cell's row per outcome, and the picks are summed from 0.0
-    in ``OUTCOMES`` order: the products and the sum ``play_sequential``
+    only permute amplitudes, so outcome o's 16 continuations are zero
+    outside block o, and their Born weights there are one gather of the
+    four measured blocks' weights (:func:`_sequential_gather`; pruned
+    blocks read as zeros).  Their 256 payoff values are one stacked call
+    of 1-D dot products of each gathered block with the same 256 entries
+    of the observables ``play_sequential`` reads (:func:`_block_weights_of`).
+    Such a dot equals the dot over the whole zero-padded register bit for
+    bit: the padding adds only signed zeros to a +0.0 sum, and each block
+    is a whole number of the BLAS kernel's accumulator lanes.  Each value
+    is scaled by its renormalized branch weight, one ``np.take`` picks
+    every cell's row per outcome, and the picks are summed from 0.0 in
+    ``OUTCOMES`` order: the products and the sum ``play_sequential``
     forms for its ``expected``, so cells equal it bit for bit.  A pruned
     branch adds a zero, which leaves a sum started from 0.0 unchanged.
     Keys and layout match :func:`rep_component_tables`.
     """
-    # Stacked (1 x n) @ (n x 1) products go to the dot a 1-D ``w @ p`` uses;
-    # (1 x n) @ (n x 4) would go to BLAS gemv, which sums in another order.
-    weights = np.stack([obs.weights for obs in _observables(game.stage)])[None, :, None]
     chance, posts = _stage1_chance(game)
     # renormalized[k, o]: the ensemble weight of outcome o after flips k.  A
     # pruned block adds +0.0 to its row's total, which leaves the total as is.
@@ -439,8 +441,15 @@ def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarr
         # building it once runs its checks once.
         members = zip(renormalized[k].tolist(), [posts[k ^ o] for o in range(4)])
         Ensemble(tuple((weight, post) for weight, post in members if post is not None))
-    continued = _continuations(posts)
-    values = (weights @ continued[:, None, :, None]).reshape(16, 4, 4)
+    blocks = np.zeros((4, _BLOCK))
+    for b, post in enumerate(posts):
+        if post is not None:
+            blocks[b] = post.probabilities[b * _BLOCK : (b + 1) * _BLOCK]
+    gathered = blocks.ravel()[_sequential_gather()].reshape(4, 16, 1, _BLOCK, 1)
+    # Stacked (1 x n) @ (n x 1) products go to the dot a 1-D ``w @ p`` uses;
+    # (1 x n) @ (n x 4) would go to BLAS gemv, which sums in another order.
+    weights = _block_weights_of(np.array(game.stage.outcomes).tobytes())
+    values = (weights[:, None, :, None, :] @ gathered).reshape(16, 4, 4)
     weighted = (values * renormalized.T.reshape(16, 1, 1)).reshape(64, 4)
     picked = np.take(weighted, _continuation_rows(), axis=0)
     table = 0.0

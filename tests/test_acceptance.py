@@ -7,6 +7,9 @@ from seed 20260501 here and from 271828 in ``qrgames paper-repro``.
 
 from __future__ import annotations
 
+import io
+import json
+from contextlib import redirect_stdout
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +17,7 @@ import pytest
 
 from qrgames import claims, iqbaltoor, repeated10
 from qrgames.claims import CLAIMS, run_claims
+from qrgames.cli import main
 from qrgames.mw import pair_table, stage_weights
 from qrgames.qstate import PureState
 from qrgames.stagegames import make_pd, payoff_scale
@@ -159,3 +163,25 @@ def test_a_wrong_pair_table_fails_the_deviation_check(
     monkeypatch.setattr(module, "pair_table", wrong)
     worst, _ = deviation(PD, samples=2, seed=3)
     assert worst > BOUND
+
+
+def test_swapped_marginal_axes_fail_the_four_qubit_check(monkeypatch, tmp_path):
+    """Stage 1 reading qubits 3-4 and stage 2 qubits 1-2 is caught by the
+    deviation check and by ``compare-protocols --protocol iqbal-toor``."""
+    monkeypatch.setattr(iqbaltoor, "_SUMMED_AXES", iqbaltoor._SUMMED_AXES[::-1])
+    worst, _ = claims.it_deviation(PD, samples=2, seed=3)
+    assert worst > BOUND
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "protocol": "iqbal-toor",
+                "payoffs": {"T": 5, "R": 3, "P": 1, "S": 0},
+                "initial_state": "all_zero",
+            }
+        )
+    )
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(["compare-protocols", "--config", str(config), "--samples", "2"])
+    assert code == 1
+    assert json.loads(out.getvalue())["pass"] is False

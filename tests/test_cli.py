@@ -155,6 +155,62 @@ def test_malformed_numbers_exit_with_two(tmp_path, capsys, initial_state, messag
     assert "Traceback" not in err
 
 
+ZERO = "0" * 10
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        pytest.param(
+            mw10_document(payoffs={"T": True, "R": 3, "P": 1, "S": 0}),
+            "payoff T must be a number, got True",
+            id="T",
+        ),
+        pytest.param(
+            mw10_document(payoffs={"T": 5, "R": 3, "P": 1, "S": False}),
+            "payoff S must be a number, got False",
+            id="S",
+        ),
+        pytest.param(
+            mw10_document(payoffs=[[[3, 3], [0, 5]], [[5, 0], [1, True]]]),
+            "payoff cell [1][1][1] must be a number, got True",
+            id="explicit-cell",
+        ),
+        pytest.param(
+            mw10_document([{"basis": ZERO, "prob": True}]),
+            "initial_state term 0: prob must be a number, got True",
+            id="prob",
+        ),
+        pytest.param(
+            mw10_document([{"basis": ZERO, "re": 1.0}, {"basis": ZERO, "re": False}]),
+            "initial_state term 1: re must be a number, got False",
+            id="re",
+        ),
+        pytest.param(
+            mw10_document([{"basis": ZERO, "re": 0.0, "im": True}]),
+            "initial_state term 0: im must be a number, got True",
+            id="im",
+        ),
+        pytest.param(
+            mw10_document({"pair_product": [[{"basis": "00", "prob": True}]] * 5}),
+            "pair_product[0] term 0: prob must be a number, got True",
+            id="pair-product-prob",
+        ),
+        pytest.param(
+            mw10_document({"ghz": True}),
+            "ghz weight must be a number, got True",
+            id="ghz",
+        ),
+    ],
+)
+def test_json_booleans_are_not_numbers(tmp_path, capsys, document, message):
+    """``float(True)`` is 1.0, so each field refuses a bool by name."""
+    path = write_config(tmp_path, document)
+    code, out, err = run_cli(capsys, "bimatrix", "--config", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def parse_terms_oracle(raw, num_qubits, where):
     """The term-list parser as first written: one numpy add per term."""
     if not isinstance(raw, Sequence) or isinstance(raw, str):

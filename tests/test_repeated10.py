@@ -6,6 +6,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -568,8 +569,9 @@ def full_register_gather() -> np.ndarray:
 
 def test_sequential_gather_rows_are_the_flips_of_a_sequential_play():
     """Row ``16*o + 4*k + a`` reads block ``o XOR k`` at ``low ^ (a << (6 -
-    2*o))``, and the rows written into block o of zero registers are the
-    whole-register gather of the flips a sequential play applies."""
+    2*o))``, and outcome o's gathered rows, padded here into block o of
+    zero registers, are the whole-register gather of the flips a
+    sequential play applies."""
     gather = repeated10._sequential_gather()
     low = np.arange(256)
     for o in range(4):
@@ -589,13 +591,18 @@ def test_sequential_gather_rows_are_the_flips_of_a_sequential_play():
         born = np.stack(
             [np.zeros(1024) if post is None else post.probabilities for post in posts]
         )
-        continued = repeated10._continuations(posts)
-        assert continued.shape == (64, 1024)
+        gathered = np.stack(
+            [born[b, 256 * b : 256 * (b + 1)] for b in range(4)]
+        ).ravel()[gather]
+        continued = np.zeros((4, 16, 4, 256))
+        for o in range(4):
+            continued[o, :, o] = gathered[16 * o : 16 * (o + 1)]
         assert continued.tobytes() == born.ravel()[old_gather].tobytes()
 
 
 def test_only_the_sequential_table_builds_the_sequential_gather():
-    """The batch table leaves the 128 KB gather unbuilt in a fresh process."""
+    """The batch table leaves the 128 KB gather and the 32 KB observable
+    blocks unbuilt in a fresh process."""
     script = (
         "import numpy as np\n"
         "from qrgames import repeated10 as r\n"
@@ -605,13 +612,15 @@ def test_only_the_sequential_table_builds_the_sequential_gather():
         "game = r.RepGame(state, make_pd(5, 3, 1, 0))\n"
         "r.rep_component_tables(game)\n"
         "print(r._sequential_gather.cache_info().misses)\n"
+        "print(r._block_weights_of.cache_info().misses)\n"
         "r.sequential_component_tables(game)\n"
         "print(r._sequential_gather.cache_info().misses)\n"
+        "print(r._block_weights_of.cache_info().misses)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
-    assert result.stdout.split() == ["0", "1"]
+    assert result.stdout.split() == ["0", "0", "1", "1"]
 
 
 @pytest.fixture
@@ -669,6 +678,9 @@ def test_stacked_row_column_products_are_the_one_dimensional_dots(scale):
     the type's ``dot`` function (``DOUBLE_dot``), the one a 1-D
     ``w @ p`` uses, so the stacked products equal the separate dots bit
     for bit whatever the BLAS.  A numpy that changes that loop fails here.
+    The table stacks (1 x 256) @ (256 x 1) block products; that they are
+    also the whole-register dots is the BLAS property of
+    :func:`test_a_block_dot_is_the_zero_padded_register_dot`.
     """
     rng = np.random.default_rng(64)
     weights = scale * rng.standard_normal((4, 1024))
@@ -677,6 +689,92 @@ def test_stacked_row_column_products_are_the_one_dimensional_dots(scale):
     stacked = (weights[None, :, None] @ probs[:, None, :, None]).reshape(4, 4)
     separate = np.array([[w @ p for w in weights] for p in probs])
     assert np.array_equal(stacked, separate)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    o=st.integers(0, 3),
+    scale=st.sampled_from([1.0, 0.37, 1e8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_block_dot_is_the_zero_padded_register_dot(o, scale, seed):
+    """The sequential table dots outcome o's continuations on block o alone.
+
+    That equals the dot over the whole register, zero outside block o,
+    bit for bit with the sign of zero, in the 1-D form and in the stacked
+    (1 x n) @ (n x 1) form.  This rests on the BLAS, not on numpy: the
+    padding adds only signed zeros to a +0.0 sum, and 256 entries, at a
+    2048-byte offset, are a whole number of the accumulator lanes (16 or
+    32 doubles) of OpenBLAS's ddot kernels.  A BLAS that sums otherwise
+    fails here.
+    """
+    rng = np.random.default_rng(seed)
+    block = slice(256 * o, 256 * (o + 1))
+    weights = scale * rng.standard_normal((4, 1024))
+    signed = rng.random((4, 1024)) < 0.1
+    weights[signed] = rng.choice([-0.0, 0.0, -5e-324, 5e-324], size=signed.sum())
+    # A component of -0.0 and -5e-324 alone: every product is -0.0 or
+    # -5e-324, and its dots sum signed zeros and subnormals.
+    weights[3] = rng.choice([-0.0, -5e-324], size=1024)
+    probs = np.zeros((16, 1024))
+    probs[1:, block] = rng.random((15, 256)) * (rng.random((15, 256)) < 0.5)
+    full = np.array([[w @ p for w in weights] for p in probs])
+    one_d = np.array([[w[block] @ p[block] for w in weights] for p in probs])
+    stacked = (weights[None, :, None, block] @ probs[:, None, block, None]).reshape(
+        16, 4
+    )
+    assert one_d.tobytes() == full.tobytes()
+    assert stacked.tobytes() == full.tobytes()
+
+
+def test_one_sequential_table_allocates_no_whole_register_per_continuation():
+    """64 continuations over 1024 entries would take 512 KB alone."""
+    game = pd_game(random_state(10, np.random.default_rng(71)))
+    # The first call builds the cached gathers and observables.
+    sequential_component_tables(game)
+    tracemalloc.start()
+    try:
+        sequential_component_tables(game)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
+
+
+def test_block_weight_cache_stays_bounded_and_rebuilds_equal_results():
+    state = random_state(10, np.random.default_rng(72))
+    stages = [
+        make_pd(5 + k, 3 + k / 7, 1 - k / 11, -k / 13) for k in range(40)
+    ]
+    repeated10._block_weights_of.cache_clear()
+    first = [sequential_component_tables(RepGame(state, stage)) for stage in stages]
+    assert repeated10._block_weights_of.cache_info().currsize <= 16
+    for stage, got in zip(stages, first):
+        repeated10._block_weights_of.cache_clear()
+        fresh = sequential_component_tables(RepGame(state, stage))
+        for key in TABLE_KEYS:
+            assert fresh[key].tobytes() == got[key].tobytes()
+
+
+@pytest.mark.parametrize("first_sign", [1.0, -1.0])
+def test_block_weights_are_the_observables_own_blocks(first_sign):
+    """Read-only, and each stage keeps its own signed zeros, whichever of
+    two stages equal up to the sign of zero was cached first."""
+    stages = {sign: make_pd(5, 3, 1, sign * 0.0) for sign in (first_sign, -first_sign)}
+    repeated10._block_weights_of.cache_clear()
+    for sign, stage in stages.items():
+        blocks = repeated10._block_weights_of(np.array(stage.outcomes).tobytes())
+        assert blocks.shape == (4, 4, 256)
+        assert not blocks.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            blocks[0, 0, 0] = 1.0
+        dense = [obs.weights for obs in _observables(stage)]
+        for o in range(4):
+            for component, weights in enumerate(dense):
+                want = weights[256 * o : 256 * (o + 1)]
+                assert blocks[o, component].tobytes() == want.tobytes()
+        assert np.signbit(blocks).any() == (sign < 0)
+    assert repeated10._block_weights_of.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize(

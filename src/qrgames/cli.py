@@ -89,24 +89,44 @@ def _stage_game(raw: object) -> StageGame:
             )
         except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"payoffs must be numbers: {err}") from None
-    if isinstance(raw, Sequence) and not isinstance(raw, str):
-        try:
-            cells = tuple(
-                tuple((float(pair[0]), float(pair[1])) for pair in row)
-                for row in raw
-            )
-            if len(cells) != 2 or any(len(row) != 2 for row in cells):
-                raise ValueError
-        except (TypeError, ValueError, OverflowError, LookupError):
+    if _is_array(raw):
+        if len(raw) != 2 or not all(_is_array(row) and len(row) == 2 for row in raw):
             raise ConfigError(
                 "explicit payoffs must be a 2x2 nesting of [u1, u2] pairs"
-            ) from None
-        for i, row in enumerate(raw):
-            for j, pair in enumerate(row):
-                for p in (0, 1):
-                    _refuse_bool(pair[p], f"payoff cell [{i}][{j}][{p}]")
-        return StageGame(cells)
+            )
+        return StageGame(
+            tuple(
+                tuple(_payoff_pair(pair, f"[{i}][{j}]") for j, pair in enumerate(row))
+                for i, row in enumerate(raw)
+            )
+        )
     raise ConfigError("payoffs must be a {T,R,P,S} mapping or a 2x2 cell table")
+
+
+def _payoff_pair(raw: object, cell: str) -> tuple[float, float]:
+    """One explicit cell: a JSON array of exactly two finite numbers.
+
+    A string is a sequence too, and entries past the second would be
+    dropped unread, so both are refused by the cell's name.
+    """
+    if not _is_array(raw) or len(raw) != 2:
+        raise ConfigError(
+            "explicit payoffs must be a 2x2 nesting of [u1, u2] pairs; "
+            f"cell {cell} is {raw!r}"
+        )
+    pair = []
+    for p, value in enumerate(raw):
+        what = f"payoff cell {cell}[{p}]"
+        number = _number(value, what)
+        if not math.isfinite(number):
+            raise ConfigError(f"{what} must be finite, got {value!r}")
+        pair.append(number)
+    return (pair[0], pair[1])
+
+
+def _is_array(raw: object) -> bool:
+    """A JSON array: a sequence other than a string."""
+    return isinstance(raw, Sequence) and not isinstance(raw, str)
 
 
 def _refuse_bool(raw: object, what: str) -> None:

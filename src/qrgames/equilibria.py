@@ -127,6 +127,12 @@ def strictly_dominated(bm: Bimatrix, player: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in np.argwhere(beats)]
 
 
+# The outcomes o as a (4, 1) column that indexes per-outcome rows, and the
+# bit ``3 - o`` of a five-bit strategy that holds the flip after o.
+_OUTCOME_ROWS = np.arange(4)[:, None]
+_AFTER_SHIFTS = 3 - _OUTCOME_ROWS
+
+
 def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
     """Subgame perfect equilibria of a twice-played game whose outcomes
     each head a self-contained subgame.
@@ -179,20 +185,22 @@ def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
             )
     # selected[o, s]: the flips a that selection s picks after outcome o.
     selected = np.array(list(product(*hits))).T
+    # terms[o, s, k, player]: chance[k, o] times the value selection s picks
+    # after outcome o, summed over o from 0.0 in order.
+    picked = values[_OUTCOME_ROWS, :, selected]
+    terms = tables.chance.T[:, None, :, None] * picked[:, :, None, :]
     extra = 0.0
-    for o, picks in enumerate(selected):
-        extra = extra + tables.chance[:, o, None] * values[o][:, picks].T[:, None, :]
+    for term in terms:
+        extra = extra + term
     cells = base + extra
     # cells[s, k, player]; the induced game of selection s is u[s, k1, k2].
     u1, u2 = cells.transpose(2, 0, 1).reshape(2, -1, 2, 2)
     at_equilibrium, strict = _nash_masks(u1, u2, tol)
     # Per selection: each player's contingent strategy bits (the flip after
     # outcome o is bit 3 - o) and whether all four picks are strict.
-    shifts = (3 - np.arange(4))[:, None]
-    after1 = ((selected >> 1) << shifts).sum(axis=0)
-    after2 = ((selected & 1) << shifts).sum(axis=0)
-    strict_picks = np.take_along_axis(sub_strict.reshape(4, 4), selected, axis=1)
-    strict_picks = strict_picks.all(axis=0)
+    after1 = ((selected >> 1) << _AFTER_SHIFTS).sum(axis=0)
+    after2 = ((selected & 1) << _AFTER_SHIFTS).sum(axis=0)
+    strict_picks = sub_strict.reshape(4, 4)[_OUTCOME_ROWS, selected].all(axis=0)
     s, k1, k2 = np.nonzero(at_equilibrium)
     found = sorted(
         (

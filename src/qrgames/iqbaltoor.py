@@ -93,6 +93,14 @@ def _stage_tables(game: ITGame) -> tuple[np.ndarray, np.ndarray]:
     return tuple(table @ born.sum(axis=axis) for axis in _SUMMED_AXES)
 
 
+def _flip_weights(a: float, b: float) -> np.ndarray:
+    """Chances of a qubit pair's four flips ``2*f1 + f2`` when its qubits
+    flip independently with probabilities a and b: the four products of
+    ``np.kron([1 - a, a], [1 - b, b])``, written out.
+    """
+    return np.array([(1.0 - a) * (1.0 - b), (1.0 - a) * b, a * (1.0 - b), a * b])
+
+
 def it_expected(game: ITGame, s1: ITStrategy, s2: ITStrategy) -> ExpectedPayoffs:
     """Expected payoffs per player and stage under (possibly mixed) strategies.
 
@@ -100,20 +108,17 @@ def it_expected(game: ITGame, s1: ITStrategy, s2: ITStrategy) -> ExpectedPayoffs
     flips are drawn independently, so a stage's expectation is the
     blend of its :func:`_stage_tables` row over the four flips of its
     pair, each weighted by the product of the two qubits' chances of
-    taking it.  A pure profile puts weight 1.0 on one flip, so its totals
-    are the :func:`it_pure_bimatrix` cell exactly.
+    taking it (:func:`_flip_weights`).  A pure profile puts weight 1.0 on
+    one flip, so its totals are the :func:`it_pure_bimatrix` cell exactly.
     """
-    stage1, stage2 = (
-        table @ np.kron([1.0 - a, a], [1.0 - b, b])
-        for table, a, b in zip(
-            _stage_tables(game),
-            (s1.stage1_flip_prob, s1.stage2_flip_prob),
-            (s2.stage1_flip_prob, s2.stage2_flip_prob),
-        )
-    )
-    return ExpectedPayoffs(
-        float(stage1[0]), float(stage2[0]), float(stage1[1]), float(stage2[1])
-    )
+    stage1, stage2 = _stage_tables(game)
+    e11, e21 = (
+        stage1 @ _flip_weights(s1.stage1_flip_prob, s2.stage1_flip_prob)
+    ).tolist()
+    e12, e22 = (
+        stage2 @ _flip_weights(s1.stage2_flip_prob, s2.stage2_flip_prob)
+    ).tolist()
+    return ExpectedPayoffs(e11, e12, e21, e22)
 
 
 def it_batch_expected(
@@ -233,25 +238,28 @@ def it_no_cooperation_check(game: ITGame) -> NoCooperationVerdict:
 
     def gaps_for(player: int) -> tuple[float, float]:
         # Rows are the player's strategies (stage1_bit * 2 + stage2_bit) and
-        # columns the opponent's, so margins[stage2_bit, opponent] is the gain
-        # of flipping at stage 1; one block per opponent stage-1 bit.
+        # columns the opponent's, so the margin rows ``first`` and ``second``
+        # (stage2_bit 0 and 1) hold the gain of flipping at stage 1 against
+        # each opponent; one block per opponent stage-1 bit.  Read as Python
+        # floats, the same values, compared without a numpy call each.
         own = bm.payoffs1 if player == 1 else bm.payoffs2.T
-        margins = own[2:] - own[:2]
-        if (margins <= 0).any():
+        first, second = (own[2:] - own[:2]).tolist()
+        if min(first + second) <= 0:
             raise AssertionError(
                 f"stage-1 flip fails to dominate for player {player}"
             )
         gaps = []
-        for block, expected in (
-            (margins[:, :2], pattern.t - pattern.r),
-            (margins[:, 2:], pattern.p - pattern.s),
+        for cols, expected in (
+            (slice(0, 2), pattern.t - pattern.r),
+            (slice(2, 4), pattern.p - pattern.s),
         ):
-            spread = block.max() - block.min()
-            if spread > PATTERN_TOL or abs(block[0, 0] - expected) > PATTERN_TOL:
+            block = first[cols] + second[cols]
+            spread = max(block) - min(block)
+            if spread > PATTERN_TOL or abs(block[0] - expected) > PATTERN_TOL:
                 raise AssertionError(
                     "dominance margin does not match the stage-1 pattern"
                 )
-            gaps.append(float(block[0, 0]))
+            gaps.append(block[0])
         return (gaps[0], gaps[1])
 
     report = pure_nash(bm, tol=PATTERN_TOL)

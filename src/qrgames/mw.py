@@ -45,9 +45,9 @@ def stage_weights(stage: StageGame) -> np.ndarray:
 
     Row ``player - 1`` holds the payoffs at bit patterns 00, 01, 10, 11
     of the pair (first qubit most significant), the layout
-    :func:`pair_table` permutes.
+    :func:`pair_table` permutes.  A read-only view of ``stage.array``.
     """
-    return np.array(stage.outcomes).reshape(4, 2).T
+    return stage.array.reshape(4, 2).T
 
 
 # The read-only index ``[f, z] -> z ^ f`` over a qubit pair's four patterns.

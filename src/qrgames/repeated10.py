@@ -133,14 +133,14 @@ def _observables(stage: StageGame) -> tuple[DiagonalObservable, ...]:
     """
     # -0.0 == 0.0, so a cache keyed on the StageGame would hand a stage
     # the weights of an equal one cached first, with other signed zeros.
-    return _observables_of(np.array(stage.outcomes).tobytes())
+    return _observables_of(stage.array.tobytes())
 
 
 # Each entry holds 32 KB of dense weights.  Sixteen games cover the
 # four stage games of a benchmark pool, so those never evict.
 @lru_cache(maxsize=16)
 def _observables_of(payoffs: bytes) -> tuple[DiagonalObservable, ...]:
-    """``_observables`` of the stage whose ``outcomes`` array has these bytes."""
+    """``_observables`` of the stage whose ``array`` has these bytes."""
     stage = StageGame(np.frombuffer(payoffs).reshape(2, 2, 2).tolist())
     outcome = np.arange(2 ** NUM_QUBITS) >> (NUM_QUBITS - 2)
     observables = []
@@ -448,7 +448,7 @@ def sequential_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarr
     gathered = blocks.ravel()[_sequential_gather()].reshape(4, 16, 1, _BLOCK, 1)
     # Stacked (1 x n) @ (n x 1) products go to the dot a 1-D ``w @ p`` uses;
     # (1 x n) @ (n x 4) would go to BLAS gemv, which sums in another order.
-    weights = _block_weights_of(np.array(game.stage.outcomes).tobytes())
+    weights = _block_weights_of(game.stage.array.tobytes())
     values = (weights[:, None, :, None, :] @ gathered).reshape(16, 4, 4)
     weighted = (values * renormalized.T.reshape(16, 1, 1)).reshape(64, 4)
     picked = np.take(weighted, _continuation_rows(), axis=0)
@@ -521,6 +521,30 @@ class TreeNode:
     payoffs: Payoffs | None
     reachable: bool = True
 
+    @classmethod
+    def _terminal(
+        cls, node_id: int, payoffs: Payoffs | None, reachable: bool
+    ) -> "TreeNode":
+        """``TreeNode(node_id, "terminal", None, None, (), (), None, payoffs,
+        reachable)``, filled into the instance ``__dict__`` without the frozen
+        ``__init__`` and its nine ``object.__setattr__`` calls.  The class
+        has no ``__post_init__``, so the shortcut skips no check; the node is
+        as frozen, equal and hashable as one built the usual way.
+        """
+        node = object.__new__(cls)
+        node.__dict__.update(
+            node_id=node_id,
+            kind="terminal",
+            owner=None,
+            info_set=None,
+            actions=(),
+            children=(),
+            probabilities=None,
+            payoffs=payoffs,
+            reachable=reachable,
+        )
+        return node
+
 
 @dataclass(frozen=True)
 class ExtensiveTree:
@@ -572,6 +596,8 @@ class ExtensiveTree:
 # outcome o's from ``_CHANCE_IDS[k] + 1 + 7*o``: player 1's decision, then
 # per a1 player 2's reply and its two terminals.
 _CHANCE_IDS = (2, 31, 61, 90)
+# ``_HEAD_IDS[k][o]``: the id of outcome o's subtree below chance node k.
+_HEAD_IDS = tuple(tuple(c + 1 + 7 * o for o in range(4)) for c in _CHANCE_IDS)
 # Offsets of the terminals in a subtree, in ``2*a1 + a2`` order.
 _LEAF_OFFSETS = (2, 3, 5, 6)
 
@@ -615,9 +641,8 @@ def _tree_skeleton() -> tuple[tuple[TreeNode | None, ...], ...]:
         nodes: list[TreeNode | None] = [None] * 119
         for node in stage1:
             nodes[node.node_id] = node
-        for chance_id in _CHANCE_IDS:
-            for o, (o1, o2) in enumerate(OUTCOMES):
-                first = chance_id + 1 + 7 * o
+        for heads in _HEAD_IDS:
+            for first, (o1, o2) in zip(heads, OUTCOMES):
                 after = f"after-{o1}{o2}"
                 replies = (first + 1, first + 4)
                 nodes[first] = decision(first, 1, "1:" + after, replies, live)
@@ -637,13 +662,17 @@ def _assemble_tree(stage: StageGame, chance: np.ndarray, stage2) -> ExtensiveTre
     of :func:`start_tables`; terminals add a continuation to the outcome's
     own payoffs.  Nodes below a zero chance weight are the skeleton's
     unreachable ones.  Only the four chance nodes and the terminals with
-    payoffs are built here; every other node is :func:`_tree_skeleton`'s.
+    payoffs are built here, the terminals by :meth:`TreeNode._terminal`;
+    every other node is :func:`_tree_skeleton`'s.
     """
+    terminal = TreeNode._terminal
     unreachable, reachable = _tree_skeleton()
     nodes = list(reachable)
-    outcome_payoffs = np.array(stage.outcomes).reshape(4, 2, 1)
-    for chance_id, weights, tables in zip(_CHANCE_IDS, chance.tolist(), stage2):
-        heads = tuple(chance_id + 1 + 7 * o for o in range(4))
+    # Python floats add as float64 arrays do, so the totals keep their bits.
+    outcome_payoffs = [pair for row in stage.outcomes for pair in row]
+    for chance_id, heads, weights, tables in zip(
+        _CHANCE_IDS, _HEAD_IDS, chance.tolist(), stage2
+    ):
         nodes[chance_id] = TreeNode(
             chance_id,
             "chance",
@@ -654,18 +683,17 @@ def _assemble_tree(stage: StageGame, chance: np.ndarray, stage2) -> ExtensiveTre
             tuple(weights),
             None,
         )
-        for first, weight, table, own in zip(heads, weights, tables, outcome_payoffs):
+        for first, weight, table, (own1, own2) in zip(
+            heads, weights, tables, outcome_payoffs
+        ):
             live = weight > 0.0
             if not live:
                 nodes[first : first + 7] = unreachable[first : first + 7]
             if table is None:
                 continue
-            totals = (own + table).T.tolist()
-            for offset, payoffs in zip(_LEAF_OFFSETS, totals):
+            for offset, u1, u2 in zip(_LEAF_OFFSETS, *table.tolist()):
                 leaf_id = first + offset
-                nodes[leaf_id] = TreeNode(
-                    leaf_id, "terminal", None, None, (), (), None, tuple(payoffs), live
-                )
+                nodes[leaf_id] = terminal(leaf_id, (own1 + u1, own2 + u2), live)
     return ExtensiveTree(tuple(nodes), 0)
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Sequence
@@ -30,10 +31,14 @@ class StageGame:
     ``outcomes[a1][a2]`` is the payoff pair when player 1 picks action
     ``a1`` and player 2 picks ``a2``.  Ties between payoffs are allowed;
     only the classification properties below insist on strictness.
+    ``array`` holds the same payoffs as a read-only ``(2, 2, 2)`` float
+    array indexed ``[a1, a2, player - 1]``, built once here, signed zeros
+    kept; it takes no part in ``repr``, equality or hashing.
     """
 
     outcomes: tuple[tuple[Payoffs, Payoffs], tuple[Payoffs, Payoffs]]
     labels: tuple[tuple[str, str], tuple[str, str]] = (("0", "1"), ("0", "1"))
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = tuple(
@@ -43,12 +48,15 @@ class StageGame:
             raise ValueError("a stage game needs a 2x2 outcome table")
         for row in rows:
             for pair in row:
-                if not all(np.isfinite(u) for u in pair):
+                if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
                     raise ValueError(f"payoffs must be finite, got {pair}")
+        array = np.array(rows)
+        array.setflags(write=False)
         object.__setattr__(self, "outcomes", rows)
         object.__setattr__(
             self, "labels", tuple(tuple(side) for side in self.labels)
         )
+        object.__setattr__(self, "array", array)
 
     def pair(self, a1: int, a2: int) -> Payoffs:
         return self.outcomes[a1][a2]
@@ -57,10 +65,8 @@ class StageGame:
         return self.outcomes[a1][a2][player - 1]
 
     def payoff_table(self, player: int) -> np.ndarray:
-        """2x2 array of one player's payoffs, indexed [a1, a2]."""
-        return np.array(
-            [[self.outcomes[a1][a2][player - 1] for a2 in (0, 1)] for a1 in (0, 1)]
-        )
+        """2x2 read-only view of one player's payoffs, indexed [a1, a2]."""
+        return self.array[..., player - 1]
 
     @property
     def pd_values(self) -> tuple[float, float, float, float] | None:
@@ -93,7 +99,7 @@ class StageGame:
 def payoff_scale(stage: StageGame) -> float:
     """``2*max|u|``, the most a two-stage total reaches: the unit of payoff
     tolerances.  A zero game has scale 0.0, so its compares are exact."""
-    return 2.0 * float(np.abs(stage.outcomes).max())
+    return 2.0 * float(np.abs(stage.array).max())
 
 
 def make_pd(t: float, r: float, p: float, s: float) -> StageGame:
@@ -291,6 +297,27 @@ class Bimatrix:
         return json.dumps(document, indent=2)
 
 
+def _classical_picks() -> tuple[np.ndarray, np.ndarray]:
+    """Per cell (i, j) of the classical 32x32 table, the outcome
+    ``2*a1 + a2`` whose payoffs each stage adds, as read-only arrays.
+
+    Stage 1 plays the actions a = (i >> 4, j >> 4); stage 2 plays bits
+    (i >> slot) & 1 and (j >> slot) & 1 at the slot ``3 - (2*a1 + a2)``
+    of the realized outcome.
+    """
+    i, j = np.arange(32)[:, None], np.arange(32)[None, :]
+    a1, a2 = i >> 4, j >> 4
+    slot = 3 - (2 * a1 + a2)
+    b1, b2 = (i >> slot) & 1, (j >> slot) & 1
+    picks = (2 * a1 + a2, 2 * b1 + b2)
+    for pick in picks:
+        pick.setflags(write=False)
+    return picks
+
+
+_CLASSICAL_STAGE1, _CLASSICAL_STAGE2 = _classical_picks()
+
+
 def classical_twice_repeated(stage: StageGame) -> Bimatrix:
     """Normal form of the classical twice-repeated game.
 
@@ -300,13 +327,10 @@ def classical_twice_repeated(stage: StageGame) -> Bimatrix:
     embedding must reproduce.  Index bit 4 is the stage-1 action and
     bit ``3 - (2*a1 + a2)`` the action after outcome (a1, a2).
     """
-    i, j = np.arange(32)[:, None], np.arange(32)[None, :]
-    a1, a2 = i >> 4, j >> 4
-    slot = 3 - (2 * a1 + a2)
-    b1, b2 = (i >> slot) & 1, (j >> slot) & 1
-    u1, u2 = (
-        table[a1, a2] + table[b1, b2]
-        for table in (stage.payoff_table(1), stage.payoff_table(2))
+    # weights[player - 1, 2*a1 + a2]: the payoff at outcome (a1, a2).
+    weights = stage.array.reshape(4, 2).T
+    u1, u2 = np.take(weights, _CLASSICAL_STAGE1, axis=1) + np.take(
+        weights, _CLASSICAL_STAGE2, axis=1
     )
     return Bimatrix(u1, u2, STRATEGY_LABELS, STRATEGY_LABELS)
 

@@ -105,6 +105,18 @@ def test_term_lists_build_custom_states():
             mw10_document(payoffs=[[[3, 3], [0, 5]], [{}, [1, 1]]]),
             "explicit payoffs must be a 2x2 nesting",
         ),
+        (
+            mw10_document(payoffs=[[[3, 3], [0, 5]], [{}, [1, 1]]]),
+            r"; cell \[1\]\[0\] is \{\}$",
+        ),
+        (
+            mw10_document(payoffs=[[[3, 3], [0, 5]], [[5, 0], [1, math.inf]]]),
+            r"payoff cell \[1\]\[1\]\[1\] must be finite, got inf",
+        ),
+        (
+            mw10_document(payoffs=[[[3, 3], [0, "five"]], [[5, 0], [1, 1]]]),
+            r"payoff cell \[0\]\[1\]\[1\] must be a number, got 'five'",
+        ),
     ],
 )
 def test_config_errors_name_the_problem(document, message):
@@ -209,6 +221,27 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, document, message):
     code, out, err = run_cli(capsys, "bimatrix", "--config", path)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+# Explicit cells that are not arrays of exactly two numbers: a pair with
+# entries past the second, and strings, which are sequences of digits.
+_EXTRA_ENTRIES = mw10_document(payoffs=[[[3, 3, 99], [0, 5, "junk"]], [[5, 0], [1, 1]]])
+_STRING_CELLS = mw10_document(payoffs=[["35", "05"], ["50", "11"]])
+
+
+@pytest.mark.parametrize(
+    "document, cell",
+    [(_EXTRA_ENTRIES, "[3, 3, 99]"), (_STRING_CELLS, "'35'")],
+    ids=["extra-entries", "strings"],
+)
+def test_explicit_cells_must_be_pairs_of_two_numbers(tmp_path, capsys, document, cell):
+    path = write_config(tmp_path, document)
+    code, out, err = run_cli(capsys, "bimatrix", "--config", path)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: explicit payoffs must be a 2x2 nesting of [u1, u2] pairs; "
+        f"cell [0][0] is {cell}\n"
+    )
 
 
 def parse_terms_oracle(raw, num_qubits, where):
@@ -1118,6 +1151,8 @@ _DENSE_START = _dense_start_document()
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(document=_configs())
 @example(document=_DENSE_START)
+@example(document=_EXTRA_ENTRIES)
+@example(document=_STRING_CELLS)
 def test_any_config_ends_in_a_finite_result_or_exit_two(tmp_path_factory, document):
     path = tmp_path_factory.mktemp("fuzz") / "config.json"
     path.write_text(json.dumps(document))
@@ -1130,5 +1165,8 @@ def test_any_config_ends_in_a_finite_result_or_exit_two(tmp_path_factory, docume
             # Every outcome's continuations differ across the dense blocks.
             assert code == 2
             assert err.getvalue().startswith("error: no self-contained subgame after")
+        if document in (_EXTRA_ENTRIES, _STRING_CELLS):
+            assert code == 2
+            assert "cell [0][0] is" in err.getvalue()
         if code == 0:
             assert all(math.isfinite(v) for v in _numbers_in(command, out.getvalue()))

@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from exact_eval import exact_pair_tables
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrgames import iqbaltoor
 from qrgames.iqbaltoor import (
@@ -189,6 +191,40 @@ def test_mixed_strategies_blend_the_pure_corners():
             blend += weight * it_batch_expected(game, k1, k2, k3, k4).as_array()
         got = it_expected(game, s1, s2)
         assert np.allclose(got.as_array(), blend, atol=1e-12)
+
+
+def kron_blend(game: ITGame, s1: ITStrategy, s2: ITStrategy) -> np.ndarray:
+    """``it_expected`` as first written: each stage's table dotted with the
+    ``np.kron`` of its two qubits' flip chances, in ExpectedPayoffs order."""
+    stage1, stage2 = (
+        table @ np.kron([1.0 - a, a], [1.0 - b, b])
+        for table, a, b in zip(
+            iqbaltoor._stage_tables(game),
+            (s1.stage1_flip_prob, s1.stage2_flip_prob),
+            (s2.stage1_flip_prob, s2.stage2_flip_prob),
+        )
+    )
+    return np.array([stage1[0], stage2[0], stage1[1], stage2[1]])
+
+
+_FLIP_PROBS = st.one_of(
+    st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2**-53, 0.5])
+)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    probs=st.tuples(_FLIP_PROBS, _FLIP_PROBS, _FLIP_PROBS, _FLIP_PROBS),
+    seed=st.integers(0, 2**32 - 1),
+    stage=st.sampled_from([PD, FRACTIONAL, SIGNED_ZERO]),
+)
+def test_mixed_payoffs_are_the_kron_weighted_blend_bit_for_bit(probs, seed, stage):
+    """The four flip weights written out are the products ``np.kron`` forms,
+    so every component keeps its bits, signed zeros included."""
+    game = ITGame(random_state(4, np.random.default_rng(seed)), stage)
+    s1, s2 = ITStrategy(probs[0], probs[1]), ITStrategy(probs[2], probs[3])
+    got = it_expected(game, s1, s2).as_array()
+    assert got.tobytes() == kron_blend(game, s1, s2).tobytes()
 
 
 @pytest.mark.parametrize("stage", [PD, FRACTIONAL, SIGNED_ZERO])

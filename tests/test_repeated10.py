@@ -1364,6 +1364,42 @@ def test_trees_share_their_decision_nodes():
     )
 
 
+@pytest.mark.parametrize(
+    "payoffs, live",
+    [((3.5, -0.0), True), (None, False), ((-5e-324, 1e300), False), (None, True)],
+)
+def test_the_terminal_shortcut_builds_the_constructors_node(payoffs, live):
+    fast = TreeNode._terminal(17, payoffs, live)
+    slow = TreeNode(17, "terminal", None, None, (), (), None, payoffs, live)
+    assert type(fast) is TreeNode
+    assert fast == slow and hash(fast) == hash(slow) and repr(fast) == repr(slow)
+    assert list(vars(fast).items()) == list(vars(slow).items())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fast.payoffs = (0.0, 0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del fast.kind
+    moved = dataclasses.replace(fast, payoffs=(1.0, 2.0), reachable=True)
+    assert moved == dataclasses.replace(slow, payoffs=(1.0, 2.0), reachable=True)
+    assert dataclasses.replace(fast) == slow
+
+
+def test_tree_nodes_have_nothing_the_terminal_shortcut_would_skip():
+    """``TreeNode._terminal`` bypasses ``__init__``: a ``__post_init__``
+    check or a tenth field would be silently skipped on every terminal."""
+    assert not hasattr(TreeNode, "__post_init__")
+    assert [f.name for f in dataclasses.fields(TreeNode)] == [
+        "node_id",
+        "kind",
+        "owner",
+        "info_set",
+        "actions",
+        "children",
+        "probabilities",
+        "payoffs",
+        "reachable",
+    ]
+
+
 def test_a_pruned_two_term_start_uses_the_unreachable_variants():
     """At weight 1e-14 the pruning keeps one outcome per stage-1 flip
     pair: the decisions below the others are the skeleton's unreachable

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -61,6 +62,53 @@ def test_stage_game_rejects_bad_tables():
         StageGame(one_row)  # type: ignore[arg-type]
     with pytest.raises(ValueError, match="finite"):
         make_pd(float("nan"), 3, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [
+        make_pd(5, 3, 1, 0),
+        make_pd(2.5, -0.0, -1.2, -3.1),
+        make_bos(3, 2, 1),
+        StageGame((((-0.0, 0.0), (1e300, -5e-324)), ((0.1, -0.0), (7, -2)))),
+    ],
+    ids=["pd", "signed-zero-pd", "bos", "extremes"],
+)
+def test_stage_array_is_the_read_only_outcome_array(stage):
+    want = np.array(stage.outcomes)
+    assert stage.array.dtype == want.dtype and stage.array.shape == (2, 2, 2)
+    # Bytes, so that a signed zero must keep its sign.
+    assert stage.array.tobytes() == want.tobytes()
+    assert not stage.array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        stage.array[0, 0, 0] = 1.0
+    for player in (1, 2):
+        table = stage.payoff_table(player)
+        cells = [[stage.payoff(player, a1, a2) for a2 in (0, 1)] for a1 in (0, 1)]
+        assert table.tobytes() == np.array(cells).tobytes()
+        assert not table.flags.writeable
+
+
+def test_stage_array_takes_no_part_in_repr_or_equality():
+    stage = make_pd(2.5, -0.0, -1.2, -3.1)
+    assert "array" not in repr(stage)
+    assert repr(stage) == (
+        f"StageGame(outcomes={stage.outcomes!r}, labels={stage.labels!r})"
+    )
+    # -0.0 == 0.0: equal games, whose arrays differ in one sign bit.
+    plain = make_pd(2.5, 0.0, -1.2, -3.1)
+    assert stage == plain and hash(stage) == hash(plain)
+    assert stage.array.tobytes() != plain.array.tobytes()
+    assert [f.name for f in dataclasses.fields(StageGame) if f.compare] == [
+        "outcomes",
+        "labels",
+    ]
+    with pytest.raises(TypeError):
+        StageGame(stage.outcomes, stage.labels, stage.array)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stage.array = plain.array
+    relabeled = dataclasses.replace(stage, labels=(("a", "b"), ("c", "d")))
+    assert relabeled.array.tobytes() == stage.array.tobytes()
 
 
 def test_stage_bimatrix_mirrors_the_table():

@@ -38,6 +38,8 @@ from .stagegames import (
 PROTOCOLS = ("mw10", "iqbal-toor", "classical")
 _QUBITS = {"mw10": 10, "iqbal-toor": 4}
 _GHZ_PATTERN = re.compile(r"^ghz\(([^)]*)\)$")
+_PAYOFF_KEYS = ("T", "R", "P", "S")
+_TERM_KEYS = ("basis", "prob", "re", "im")
 PAPER_REPRO_SEED = 271828
 # The scan accepts steps in (0, 0.5); the floor bounds its time and memory,
 # which grow as 1/step (a few hundred bytes per grid point).
@@ -62,33 +64,14 @@ class GameConfig:
 
 
 def _parse_payoffs(raw: object) -> StageGame:
-    stage = _stage_game(raw)
-    for row in stage.outcomes:
-        for pair in row:
-            for value in pair:
-                # Keeps every two-stage sum and payoff difference finite.
-                if not abs(value) <= 1e300:
-                    raise ConfigError(
-                        f"payoffs must not exceed 1e300 in magnitude, got {value!r}"
-                    )
-    return stage
-
-
-def _stage_game(raw: object) -> StageGame:
     if isinstance(raw, Mapping):
-        missing = [key for key in ("T", "R", "P", "S") if key not in raw]
+        missing = [key for key in _PAYOFF_KEYS if key not in raw]
         if missing:
             raise ConfigError(
                 f"payoffs need keys T, R, P, S; missing {', '.join(missing)}"
             )
-        for key in ("T", "R", "P", "S"):
-            _refuse_bool(raw[key], f"payoff {key}")
-        try:
-            return make_pd(
-                float(raw["T"]), float(raw["R"]), float(raw["P"]), float(raw["S"])
-            )
-        except (TypeError, ValueError, OverflowError) as err:
-            raise ConfigError(f"payoffs must be numbers: {err}") from None
+        _refuse_unknown_keys(raw, _PAYOFF_KEYS, "payoffs")
+        return make_pd(*(_payoff(raw[key], f"payoff {key}") for key in _PAYOFF_KEYS))
     if _is_array(raw):
         if len(raw) != 2 or not all(_is_array(row) and len(row) == 2 for row in raw):
             raise ConfigError(
@@ -104,7 +87,7 @@ def _stage_game(raw: object) -> StageGame:
 
 
 def _payoff_pair(raw: object, cell: str) -> tuple[float, float]:
-    """One explicit cell: a JSON array of exactly two finite numbers.
+    """One explicit cell: a JSON array of exactly two payoffs.
 
     A string is a sequence too, and entries past the second would be
     dropped unread, so both are refused by the cell's name.
@@ -114,14 +97,22 @@ def _payoff_pair(raw: object, cell: str) -> tuple[float, float]:
             "explicit payoffs must be a 2x2 nesting of [u1, u2] pairs; "
             f"cell {cell} is {raw!r}"
         )
-    pair = []
-    for p, value in enumerate(raw):
-        what = f"payoff cell {cell}[{p}]"
-        number = _number(value, what)
-        if not math.isfinite(number):
-            raise ConfigError(f"{what} must be finite, got {value!r}")
-        pair.append(number)
-    return (pair[0], pair[1])
+    return (
+        _payoff(raw[0], f"payoff cell {cell}[0]"),
+        _payoff(raw[1], f"payoff cell {cell}[1]"),
+    )
+
+
+def _payoff(raw: object, what: str) -> float:
+    value = _number(raw, what)
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {raw!r}")
+    # Keeps every two-stage sum and payoff difference finite.
+    if not abs(value) <= 1e300:
+        raise ConfigError(
+            f"payoffs must not exceed 1e300 in magnitude, got {value!r}"
+        )
+    return value
 
 
 def _is_array(raw: object) -> bool:
@@ -129,14 +120,20 @@ def _is_array(raw: object) -> bool:
     return isinstance(raw, Sequence) and not isinstance(raw, str)
 
 
-def _refuse_bool(raw: object, what: str) -> None:
-    """JSON true and false are not numbers, though ``float(True)`` is 1.0."""
-    if raw.__class__ is bool:
-        raise ConfigError(f"{what} must be a number, got {raw!r}")
+def _refuse_unknown_keys(raw: Mapping, known: tuple[str, ...], where: str) -> None:
+    """A misspelled key would otherwise be dropped unread."""
+    for key in raw:
+        if key not in known:
+            raise ConfigError(
+                f"{where}: unknown key {key!r}; expected {', '.join(known)}"
+            )
 
 
 def _number(raw: object, what: str) -> float:
-    _refuse_bool(raw, what)
+    """A JSON number as a float.  ``float`` also reads JSON true and false
+    (as 1.0 and 0.0) and numeric strings such as "5"; both are refused."""
+    if raw.__class__ is bool or isinstance(raw, str):
+        raise ConfigError(f"{what} must be a number, got {raw!r}")
     try:
         return float(raw)
     except (TypeError, ValueError, OverflowError):
@@ -168,13 +165,17 @@ def _parse_terms(raw: object, num_qubits: int, where: str) -> PureState:
                 f"{where} term {position}: basis must be a {num_qubits}-bit "
                 f"string, got {basis!r}"
             )
+        # Each branch counts the keys it reads against ``len(term)``, so a
+        # misspelled key is refused without a per-term set.
         if "prob" in term:
-            if "re" in term or "im" in term:
-                raise ConfigError(
-                    f"{where} term {position}: give either prob or re/im, not both"
-                )
+            if len(term) != 2:
+                if "re" in term or "im" in term:
+                    raise ConfigError(
+                        f"{where} term {position}: give either prob or re/im, not both"
+                    )
+                _refuse_unknown_keys(term, _TERM_KEYS, f"{where} term {position}")
             # JSON floats pass as they are; ``_number`` converts ints and
-            # refuses the rest by name, a bool included (``float(True)`` is 1.0).
+            # refuses the rest by name, bools and strings included.
             prob = term["prob"]
             if prob.__class__ is float:
                 probability = prob
@@ -184,10 +185,14 @@ def _parse_terms(raw: object, num_qubits: int, where: str) -> PureState:
                 raise ConfigError(f"{where} term {position}: prob must be nonnegative")
             amplitude = complex(math.sqrt(probability))
         else:
-            re, im = term.get("re", 0.0), term.get("im", 0.0)
-            if re.__class__ is float and im.__class__ is float:
+            # A missing re or im reads as the int 0, which fails the float
+            # test: on the fast path both are given, and basis is the third.
+            re, im = term.get("re", 0), term.get("im", 0)
+            if re.__class__ is float and im.__class__ is float and len(term) == 3:
                 amplitude = complex(re, im)
             else:
+                if len(term) != 1 + ("re" in term) + ("im" in term):
+                    _refuse_unknown_keys(term, _TERM_KEYS, f"{where} term {position}")
                 amplitude = complex(
                     _number(re, f"{where} term {position}: re"),
                     _number(im, f"{where} term {position}: im"),
@@ -225,12 +230,20 @@ def _parse_state(raw: object, protocol: str) -> PureState:
             return example_state()
         match = _GHZ_PATTERN.match(raw)
         if match:
-            return _ghz_state(num_qubits, _number(match.group(1), "ghz weight"))
+            text = match.group(1)
+            try:
+                weight = float(text)
+            except ValueError:
+                raise ConfigError(
+                    f"ghz weight must be a number, got {text!r}"
+                ) from None
+            return _ghz_state(num_qubits, weight)
         raise ConfigError(f"unknown initial_state preset {raw!r}")
     if isinstance(raw, Mapping):
-        if "ghz" in raw:
+        keys = list(raw)
+        if keys == ["ghz"]:
             return _ghz_state(num_qubits, _number(raw["ghz"], "ghz weight"))
-        if "pair_product" in raw:
+        if keys == ["pair_product"]:
             pairs = raw["pair_product"]
             wanted = num_qubits // 2
             if not isinstance(pairs, Sequence) or len(pairs) != wanted:
@@ -243,7 +256,8 @@ def _parse_state(raw: object, protocol: str) -> PureState:
             ]
             return tensor_all(factors)
         raise ConfigError(
-            "initial_state object must contain 'ghz' or 'pair_product'"
+            "initial_state object must contain one key, 'ghz' or 'pair_product'; "
+            f"got {', '.join(map(repr, keys)) or 'none'}"
         )
     if isinstance(raw, Sequence):
         return _parse_terms(raw, num_qubits, "initial_state")
@@ -259,6 +273,7 @@ def parse_config(document: object, protocol: str | None = None) -> GameConfig:
     """
     if not isinstance(document, Mapping):
         raise ConfigError("config must be a JSON object")
+    _refuse_unknown_keys(document, ("protocol", "payoffs", "initial_state"), "config")
     name = protocol or document.get("protocol")
     if name is None:
         raise ConfigError("no protocol given (config field or --protocol)")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .mw import stage_weights
 from .qstate import NORM_ATOL, OUTCOMES
-from .repeated10 import NotPairProductError, RepGame, start_tables
+from .repeated10 import RepGame, start_tables
 from .stagegames import Bimatrix, Payoffs, StageGame
 
 
@@ -44,23 +44,19 @@ class EquilibriumReport:
     equilibria: tuple[Equilibrium, ...]
 
     def to_json(
-        self,
-        row_labels: tuple[str, ...] | None = None,
-        col_labels: tuple[str, ...] | None = None,
+        self, row_labels: tuple[str, ...], col_labels: tuple[str, ...]
     ) -> str:
-        entries = []
-        for eq in self.equilibria:
-            entry: dict = {
+        entries = [
+            {
                 "row": eq.row,
                 "col": eq.col,
                 "payoffs": [eq.payoffs[0], eq.payoffs[1]],
                 "strict": eq.strict,
+                "row_label": row_labels[eq.row],
+                "col_label": col_labels[eq.col],
             }
-            if row_labels is not None:
-                entry["row_label"] = row_labels[eq.row]
-            if col_labels is not None:
-                entry["col_label"] = col_labels[eq.col]
-            entries.append(entry)
+            for eq in self.equilibria
+        ]
         document = {
             "kind": self.kind,
             "tolerance": self.tolerance,
@@ -155,14 +151,14 @@ def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
     are the induced games of every selection, stacked in the order of
     ``itertools.product`` over the subgames' equilibria.
 
-    Raises ``NotPairProductError`` (its gap and the bound named) after
-    the first outcome that heads no subgame, or ``ValueError`` if some
-    outcome's subgame has no pure equilibrium.
+    Raises ``ValueError`` after the first outcome that heads no subgame
+    (its gap and the bound named), or after the first whose subgame has
+    no pure equilibrium.
     """
     tables = start_tables(game)
     for (o1, o2), heads, gap in zip(OUTCOMES, tables.subgames, tables.gaps):
         if not heads:
-            raise NotPairProductError(
+            raise ValueError(
                 f"no self-contained subgame after outcome {o1}{o2}: its "
                 f"continuations differ by {gap!r} across the stage-1 flips, "
                 f"above the bound {tables.bound!r}"

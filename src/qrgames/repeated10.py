@@ -473,10 +473,6 @@ def rep_bimatrix(game: RepGame) -> Bimatrix:
     )
 
 
-class NotPairProductError(ValueError):
-    """A start after which some outcome heads no self-contained subgame."""
-
-
 def factor_pairs(state: PureState) -> tuple[PureState, ...] | None:
     """The two-qubit factors whose tensor product reconstructs the register,
     or None if it is entangled across its qubit pairs.

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Sequence
-
 import numpy as np
 
 Payoffs = tuple[float, float]
@@ -29,7 +27,8 @@ class StageGame:
     """A 2x2 game given by its four outcome payoff pairs.
 
     ``outcomes[a1][a2]`` is the payoff pair when player 1 picks action
-    ``a1`` and player 2 picks ``a2``.  Ties between payoffs are allowed;
+    ``a1`` and player 2 picks ``a2``; actions are numbers only, so games
+    with equal payoffs are equal.  Ties between payoffs are allowed;
     only the classification properties below insist on strictness.
     ``array`` holds the same payoffs as a read-only ``(2, 2, 2)`` float
     array indexed ``[a1, a2, player - 1]``, built once here, signed zeros
@@ -37,7 +36,6 @@ class StageGame:
     """
 
     outcomes: tuple[tuple[Payoffs, Payoffs], tuple[Payoffs, Payoffs]]
-    labels: tuple[tuple[str, str], tuple[str, str]] = (("0", "1"), ("0", "1"))
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -53,9 +51,6 @@ class StageGame:
         array = np.array(rows)
         array.setflags(write=False)
         object.__setattr__(self, "outcomes", rows)
-        object.__setattr__(
-            self, "labels", tuple(tuple(side) for side in self.labels)
-        )
         object.__setattr__(self, "array", array)
 
     def pair(self, a1: int, a2: int) -> Payoffs:
@@ -87,14 +82,6 @@ class StageGame:
         t, r, p, s = values
         return t > r > p > s and 2 * r > t + s
 
-    def stage_bimatrix(self) -> "Bimatrix":
-        """The one-shot game as a 2x2 bimatrix."""
-        return Bimatrix.from_cells(
-            [[self.pair(a1, a2) for a2 in (0, 1)] for a1 in (0, 1)],
-            row_labels=self.labels[0],
-            col_labels=self.labels[1],
-        )
-
 
 def payoff_scale(stage: StageGame) -> float:
     """``2*max|u|``, the most a two-stage total reaches: the unit of payoff
@@ -109,10 +96,7 @@ def make_pd(t: float, r: float, p: float, s: float) -> StageGame:
     ((R,R),(S,T)) / ((T,S),(P,P)).  Orderings that break the dilemma
     are not an error; the result simply has ``is_pd == False``.
     """
-    return StageGame(
-        outcomes=(((r, r), (s, t)), ((t, s), (p, p))),
-        labels=(("C", "D"), ("C", "D")),
-    )
+    return StageGame(outcomes=(((r, r), (s, t)), ((t, s), (p, p))))
 
 
 def make_bos(alpha: float, beta: float, gamma: float) -> StageGame:
@@ -121,8 +105,7 @@ def make_bos(alpha: float, beta: float, gamma: float) -> StageGame:
         outcomes=(
             ((alpha, beta), (gamma, gamma)),
             ((gamma, gamma), (beta, alpha)),
-        ),
-        labels=(("O", "F"), ("O", "F")),
+        )
     )
 
 
@@ -243,19 +226,6 @@ class Bimatrix:
         object.__setattr__(self, "payoffs2", u2)
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
-
-    @classmethod
-    def from_cells(
-        cls,
-        cells: Sequence[Sequence[Payoffs]],
-        row_labels: Iterable[str],
-        col_labels: Iterable[str],
-    ) -> "Bimatrix":
-        u1 = [[cell[0] for cell in row] for row in cells]
-        u2 = [[cell[1] for cell in row] for row in cells]
-        return cls(
-            np.array(u1), np.array(u2), tuple(row_labels), tuple(col_labels)
-        )
 
     @property
     def rows(self) -> int:

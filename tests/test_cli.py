@@ -50,6 +50,36 @@ def run_cli(capsys, *argv):
 # configuration parsing
 
 
+_PAIR_TERMS = [{"basis": "00", "prob": 0.2}, {"basis": "11", "prob": 0.8}]
+# A misspelled or extra key would be dropped unread, and another game read.
+_UNKNOWN_KEYS = [
+    pytest.param(
+        {"protocol": "mw10", "payoffs": {"T": 5, "R": 3, "P": 1, "S": 0},
+         "intial_state": "ghz(0.3)"},
+        "config: unknown key 'intial_state'; expected protocol, payoffs, "
+        "initial_state",
+        id="misspelled-initial-state",
+    ),
+    pytest.param(
+        mw10_document({"ghz": 0.5, "pair_product": [_PAIR_TERMS] * 5}),
+        "initial_state object must contain one key, 'ghz' or 'pair_product'; "
+        "got 'ghz', 'pair_product'",
+        id="ghz-and-pair-product",
+    ),
+    pytest.param(
+        {"protocol": "iqbal-toor", "payoffs": {"T": 5, "R": 3, "P": 1, "S": 0},
+         "initial_state": [{"basis": "0000", "re": 1, "phase": 3}]},
+        "initial_state term 0: unknown key 'phase'; expected basis, prob, re, im",
+        id="term-phase",
+    ),
+    pytest.param(
+        mw10_document(payoffs={"T": 5, "R": 3, "P": 1, "S": 0, "Q": 9}),
+        "payoffs: unknown key 'Q'; expected T, R, P, S",
+        id="payoff-q",
+    ),
+]
+
+
 def test_payoffs_accept_an_explicit_table():
     config = parse_config(
         {
@@ -117,7 +147,8 @@ def test_term_lists_build_custom_states():
             mw10_document(payoffs=[[[3, 3], [0, "five"]], [[5, 0], [1, 1]]]),
             r"payoff cell \[0\]\[1\]\[1\] must be a number, got 'five'",
         ),
-    ],
+    ]
+    + _UNKNOWN_KEYS,
 )
 def test_config_errors_name_the_problem(document, message):
     with pytest.raises(ConfigError, match=message):
@@ -168,6 +199,34 @@ def test_malformed_numbers_exit_with_two(tmp_path, capsys, initial_state, messag
 
 
 ZERO = "0" * 10
+# ``float("5")`` is 5.0, so a JSON string where a number belongs is refused.
+_STRINGS_AS_NUMBERS = [
+    pytest.param(
+        mw10_document(payoffs={"T": "5", "R": 3, "P": 1, "S": 0}),
+        "payoff T must be a number, got '5'",
+        id="T-string",
+    ),
+    pytest.param(
+        mw10_document(payoffs=[[["3", "3"], [0, 5]], [[5, 0], [1, 1]]]),
+        "payoff cell [0][0][0] must be a number, got '3'",
+        id="explicit-cell-string",
+    ),
+    pytest.param(
+        mw10_document([{"basis": ZERO, "prob": "1"}]),
+        "initial_state term 0: prob must be a number, got '1'",
+        id="prob-string",
+    ),
+    pytest.param(
+        mw10_document([{"basis": ZERO, "re": "1", "im": 0.0}]),
+        "initial_state term 0: re must be a number, got '1'",
+        id="re-string",
+    ),
+    pytest.param(
+        mw10_document({"ghz": "0.5"}),
+        "ghz weight must be a number, got '0.5'",
+        id="ghz-string",
+    ),
+]
 
 
 @pytest.mark.parametrize(
@@ -213,10 +272,12 @@ ZERO = "0" * 10
             "ghz weight must be a number, got True",
             id="ghz",
         ),
-    ],
+    ]
+    + _STRINGS_AS_NUMBERS,
 )
 def test_json_booleans_are_not_numbers(tmp_path, capsys, document, message):
-    """``float(True)`` is 1.0, so each field refuses a bool by name."""
+    """``float(True)`` is 1.0, so each field refuses a bool (and a string)
+    by name."""
     path = write_config(tmp_path, document)
     code, out, err = run_cli(capsys, "bimatrix", "--config", path)
     assert (code, out) == (2, "")
@@ -264,9 +325,15 @@ def parse_terms_oracle(raw, num_qubits, where):
             raise ConfigError(
                 f"{name}: basis must be a {num_qubits}-bit string, got {basis!r}"
             )
+        if "prob" in term and ("re" in term or "im" in term):
+            raise ConfigError(f"{name}: give either prob or re/im, not both")
+        unknown = set(term) - {"basis", "prob", "re", "im"}
+        if unknown:
+            first = next(key for key in term if key in unknown)
+            raise ConfigError(
+                f"{name}: unknown key {first!r}; expected basis, prob, re, im"
+            )
         if "prob" in term:
-            if "re" in term or "im" in term:
-                raise ConfigError(f"{name}: give either prob or re/im, not both")
             probability = _number(term["prob"], f"{name}: prob")
             if probability < 0:
                 raise ConfigError(f"{name}: prob must be nonnegative")
@@ -381,6 +448,15 @@ GOOD_TERM = {"basis": "0" * 10, "prob": 1.0}
         [GOOD_TERM, GOOD_TERM, {"basis": "1" * 10, "im": "?"}],
         [GOOD_TERM, {"basis": "01" * 5, "prob": 0.5}, "term"],
         [],
+        [{"basis": "0" * 10, "re": 1, "phase": 3}],
+        [{"basis": "0" * 10, "re": 1.0, "im": 0.0, "phase": 3}],
+        [{"basis": "0" * 10, "Re": 1.0, "im": 0.0}],
+        [{"basis": "0" * 10, "prob": 1.0, "p": 1}],
+        [{"basis": "0" * 10, "prob": 0.5, "re": 0.1, "phase": 3}],
+        [{"phase": 3, "basis": "0" * 10}],
+        [{"basis": "0" * 10, "prob": "1"}],
+        [{"basis": "0" * 10, "re": "1"}],
+        [{"basis": "0" * 10, "re": 1.0, "im": "0"}],
     ],
 )
 def test_malformed_terms_give_the_oracle_message(raw):
@@ -438,6 +514,9 @@ def test_protocol_override_beats_the_document():
     config = parse_config(mw10_document(), protocol="classical")
     assert config.protocol == "classical"
     assert config.initial is None
+    # The classical protocol reads no state, so none is parsed.
+    unread = mw10_document({"no": "such state"})
+    assert parse_config(unread, protocol="classical").initial is None
 
 
 # ---------------------------------------------------------------------------
@@ -1146,6 +1225,9 @@ def _dense_start_document() -> dict:
 
 
 _DENSE_START = _dense_start_document()
+# Configs refused with exit 2 by a message that names the field: unknown
+# keys, and strings where numbers belong.
+_REFUSED = [case.values for case in _UNKNOWN_KEYS + _STRINGS_AS_NUMBERS]
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -1153,6 +1235,15 @@ _DENSE_START = _dense_start_document()
 @example(document=_DENSE_START)
 @example(document=_EXTRA_ENTRIES)
 @example(document=_STRING_CELLS)
+@example(document=_REFUSED[0][0])
+@example(document=_REFUSED[1][0])
+@example(document=_REFUSED[2][0])
+@example(document=_REFUSED[3][0])
+@example(document=_REFUSED[4][0])
+@example(document=_REFUSED[5][0])
+@example(document=_REFUSED[6][0])
+@example(document=_REFUSED[7][0])
+@example(document=_REFUSED[8][0])
 def test_any_config_ends_in_a_finite_result_or_exit_two(tmp_path_factory, document):
     path = tmp_path_factory.mktemp("fuzz") / "config.json"
     path.write_text(json.dumps(document))
@@ -1168,5 +1259,8 @@ def test_any_config_ends_in_a_finite_result_or_exit_two(tmp_path_factory, docume
         if document in (_EXTRA_ENTRIES, _STRING_CELLS):
             assert code == 2
             assert "cell [0][0] is" in err.getvalue()
+        for refused, message in _REFUSED:
+            if document == refused:
+                assert (code, err.getvalue()) == (2, f"error: {message}\n")
         if code == 0:
             assert all(math.isfinite(v) for v in _numbers_in(command, out.getvalue()))

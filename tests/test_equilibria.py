@@ -33,7 +33,6 @@ from qrgames.qstate import (
     tensor_all,
 )
 from qrgames.repeated10 import (
-    NotPairProductError,
     RepGame,
     factor_pairs,
     rep_bimatrix,
@@ -50,6 +49,18 @@ from qrgames.stagegames import (
 )
 
 PD = make_pd(5, 3, 1, 0)
+
+
+def stage_table(stage: StageGame) -> Bimatrix:
+    """The one-shot stage game as a 2x2 bimatrix."""
+    labels = ("0", "1")
+    return Bimatrix(stage.payoff_table(1), stage.payoff_table(2), labels, labels)
+
+
+def cells_table(cells) -> Bimatrix:
+    """A 2x2 bimatrix from its ``[row][col]`` payoff pairs."""
+    u1, u2 = np.moveaxis(np.array(cells, dtype=float), -1, 0)
+    return Bimatrix(u1, u2, ("0", "1"), ("0", "1"))
 
 
 def brute_force_nash(bm, tol):
@@ -86,12 +97,12 @@ def brute_force_dominated(bm, player):
 
 
 def test_dilemma_and_coordination_equilibria():
-    report = pure_nash(PD.stage_bimatrix())
+    report = pure_nash(stage_table(PD))
     assert report.kind == "nash"
     assert [(eq.row, eq.col, eq.strict) for eq in report.equilibria] == [(1, 1, True)]
     assert report.equilibria[0].payoffs == (1.0, 1.0)
 
-    bos = pure_nash(make_bos(3, 2, 1).stage_bimatrix())
+    bos = pure_nash(stage_table(make_bos(3, 2, 1)))
     assert [(eq.row, eq.col) for eq in bos.equilibria] == [(0, 0), (1, 1)]
     assert all(eq.strict for eq in bos.equilibria)
 
@@ -176,30 +187,35 @@ def test_stacked_masks_are_pure_nash_slice_by_slice(shape, tol, data):
 def test_search_validation():
     for tol in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="nonnegative"):
-            pure_nash(PD.stage_bimatrix(), tol=tol)
+            pure_nash(stage_table(PD), tol=tol)
     with pytest.raises(ValueError, match="nonnegative"):
         spe_pair_product(RepGame(PureState.basis(10, 0), PD), tol=float("nan"))
     with pytest.raises(ValueError, match="player must be 1 or 2"):
-        strictly_dominated(PD.stage_bimatrix(), 3)
+        strictly_dominated(stage_table(PD), 3)
 
 
 def test_report_serialization():
-    report = pure_nash(PD.stage_bimatrix())
-    plain = json.loads(report.to_json())
-    assert plain["kind"] == "nash"
-    assert plain["tolerance"] == 1e-9
-    assert plain["equilibria"] == [
-        {"row": 1, "col": 1, "payoffs": [1.0, 1.0], "strict": True}
-    ]
-    labeled = json.loads(report.to_json(row_labels=("C", "D"), col_labels=("C", "D")))
-    assert labeled["equilibria"][0]["row_label"] == "D"
-    assert labeled["equilibria"][0]["col_label"] == "D"
+    report = pure_nash(stage_table(PD))
+    doc = json.loads(report.to_json(("C", "D"), ("C", "E")))
+    assert list(doc) == ["kind", "tolerance", "equilibria"]
+    assert doc["kind"] == "nash"
+    assert doc["tolerance"] == 1e-9
+    (entry,) = doc["equilibria"]
+    assert list(entry) == ["row", "col", "payoffs", "strict", "row_label", "col_label"]
+    assert entry == {
+        "row": 1,
+        "col": 1,
+        "payoffs": [1.0, 1.0],
+        "strict": True,
+        "row_label": "D",
+        "col_label": "E",
+    }
 
 
 def test_stage_dominance_in_the_dilemma():
-    assert strictly_dominated(PD.stage_bimatrix(), 1) == [(0, 1)]
-    assert strictly_dominated(PD.stage_bimatrix(), 2) == [(0, 1)]
-    assert strictly_dominated(make_bos(3, 2, 1).stage_bimatrix(), 1) == []
+    assert strictly_dominated(stage_table(PD), 1) == [(0, 1)]
+    assert strictly_dominated(stage_table(PD), 2) == [(0, 1)]
+    assert strictly_dominated(stage_table(make_bos(3, 2, 1)), 1) == []
 
 
 _ROWS, _COLS = np.arange(32)[:, None], np.arange(32)[None, :]
@@ -279,10 +295,8 @@ def backward_induction_oracle(factors, stage, tol=1e-9):
                 )
             return total
 
-        cells = Bimatrix.from_cells(
-            [[tuple(induced(k1, k2)) for k2 in (0, 1)] for k1 in (0, 1)],
-            ("0", "1"),
-            ("0", "1"),
+        cells = cells_table(
+            [[tuple(induced(k1, k2)) for k2 in (0, 1)] for k1 in (0, 1)]
         )
         for row, col, _ in brute_force_nash(cells, tol):
             s1 = RepStrategy(row, *(chosen[o][0] for o in OUTCOMES))
@@ -322,7 +336,7 @@ def scalar_spe_fold(stage1, chance, values, tol=1e-9):
                     extra2 += weight * value[1]
                 row.append((base[0] + extra1, base[1] + extra2))
             cells.append(row)
-        induced = Bimatrix.from_cells(cells, ("0", "1"), ("0", "1"))
+        induced = cells_table(cells)
         for eq in pure_nash(induced, tol=tol).equilibria:
             t1 = RepStrategy(eq.row, *(c.row for c in selection))
             t2 = RepStrategy(eq.col, *(c.col for c in selection))
@@ -501,15 +515,15 @@ def test_subgame_search_needs_pair_factors():
     ghz = PureState.from_terms(
         10, {"0" * 10: np.sqrt(0.3), "1" * 10: np.sqrt(0.7)}
     )
-    assert issubclass(NotPairProductError, ValueError)
     # Blocks 00 and 11 hold pair patterns 00 and 11: the continuations
     # after outcome 00 differ by |S - T| = 5, and the bound is 1e-9 * 10.
     message = (
         "no self-contained subgame after outcome 00: its continuations differ "
         "by 5.0 across the stage-1 flips, above the bound 1e-08"
     )
-    with pytest.raises(NotPairProductError) as raised:
+    with pytest.raises(ValueError) as raised:
         spe_pair_product(RepGame(ghz, PD))
+    assert type(raised.value) is ValueError
     assert str(raised.value) == message
 
 

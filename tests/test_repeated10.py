@@ -51,6 +51,7 @@ from qrgames.repeated10 import (
     strategy_qubit_map,
 )
 from qrgames.stagegames import (
+    STRATEGY_LABELS,
     RepStrategy,
     StageGame,
     all_strategies,
@@ -1213,7 +1214,7 @@ _STAGES = st.sampled_from([PD, FRACTIONAL, BATTLE])
 
 def spe_or_refusal(game: RepGame) -> str:
     try:
-        return spe_pair_product(game).to_json()
+        return spe_pair_product(game).to_json(STRATEGY_LABELS, STRATEGY_LABELS)
     except ValueError as err:
         return f"refused: {err}"
 
@@ -1239,7 +1240,7 @@ def every_output(game: RepGame) -> list:
         [batch[key].tobytes() for key in TABLE_KEYS],
         [sequential[key].tobytes() for key in TABLE_KEYS],
         build_extensive(game).to_json(),
-        pure_nash(rep_bimatrix(game)).to_json(),
+        pure_nash(rep_bimatrix(game)).to_json(STRATEGY_LABELS, STRATEGY_LABELS),
         spe_or_refusal(game),
     ]
 

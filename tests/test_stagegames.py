@@ -37,7 +37,6 @@ def test_dilemma_table_and_classification():
     assert game.payoff(2, 1, 0) == 0.0
     assert game.is_pd
     assert game.pd_values == (5.0, 3.0, 1.0, 0.0)
-    assert game.labels == (("C", "D"), ("C", "D"))
 
 
 def test_battle_of_the_sexes_table():
@@ -45,7 +44,6 @@ def test_battle_of_the_sexes_table():
     assert np.array_equal(game.payoff_table(1), [[3.0, 1.0], [1.0, 2.0]])
     assert np.array_equal(game.payoff_table(2), [[2.0, 1.0], [1.0, 3.0]])
     assert not game.is_pd
-    assert game.labels == (("O", "F"), ("O", "F"))
 
 
 def test_misordered_payoffs_are_not_classified_as_a_dilemma():
@@ -92,29 +90,30 @@ def test_stage_array_is_the_read_only_outcome_array(stage):
 def test_stage_array_takes_no_part_in_repr_or_equality():
     stage = make_pd(2.5, -0.0, -1.2, -3.1)
     assert "array" not in repr(stage)
-    assert repr(stage) == (
-        f"StageGame(outcomes={stage.outcomes!r}, labels={stage.labels!r})"
-    )
+    assert repr(stage) == f"StageGame(outcomes={stage.outcomes!r})"
     # -0.0 == 0.0: equal games, whose arrays differ in one sign bit.
     plain = make_pd(2.5, 0.0, -1.2, -3.1)
     assert stage == plain and hash(stage) == hash(plain)
     assert stage.array.tobytes() != plain.array.tobytes()
     assert [f.name for f in dataclasses.fields(StageGame) if f.compare] == [
-        "outcomes",
-        "labels",
+        "outcomes"
     ]
     with pytest.raises(TypeError):
-        StageGame(stage.outcomes, stage.labels, stage.array)
+        StageGame(stage.outcomes, stage.array)
     with pytest.raises(dataclasses.FrozenInstanceError):
         stage.array = plain.array
-    relabeled = dataclasses.replace(stage, labels=(("a", "b"), ("c", "d")))
-    assert relabeled.array.tobytes() == stage.array.tobytes()
 
 
-def test_stage_bimatrix_mirrors_the_table():
-    bm = make_pd(5, 3, 1, 0).stage_bimatrix()
-    assert bm.cell(1, 0) == (5.0, 0.0)
-    assert bm.row_labels == ("C", "D")
+@pytest.mark.parametrize(
+    "stage",
+    [make_pd(5, 3, 1, 0), make_bos(3, 2, 1), make_pd(5.7, 3.3, 1.1, -0.4)],
+    ids=["pd", "bos", "fractional-pd"],
+)
+def test_stage_games_with_equal_payoffs_are_equal(stage):
+    """Action names are not part of a game: equal payoffs, equal games."""
+    plain = StageGame(stage.outcomes)
+    assert plain == stage and hash(plain) == hash(stage)
+    assert plain.array.tobytes() == stage.array.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +213,13 @@ def test_bimatrix_validation():
         Bimatrix(square, square, ("a",), ("x", "y"))
 
 
+def stage_table(stage: StageGame, labels: tuple[str, str]) -> Bimatrix:
+    """The one-shot game as a 2x2 bimatrix under the given action names."""
+    return Bimatrix(stage.payoff_table(1), stage.payoff_table(2), labels, labels)
+
+
 def test_bimatrix_csv_layout():
-    bm = make_pd(5, 3, 1, 0).stage_bimatrix()
+    bm = stage_table(make_pd(5, 3, 1, 0), ("C", "D"))
     lines = bm.to_csv().splitlines()
     assert lines[0] == ",C,D"
     assert lines[1] == "C,3;3,0;5"
@@ -274,7 +278,7 @@ def test_bimatrix_csv_quotes_labels_with_separators_and_quotes():
 
 
 def test_bimatrix_json_round_trip():
-    bm = make_bos(3, 2, 1).stage_bimatrix()
+    bm = stage_table(make_bos(3, 2, 1), ("O", "F"))
     doc = json.loads(bm.to_json())
     assert doc["rows"] == 2 and doc["cols"] == 2
     assert doc["row_labels"] == ["O", "F"]
@@ -282,16 +286,6 @@ def test_bimatrix_json_round_trip():
     for row in range(2):
         for col in range(2):
             assert tuple(doc["cells"][row][col]) == bm.cell(row, col)
-
-
-def test_from_cells_matches_direct_construction():
-    cells = [
-        [(0.0, 0.0), (1.0, 10.0), (2.0, 20.0)],
-        [(10.0, 1.0), (11.0, 11.0), (12.0, 21.0)],
-    ]
-    bm = Bimatrix.from_cells(cells, ("r0", "r1"), ("c0", "c1", "c2"))
-    assert bm.cell(1, 2) == (12.0, 21.0)
-    assert bm.payoffs1.shape == (2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +326,8 @@ def classical_table_oracle(stage: StageGame) -> Bimatrix:
             row.append((u1a + u1b, u2a + u2b))
         cells.append(row)
     labels = [s.bits for s in strategies]
-    return Bimatrix.from_cells(cells, labels, labels)
+    u1, u2 = np.moveaxis(np.array(cells), -1, 0)
+    return Bimatrix(u1, u2, labels, labels)
 
 
 def seeded_stage(kind: str, rng: np.random.Generator) -> StageGame:

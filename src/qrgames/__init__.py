@@ -5,15 +5,16 @@ played twice through bit-flip protocols on small qubit registers:
 
 - ``mw``: the one-stage protocol on a shared two-qubit state, the
   building block everything else reduces to.
-- ``repeated10``: the ten-qubit protocol for two stages, with
-  batch and sequential (measure-in-the-middle) evaluation paths,
-  32x32 strategy tables, and extensive-form trees.
+- ``repeated10``: the ten-qubit protocol for two stages: 32x32
+  strategy tables, extensive-form trees and the subgame tables.
 - ``iqbaltoor``: the rival four-qubit protocol that writes both stages
   before measuring, plus the analysis showing it cannot sustain
   first-stage cooperation in a dilemma.
 - ``equilibria``: pure Nash enumeration, strict dominance,
   subgame perfection by backward induction over per-outcome subgames,
   and the cooperation threshold of the entangled stage game.
+- ``reference``: the dense paths every table is checked against (ten-qubit
+  batch and measure-in-the-middle plays, the four-qubit batch read).
 - ``qstate``/``stagegames``: dense state vectors, flips, projective
   pair measurements, ensembles, payoff tables, strategy encodings.
 - ``claims``: the nine headline claims, run by ``qrgames paper-repro``
@@ -47,7 +48,7 @@ from .stagegames import (
     make_pd,
     qubit_count,
 )
-from .mw import MWGame, mw_bimatrix, pair_table, payoff_observable
+from .mw import MWGame, mw_bimatrix, pair_table
 from .iqbaltoor import (
     IT_PURE_STRATEGIES,
     IT_STRATEGY_LABELS,
@@ -55,7 +56,6 @@ from .iqbaltoor import (
     ITStrategy,
     NoCooperationVerdict,
     Stage1Pattern,
-    it_batch_expected,
     it_expected,
     it_no_cooperation_check,
     it_pure_bimatrix,
@@ -64,17 +64,21 @@ from .iqbaltoor import (
 )
 from .repeated10 import (
     ExtensiveTree,
-    OutcomeBranch,
-    PlayTranscript,
     RepGame,
     TreeNode,
     build_extensive,
     factor_pairs,
-    outcome_qubit_pair,
-    play_batch,
-    play_sequential,
     rep_bimatrix,
     rep_component_tables,
+)
+from .reference import (
+    OutcomeBranch,
+    PlayTranscript,
+    it_batch_expected,
+    outcome_qubit_pair,
+    payoff_observable,
+    play_batch,
+    play_sequential,
     sequential_component_tables,
     strategy_qubit_map,
 )
@@ -118,31 +122,31 @@ __all__ = [
     "MWGame",
     "mw_bimatrix",
     "pair_table",
-    "payoff_observable",
     "IT_PURE_STRATEGIES",
     "IT_STRATEGY_LABELS",
     "ITGame",
     "ITStrategy",
     "NoCooperationVerdict",
     "Stage1Pattern",
-    "it_batch_expected",
     "it_expected",
     "it_no_cooperation_check",
     "it_pure_bimatrix",
     "it_stage1_pattern",
     "sample_dilemma_state",
     "ExtensiveTree",
-    "OutcomeBranch",
-    "PlayTranscript",
     "RepGame",
     "TreeNode",
     "build_extensive",
     "factor_pairs",
-    "outcome_qubit_pair",
-    "play_batch",
-    "play_sequential",
     "rep_bimatrix",
     "rep_component_tables",
+    "OutcomeBranch",
+    "PlayTranscript",
+    "it_batch_expected",
+    "outcome_qubit_pair",
+    "payoff_observable",
+    "play_batch",
+    "play_sequential",
     "sequential_component_tables",
     "strategy_qubit_map",
     "CooperationAnalysis",

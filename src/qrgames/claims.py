@@ -38,7 +38,6 @@ from .equilibria import cooperation_scan, pure_nash, spe_pair_product
 from .iqbaltoor import (
     ITGame,
     ITStrategy,
-    it_batch_expected,
     it_expected,
     it_no_cooperation_check,
     it_pure_bimatrix,
@@ -56,13 +55,8 @@ from .qstate import (
     random_state,
     tensor_all,
 )
-from .repeated10 import (
-    RepGame,
-    example_state,
-    rep_bimatrix,
-    rep_component_tables,
-    sequential_component_tables,
-)
+from .reference import it_batch_expected, sequential_component_tables
+from .repeated10 import RepGame, example_state, rep_bimatrix, rep_component_tables
 from .stagegames import (
     Bimatrix,
     StageGame,

@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .mw import stage_weights
-from .qstate import NORM_ATOL, OUTCOMES
+from .qstate import NORM_ATOL, OUTCOMES, sum_in_order
 from .repeated10 import RepGame, start_tables
 from .stagegames import Bimatrix, Payoffs, StageGame
 
@@ -185,10 +185,7 @@ def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
     # after outcome o, summed over o from 0.0 in order.
     picked = values[_OUTCOME_ROWS, :, selected]
     terms = tables.chance.T[:, None, :, None] * picked[:, :, None, :]
-    extra = 0.0
-    for term in terms:
-        extra = extra + term
-    cells = base + extra
+    cells = base + sum_in_order(terms)
     # cells[s, k, player]; the induced game of selection s is u[s, k1, k2].
     u1, u2 = cells.transpose(2, 0, 1).reshape(2, -1, 2, 2)
     at_equilibrium, strict = _nash_masks(u1, u2, tol)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import pure_nash
-from .qstate import DiagonalObservable, FlipLayer, PureState, apply_flips
+from .qstate import PureState
 from .stagegames import Bimatrix, ExpectedPayoffs, StageGame
-from .mw import _expected_from, pair_table, payoff_observable
+from .mw import pair_table
 
 # Largest payoff difference read as equality by the stage-1 pattern's
 # symmetry test and by the no-cooperation check's margins and equilibria.
@@ -73,15 +73,6 @@ class ITGame:
             raise ValueError("this protocol runs on exactly 4 qubits")
 
 
-def _observables(stage: StageGame) -> tuple[DiagonalObservable, ...]:
-    """Payoff observables in ExpectedPayoffs order; stages read qubits 1-2, 3-4."""
-    return tuple(
-        payoff_observable(stage, player, 4, pair)
-        for player in (1, 2)
-        for pair in ((1, 2), (3, 4))
-    )
-
-
 def _stage_tables(game: ITGame) -> tuple[np.ndarray, np.ndarray]:
     """Both stages' (player, flip) tables: :func:`~.mw.pair_table` on the
     marginals of qubits 1-2 (the Born weights, four by four, summed over
@@ -119,20 +110,6 @@ def it_expected(game: ITGame, s1: ITStrategy, s2: ITStrategy) -> ExpectedPayoffs
         stage2 @ _flip_weights(s1.stage2_flip_prob, s2.stage2_flip_prob)
     ).tolist()
     return ExpectedPayoffs(e11, e12, e21, e22)
-
-
-def it_batch_expected(
-    game: ITGame, k1: int, k2: int, k3: int, k4: int
-) -> ExpectedPayoffs:
-    """Pure-profile payoffs read densely: one combined flip layer on all
-    four qubits, then the four payoff observables.
-
-    This path builds the flipped state and never reads a marginal, so it
-    is the independent check on :func:`it_pure_bimatrix` and
-    :func:`it_expected` (see :func:`~.claims.it_deviation`).
-    """
-    final = apply_flips(game.initial, FlipLayer({1: k1, 2: k2, 3: k3, 4: k4}))
-    return _expected_from(final, _observables(game.stage))
 
 
 def it_pure_bimatrix(game: ITGame) -> Bimatrix:

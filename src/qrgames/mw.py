@@ -12,32 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DiagonalObservable, Ensemble, PureState, expectation
-from .stagegames import Bimatrix, ExpectedPayoffs, StageGame
-
-
-def payoff_observable(
-    stage: StageGame, player: int, num_qubits: int, qubit_pair: tuple[int, int]
-) -> DiagonalObservable:
-    """Diagonal observable reading one player's stage payoff off two qubits.
-
-    The weight at basis index x is the player's payoff at the actions
-    spelled by the two qubits, and every other qubit is ignored (the
-    operator is the identity elsewhere).
-    """
-    qubit_a, qubit_b = qubit_pair
-    indices = np.arange(2 ** num_qubits)
-    bits_a = (indices >> (num_qubits - qubit_a)) & 1
-    bits_b = (indices >> (num_qubits - qubit_b)) & 1
-    table = stage.payoff_table(player)
-    return DiagonalObservable(num_qubits, table[bits_a, bits_b])
-
-
-def _expected_from(
-    source: Ensemble | PureState, observables: tuple[DiagonalObservable, ...]
-) -> ExpectedPayoffs:
-    """Expectations of four payoff observables, given in ExpectedPayoffs order."""
-    return ExpectedPayoffs(*(expectation(source, obs) for obs in observables))
+from .qstate import PureState
+from .stagegames import Bimatrix, StageGame
 
 
 def stage_weights(stage: StageGame) -> np.ndarray:

@@ -6,9 +6,9 @@ permutations), projective measurement of a qubit pair in the
 computational basis, and expectations of observables that are diagonal
 in that basis.  Flips only permute amplitudes, so the protocols read
 their production tables off a qubit pair's Born marginal
-(:func:`~.mw.pair_table`); the dense primitives here are the
-independent path those tables are checked against.  There is no
-general gate machinery and none is needed.
+(:func:`~.mw.pair_table`).  The dense primitives here serve only the
+independent paths of :mod:`.reference` and the checks of :mod:`.claims`.
+There is no general gate machinery and none is needed.
 
 Qubit 1 is the most significant bit of the basis index, matching the
 left-to-right order of ket labels, so qubit ``j`` of basis index ``x``
@@ -312,8 +312,8 @@ def expectation(source: Ensemble | PureState, obs: DiagonalObservable) -> float:
     )
 
 
-def sum_in_order(values: Iterable[float]) -> float:
-    """Add floats left to right from 0.0.
+def sum_in_order(values: Iterable[float | np.ndarray]) -> float | np.ndarray:
+    """Add floats, or numpy arrays elementwise, left to right from 0.0.
 
     Builtin ``sum()`` compensates its float additions on Python 3.12 and
     later, so its last bits would depend on the Python version.

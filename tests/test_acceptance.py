@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qrgames import claims, iqbaltoor, repeated10
+from qrgames import claims, iqbaltoor, reference, repeated10
 from qrgames.claims import CLAIMS, run_claims
 from qrgames.cli import main
 from qrgames.mw import pair_table, stage_weights
@@ -139,7 +139,7 @@ def test_a_wrong_encoding_fails_the_ten_qubit_check(monkeypatch, wrong):
     piece set wrong disagrees with it."""
     for name, value in wrong().items():
         monkeypatch.setattr(repeated10, name, value)
-    repeated10._continuation_rows.cache_clear()
+    reference._continuation_rows.cache_clear()
     worst, _ = claims.mw10_deviation(PD, samples=2, seed=3)
     assert worst > BOUND
 

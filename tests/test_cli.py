@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qrgames import claims, qstate, repeated10
+from qrgames import claims, qstate, reference
 from qrgames.cli import ConfigError, _number, _parse_terms, main, parse_config
 from qrgames.qstate import PureState, tensor_all
 from qrgames.stagegames import Bimatrix, classical_twice_repeated, make_pd
@@ -613,7 +613,7 @@ def test_spe_reads_the_start_without_svd_or_measurement(
     config = write_config(tmp_path, mw10_document(initial_state))
     calls = []
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append("svd"))
-    for module in (repeated10, qstate):
+    for module in (reference, qstate):
         monkeypatch.setattr(module, "measure_pair", lambda *_: calls.append("measure"))
     code, _, _ = run_cli(capsys, "spe", "--config", config)
     assert code in (0, 2)

@@ -16,16 +16,20 @@ from qrgames.iqbaltoor import (
     IT_STRATEGY_LABELS,
     ITGame,
     ITStrategy,
-    _observables,
-    it_batch_expected,
     it_expected,
     it_no_cooperation_check,
     it_pure_bimatrix,
     it_stage1_pattern,
     sample_dilemma_state,
 )
-from qrgames.mw import _expected_from, payoff_observable, stage_weights
+from qrgames.mw import stage_weights
 from qrgames.qstate import Ensemble, FlipLayer, PureState, apply_flips, random_state
+from qrgames.reference import (
+    _expected_from,
+    _it_observables,
+    it_batch_expected,
+    payoff_observable,
+)
 from qrgames.stagegames import Bimatrix, make_pd
 
 PD = make_pd(5, 3, 1, 0)
@@ -90,7 +94,7 @@ def ensemble_oracle(game, s1, s2):
             for p4, k4 in _mix(s2.stage2_flip_prob):
                 final = apply_flips(mid, FlipLayer({3: k3, 4: k4}))
                 members.append((weight * p3 * p4, final))
-    return _expected_from(Ensemble(tuple(members)), _observables(game.stage))
+    return _expected_from(Ensemble(tuple(members)), _it_observables(game.stage))
 
 
 def exact_expected(game, s1, s2):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qrgames.mw import MWGame, mw_bimatrix, payoff_observable
+from qrgames.mw import MWGame, mw_bimatrix
 from qrgames.qstate import PureState, expectation, random_state
+from qrgames.reference import payoff_observable
 from qrgames.stagegames import make_bos, make_pd
 
 PD = make_pd(5, 3, 1, 0)

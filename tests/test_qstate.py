@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from qrgames import mw, qstate
 from qrgames.iqbaltoor import ITGame, it_pure_bimatrix
-from qrgames.mw import MWGame, mw_bimatrix, pair_table, payoff_observable, stage_weights
+from qrgames.mw import MWGame, mw_bimatrix, pair_table, stage_weights
 from qrgames.qstate import (
     OUTCOMES,
     PROB_FLOOR,
@@ -37,6 +37,7 @@ from qrgames.qstate import (
     random_state,
     tensor_all,
 )
+from qrgames.reference import payoff_observable
 from qrgames.repeated10 import RepGame, rep_component_tables
 from qrgames.stagegames import StageGame, make_bos, make_pd
 
@@ -511,6 +512,19 @@ def test_expectation_adds_the_members_left_to_right_from_zero():
     assert math.fsum(terms) != (terms[0] + terms[1]) + terms[2]
     assert expectation(ensemble, obs) == (0.0 + terms[0] + terms[1]) + terms[2]
     assert expectation(ensemble, obs) == 1.0
+
+
+def test_sum_in_order_adds_left_to_right_from_zero():
+    """1.0 rounds away against 1e16, so the ordered sum ends at 0.0, while
+    a compensated sum (``math.fsum``, builtin ``sum`` on Python 3.12 and
+    later) keeps it.  Arrays add elementwise in the same order."""
+    assert qstate.sum_in_order([1e16, 1.0, -1e16]) == 0.0
+    assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+    rows = [np.array([1e16, 1.0]), np.array([1.0, 1e16]), np.array([-1e16, -1e16])]
+    total = qstate.sum_in_order(iter(rows))
+    assert total.tobytes() == (((0.0 + rows[0]) + rows[1]) + rows[2]).tobytes()
+    assert total.tolist() == [0.0, 0.0]
+    assert total.tolist() != (rows[0] + (rows[1] + rows[2])).tolist()
 
 
 def test_expectation_checks_register_sizes():

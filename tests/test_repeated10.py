@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrgames.equilibria import pure_nash, spe_pair_product, strictly_dominated
-from qrgames.mw import MWGame, mw_bimatrix, payoff_observable, stage_weights
-from qrgames import qstate, repeated10
+from qrgames.mw import MWGame, mw_bimatrix, stage_weights
+from qrgames import qstate, reference, repeated10
 from qrgames.qstate import (
     OUTCOMES,
     PROB_FLOOR,
@@ -29,26 +29,29 @@ from qrgames.qstate import (
     random_state,
     tensor_all,
 )
-from qrgames.repeated10 import (
-    _ACTION_LABELS,
-    _OUTCOME_LABELS,
+from qrgames.reference import (
     _continue,
     _measure_stage1,
     _observables,
     _observables_of,
+    outcome_qubit_pair,
+    payoff_observable,
+    play_batch,
+    play_sequential,
+    sequential_component_tables,
+    strategy_qubit_map,
+)
+from qrgames.repeated10 import (
+    _ACTION_LABELS,
+    _OUTCOME_LABELS,
     ExtensiveTree,
     RepGame,
     TreeNode,
     build_extensive,
     factor_pairs,
-    outcome_qubit_pair,
-    play_batch,
-    play_sequential,
     rep_bimatrix,
     rep_component_tables,
-    sequential_component_tables,
     start_tables,
-    strategy_qubit_map,
 )
 from qrgames.stagegames import (
     STRATEGY_LABELS,
@@ -538,11 +541,11 @@ def test_sequential_table_keeps_the_sign_of_zero_on_negative_zero_payoffs(state)
 
 
 def test_sequential_gather_is_one_read_only_array_per_process():
-    gather = repeated10._sequential_gather()
+    gather = reference._sequential_gather()
     sequential_component_tables(ghz_game())
     sequential_component_tables(pd_game(random_state(10, np.random.default_rng(67))))
-    assert repeated10._sequential_gather() is gather
-    assert repeated10._sequential_gather.cache_info().misses == 1
+    assert reference._sequential_gather() is gather
+    assert reference._sequential_gather.cache_info().misses == 1
     assert gather.shape == (64, 256)
     assert not gather.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
@@ -573,7 +576,7 @@ def test_sequential_gather_rows_are_the_flips_of_a_sequential_play():
     2*o))``, and outcome o's gathered rows, padded here into block o of
     zero registers, are the whole-register gather of the flips a
     sequential play applies."""
-    gather = repeated10._sequential_gather()
+    gather = reference._sequential_gather()
     low = np.arange(256)
     for o in range(4):
         for k in range(4):
@@ -588,7 +591,7 @@ def test_sequential_gather_rows_are_the_flips_of_a_sequential_play():
         ghz_game().initial,
     ]
     for start in starts:
-        _, posts = repeated10._stage1_chance(pd_game(start))
+        _, posts = reference._stage1_chance(pd_game(start))
         born = np.stack(
             [np.zeros(1024) if post is None else post.probabilities for post in posts]
         )
@@ -606,17 +609,17 @@ def test_only_the_sequential_table_builds_the_sequential_gather():
     blocks unbuilt in a fresh process."""
     script = (
         "import numpy as np\n"
-        "from qrgames import repeated10 as r\n"
+        "from qrgames import reference as ref, repeated10 as r\n"
         "from qrgames.qstate import random_state\n"
         "from qrgames.stagegames import make_pd\n"
         "state = random_state(10, np.random.default_rng(68))\n"
         "game = r.RepGame(state, make_pd(5, 3, 1, 0))\n"
         "r.rep_component_tables(game)\n"
-        "print(r._sequential_gather.cache_info().misses)\n"
-        "print(r._block_weights_of.cache_info().misses)\n"
-        "r.sequential_component_tables(game)\n"
-        "print(r._sequential_gather.cache_info().misses)\n"
-        "print(r._block_weights_of.cache_info().misses)\n"
+        "print(ref._sequential_gather.cache_info().misses)\n"
+        "print(ref._block_weights_of.cache_info().misses)\n"
+        "ref.sequential_component_tables(game)\n"
+        "print(ref._sequential_gather.cache_info().misses)\n"
+        "print(ref._block_weights_of.cache_info().misses)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
@@ -626,14 +629,14 @@ def test_only_the_sequential_table_builds_the_sequential_gather():
 
 @pytest.fixture
 def measure_pair_calls(monkeypatch):
-    """Count the ``measure_pair`` calls made through ``repeated10``."""
+    """Count the ``measure_pair`` calls made through ``reference``."""
     calls = []
 
     def counted(*args):
         calls.append(args)
         return measure_pair(*args)
 
-    monkeypatch.setattr(repeated10, "measure_pair", counted)
+    monkeypatch.setattr(reference, "measure_pair", counted)
     return calls
 
 
@@ -747,11 +750,11 @@ def test_block_weight_cache_stays_bounded_and_rebuilds_equal_results():
     stages = [
         make_pd(5 + k, 3 + k / 7, 1 - k / 11, -k / 13) for k in range(40)
     ]
-    repeated10._block_weights_of.cache_clear()
+    reference._block_weights_of.cache_clear()
     first = [sequential_component_tables(RepGame(state, stage)) for stage in stages]
-    assert repeated10._block_weights_of.cache_info().currsize <= 16
+    assert reference._block_weights_of.cache_info().currsize <= 16
     for stage, got in zip(stages, first):
-        repeated10._block_weights_of.cache_clear()
+        reference._block_weights_of.cache_clear()
         fresh = sequential_component_tables(RepGame(state, stage))
         for key in TABLE_KEYS:
             assert fresh[key].tobytes() == got[key].tobytes()
@@ -762,9 +765,9 @@ def test_block_weights_are_the_observables_own_blocks(first_sign):
     """Read-only, and each stage keeps its own signed zeros, whichever of
     two stages equal up to the sign of zero was cached first."""
     stages = {sign: make_pd(5, 3, 1, sign * 0.0) for sign in (first_sign, -first_sign)}
-    repeated10._block_weights_of.cache_clear()
+    reference._block_weights_of.cache_clear()
     for sign, stage in stages.items():
-        blocks = repeated10._block_weights_of(np.array(stage.outcomes).tobytes())
+        blocks = reference._block_weights_of(np.array(stage.outcomes).tobytes())
         assert blocks.shape == (4, 4, 256)
         assert not blocks.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -775,7 +778,7 @@ def test_block_weights_are_the_observables_own_blocks(first_sign):
                 want = weights[256 * o : 256 * (o + 1)]
                 assert blocks[o, component].tobytes() == want.tobytes()
         assert np.signbit(blocks).any() == (sign < 0)
-    assert repeated10._block_weights_of.cache_info().currsize == 2
+    assert reference._block_weights_of.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize(
@@ -1180,7 +1183,7 @@ def test_start_tables_prune_blocks_as_the_measurement_does():
         amplitudes = random_state(10, rng).amplitudes.copy()
         amplitudes[256 * seed : 256 * (seed + 1)] *= scale
         game = pd_game(PureState(10, amplitudes / np.linalg.norm(amplitudes)))
-        chance, _ = repeated10._stage1_chance(game)
+        chance, _ = reference._stage1_chance(game)
         assert np.array_equal(start_tables(game).chance, chance)
         assert np.count_nonzero(chance) == (12 if scale in (0.0, 1e-7) else 16)
 

@@ -146,15 +146,34 @@ def _basis_indices(num_qubits: int) -> dict[str, int]:
     return {format(i, f"0{num_qubits}b"): i for i in range(2 ** num_qubits)}
 
 
-def _parse_terms(raw: object, num_qubits: int, where: str) -> PureState:
-    if not isinstance(raw, Sequence) or isinstance(raw, str):
-        raise ConfigError(
-            f"{where} must be a list of terms, got {type(raw).__name__}"
-        )
-    indices = _basis_indices(num_qubits)
-    # Python complex adds component-wise like numpy's complex128, so terms
-    # with the same basis sum to the same bits when the array is built last.
-    amps = [0j] * len(indices)
+def _plain_terms(
+    raw: Sequence, indices: dict[str, int]
+) -> tuple[list[int], np.ndarray] | None:
+    """Rows and amplitudes of a list of plain ``{basis, re, im}`` dicts with
+    float components and known bases, read a list at a time; None for any
+    other list, which the per-term checks then read."""
+    if not all(term.__class__ is dict and len(term) == 3 for term in raw):
+        return None
+    try:
+        rows = [indices[term["basis"]] for term in raw]
+        re = [term["re"] for term in raw]
+        im = [term["im"] for term in raw]
+    except (KeyError, TypeError):
+        return None
+    if set(map(type, re + im)) - {float}:
+        return None
+    components = np.empty((len(rows), 2))
+    components[:, 0] = re
+    components[:, 1] = im
+    return rows, components.view(complex)[:, 0]
+
+
+def _checked_terms(
+    raw: Sequence, num_qubits: int, where: str, indices: dict[str, int]
+) -> tuple[list[int], list[complex]]:
+    """Rows and amplitudes of any term list, read term by term.  These
+    checks are the only code that writes a term's error message."""
+    rows, amplitudes = [], []
     for position, term in enumerate(raw):
         if not isinstance(term, dict) and not isinstance(term, Mapping):
             raise ConfigError(f"{where} term {position} must be an object")
@@ -197,8 +216,29 @@ def _parse_terms(raw: object, num_qubits: int, where: str) -> PureState:
                     _number(re, f"{where} term {position}: re"),
                     _number(im, f"{where} term {position}: im"),
                 )
-        amps[index] += amplitude
-    vector = np.array(amps)
+        rows.append(index)
+        amplitudes.append(amplitude)
+    return rows, amplitudes
+
+
+def _parse_terms(raw: object, num_qubits: int, where: str) -> PureState:
+    if not isinstance(raw, Sequence) or isinstance(raw, str):
+        raise ConfigError(
+            f"{where} must be a list of terms, got {type(raw).__name__}"
+        )
+    indices = _basis_indices(num_qubits)
+    rows, amplitudes = _plain_terms(raw, indices) or _checked_terms(
+        raw, num_qubits, where, indices
+    )
+    # ``add.at`` adds term by term in list order, component-wise from 0j,
+    # so repeated bases and signed zeros sum to the same bits whichever
+    # reader gave the terms.
+    vector = np.zeros(len(indices), dtype=complex)
+    np.add.at(vector, np.array(rows, dtype=np.intp), amplitudes)
+    return _normalized(vector, num_qubits, where)
+
+
+def _normalized(vector: np.ndarray, num_qubits: int, where: str) -> PureState:
     total = float(np.sum(np.abs(vector) ** 2))
     if not abs(total - 1.0) <= 1e-9:
         raise ConfigError(

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate
 import numpy as np
 
 Payoffs = tuple[float, float]
@@ -241,17 +241,31 @@ class Bimatrix:
     def to_csv(self) -> str:
         """CSV text: header row of column labels, cells as ``u1;u2``."""
         buffer = io.StringIO()
-        header = [[""] + list(self.col_labels)]
+        writer = csv.writer(buffer, lineterminator="\n")
+        header_end = writer.writerow([""] + list(self.col_labels))
+        if not self.cols:
+            writer.writerows([label] for label in self.row_labels)
+            return buffer.getvalue()
+        # csv writes each row label before an empty field, quoted as it
+        # quotes the label of a row, and ends it in ",\n".  The cells never
+        # need quoting, so one template formats a row after that comma;
         # "%.12g" on Python floats writes what format(x, ".12g") writes,
         # signed zeros, NaN and infinities included.
-        body = (
-            [label] + ["%.12g;%.12g" % cell for cell in zip(row1, row2)]
-            for label, row1, row2 in zip(
-                self.row_labels, self.payoffs1.tolist(), self.payoffs2.tolist()
+        ends = list(
+            accumulate(
+                (writer.writerow((label, "")) for label in self.row_labels),
+                initial=header_end,
             )
         )
-        csv.writer(buffer, lineterminator="\n").writerows(chain(header, body))
-        return buffer.getvalue()
+        text = buffer.getvalue()
+        template = "%s" + ",".join(["%.12g;%.12g"] * self.cols) + "\n"
+        cells = np.stack([self.payoffs1, self.payoffs2], -1)
+        return text[:header_end] + "".join(
+            template % (text[start : end - 1], *values)
+            for start, end, values in zip(
+                ends, ends[1:], cells.reshape(self.rows, 2 * self.cols).tolist()
+            )
+        )
 
     def to_json(self) -> str:
         document = {

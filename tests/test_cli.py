@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import csv
 import dataclasses
 import functools
@@ -12,6 +13,7 @@ import math
 import operator
 import subprocess
 import sys
+import types
 from collections.abc import Mapping, Sequence
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -19,10 +21,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_stagegames import csv_oracle
 
 from qrgames import claims, qstate, reference
-from qrgames.cli import ConfigError, _number, _parse_terms, main, parse_config
+from qrgames.cli import (
+    ConfigError,
+    _basis_indices,
+    _number,
+    _parse_terms,
+    _plain_terms,
+    main,
+    parse_config,
+)
 from qrgames.qstate import PureState, tensor_all
+from qrgames.repeated10 import RepGame, rep_bimatrix
 from qrgames.stagegames import Bimatrix, classical_twice_repeated, make_pd
 
 
@@ -390,7 +402,78 @@ def test_term_parser_matches_the_per_term_oracle(num_qubits, seed):
     terms = seeded_terms(rng, num_qubits)
     got = _parse_terms(terms, num_qubits, "initial_state")
     want = parse_terms_oracle(terms, num_qubits, "initial_state")
-    assert np.array_equal(got.amplitudes, want.amplitudes)
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
+def seeded_plain_terms(rng, num_qubits, count):
+    """``count`` float ``{basis, re, im}`` terms of one normalized state,
+    with repeated bases and signed zeros: the list the bulk reader takes."""
+    bases = rng.integers(2 ** num_qubits, size=count)
+    bases[: count // 4] = bases[count // 4 : 2 * (count // 4)]
+    pieces = rng.normal(size=(count, 2))
+    pieces[rng.random((count, 2)) < 0.2] = -0.0
+    pieces[rng.random((count, 2)) < 0.1] = 0.0
+    pieces[-1] = -0.0
+    summed = np.zeros(2 ** num_qubits, dtype=complex)
+    np.add.at(summed, bases, pieces[:, 0] + 1j * pieces[:, 1])
+    pieces /= np.linalg.norm(summed)
+    return [
+        {"basis": format(index, f"0{num_qubits}b"), "re": re, "im": im}
+        for index, (re, im) in zip(bases.tolist(), pieces.tolist())
+    ]
+
+
+def assert_same_outcome_as_the_oracle(raw, num_qubits):
+    """The same amplitude bits, or the same refusal."""
+    try:
+        want = parse_terms_oracle(raw, num_qubits, "initial_state")
+    except ConfigError as refusal:
+        with pytest.raises(ConfigError) as got:
+            _parse_terms(raw, num_qubits, "initial_state")
+        assert str(got.value) == str(refusal)
+    else:
+        got = _parse_terms(raw, num_qubits, "initial_state")
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("num_qubits, count", [(2, 4), (4, 16), (10, 1024)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bulk_term_reader_matches_the_per_term_oracle(num_qubits, count, seed):
+    terms = seeded_plain_terms(np.random.default_rng(seed), num_qubits, count)
+    assert any(math.copysign(1.0, t["re"]) < 0 and t["re"] == 0 for t in terms)
+    assert _plain_terms(terms, _basis_indices(num_qubits)) is not None
+    assert_same_outcome_as_the_oracle(terms, num_qubits)
+
+
+_LAST_BASIS = "1" * 10
+
+
+@pytest.mark.parametrize(
+    "last",
+    [
+        {"basis": _LAST_BASIS, "re": 1, "im": 0.0},
+        {"basis": _LAST_BASIS, "re": 0.0, "im": 0},
+        {"basis": _LAST_BASIS, "re": True, "im": 0.0},
+        {"basis": _LAST_BASIS, "re": 0.0, "im": False},
+        {"basis": _LAST_BASIS, "re": 0.0, "phase": 0.0},
+        {"basis": "2" * 10, "re": 0.0, "im": 0.0},
+        {"basis": "1" * 9, "re": 0.0, "im": 0.0},
+        {"basis": ["1"] * 10, "re": 0.0, "im": 0.0},
+        {"basis": _LAST_BASIS, "re": "0", "im": 0.0},
+        types.MappingProxyType({"basis": _LAST_BASIS, "re": 0.0, "im": 0.0}),
+        types.MappingProxyType({"basis": _LAST_BASIS, "re": 0.0, "im": "0"}),
+        collections.OrderedDict(basis=_LAST_BASIS, re=0.0, im=-0.0),
+        [_LAST_BASIS, 0.0, 0.0],
+    ],
+    ids=[
+        "int-re", "int-im", "bool-re", "bool-im", "phase", "digit-2",
+        "short-basis", "list-basis", "string-re", "mapping-proxy",
+        "mapping-proxy-string-im", "ordered-dict", "list-term",
+    ],
+)
+def test_a_last_term_off_the_bulk_path_gives_the_oracle_outcome(last):
+    terms = seeded_plain_terms(np.random.default_rng(5), 10, 1023)
+    assert_same_outcome_as_the_oracle(terms + [last], 10)
 
 
 @pytest.mark.parametrize("protocol, pairs", [("mw10", 5), ("iqbal-toor", 2)])
@@ -529,6 +612,27 @@ def test_bimatrix_csv_equals_the_classical_table_on_all_zero(tmp_path, capsys):
     assert code == 0 and err == ""
     want = classical_twice_repeated(make_pd(5, 3, 1, 0)).to_csv()
     assert out.rstrip("\n") == want.rstrip("\n")
+
+
+def test_bimatrix_csv_on_a_dense_term_list_equals_the_per_cell_writer(
+    tmp_path, capsys
+):
+    rng = np.random.default_rng(29)
+    amps = rng.normal(size=1024) + 1j * rng.normal(size=1024)
+    amps /= np.linalg.norm(amps)
+    terms = [
+        {"basis": format(k, "010b"), "re": a.real, "im": a.imag}
+        for k, a in enumerate(amps.tolist())
+    ]
+    document = mw10_document(terms, {"T": 5.5, "R": 3.25, "P": 1, "S": -0.5})
+    code, out, err = run_cli(
+        capsys, "bimatrix", "--config", write_config(tmp_path, document),
+        "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    state = parse_terms_oracle(terms, 10, "initial_state")
+    want = rep_bimatrix(RepGame(state, parse_config(document).stage))
+    assert out == csv_oracle(want)
 
 
 def test_bimatrix_json_format(tmp_path, capsys):

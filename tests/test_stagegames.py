@@ -249,7 +249,7 @@ SPECIAL_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (32, 32)])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (32, 32), (0, 3), (2, 0), (0, 0)])
 def test_bimatrix_csv_equals_the_per_cell_writer(shape):
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     tables = []
@@ -258,8 +258,13 @@ def test_bimatrix_csv_equals_the_per_cell_writer(shape):
         special = rng.random(shape) < 0.3
         values[special] = rng.choice(SPECIAL_VALUES, size=int(special.sum()))
         tables.append(values)
-    names = ["plain", "a,b", 'say "hi"', "", " pad ", "x;y"]
-    rows = [names[i % len(names)] + str(i) for i in range(shape[0])]
+    names = [
+        "plain", "a,b", 'say "hi"', "", " pad ", "x;y",
+        "two\nlines", "carriage\rreturn", "crlf\r\n", '"lead',
+    ]
+    # Row 0's label is empty: csv quotes a lone empty field, not one
+    # followed by cells.
+    rows = [names[i % len(names)] + str(i) if i else "" for i in range(shape[0])]
     cols = [names[(i + 1) % len(names)] for i in range(shape[1])]
     bm = Bimatrix(tables[0], tables[1], rows, cols)
     text = bm.to_csv()

@@ -17,6 +17,7 @@ import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .stagegames import (
     Bimatrix,
     StageGame,
     classical_twice_repeated,
+    json_array,
     make_pd,
     payoff_scale,
 )
@@ -404,21 +406,34 @@ def cmd_spe(args: argparse.Namespace) -> int:
     return 0
 
 
+# The dominance report is exactly json.dumps(document, indent=2) of
+# {"protocol", "player1", "player2"}, each list holding one object per
+# pair of strictly_dominated: the template of a pair two levels deep, and
+# the document around both lists.
+_DOMINANCE_PAIR = (
+    '{\n      "dominated": %d,\n      "dominated_label": %s,\n'
+    '      "dominating": %d,\n      "dominating_label": %s\n    }'
+)
+_DOMINANCE_JSON = '{\n  "protocol": %s,\n  "player1": %s,\n  "player2": %s\n}'
+
+
 def cmd_dominance(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.protocol)
     bm = _bimatrix_for(config)
-    document = {"protocol": config.protocol}
+    lists = []
     for player, own_labels in ((1, bm.row_labels), (2, bm.col_labels)):
-        document[f"player{player}"] = [
-            {
-                "dominated": a,
-                "dominated_label": own_labels[a],
-                "dominating": b,
-                "dominating_label": own_labels[b],
-            }
-            for a, b in strictly_dominated(bm, player)
-        ]
-    _emit(json.dumps(document, indent=2), args.out)
+        labels = list(map(encode_basestring_ascii, own_labels))
+        lists.append(
+            json_array(
+                [
+                    _DOMINANCE_PAIR % (a, labels[a], b, labels[b])
+                    for a, b in strictly_dominated(bm, player)
+                ],
+                1,
+            )
+        )
+    protocol = encode_basestring_ascii(config.protocol)
+    _emit(_DOMINANCE_JSON % (protocol, *lists), args.out)
     return 0
 
 

@@ -120,7 +120,7 @@ def strictly_dominated(bm: Bimatrix, player: int) -> list[tuple[int, int]]:
     # beats[a, b]: row b pays more than row a in every column.
     beats = (own_by_row[None, :, :] > own_by_row[:, None, :]).all(axis=2)
     np.fill_diagonal(beats, False)
-    return [(int(a), int(b)) for a, b in np.argwhere(beats)]
+    return list(map(tuple, np.argwhere(beats).tolist()))
 
 
 # The outcomes o as a (4, 1) column that indexes per-outcome rows, and the

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 import numpy as np
 
 Payoffs = tuple[float, float]
@@ -200,6 +200,24 @@ class ExpectedPayoffs:
         )
 
 
+def json_array(items: list[str], depth: int) -> str:
+    """What ``json.dumps(..., indent=2)`` writes for a list nested
+    ``depth`` levels deep whose items encode to ``items``."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# One payoff pair three levels deep, and the document around the table.
+_JSON_CELL = "[\n        %s,\n        %s\n      ]"
+_BIMATRIX_JSON = (
+    '{\n  "rows": %d,\n  "cols": %d,\n  "row_labels": %s,\n'
+    '  "col_labels": %s,\n  "cells": %s\n}'
+)
+
+
 @dataclass(frozen=True, eq=False)
 class Bimatrix:
     """Rectangular table of payoff pairs for two players.
@@ -268,17 +286,22 @@ class Bimatrix:
         )
 
     def to_json(self) -> str:
-        document = {
-            "rows": self.rows,
-            "cols": self.cols,
-            "row_labels": list(self.row_labels),
-            "col_labels": list(self.col_labels),
-            "cells": [
-                [[self.payoffs1[r, c], self.payoffs2[r, c]] for c in range(self.cols)]
-                for r in range(self.rows)
-            ],
-        }
-        return json.dumps(document, indent=2)
+        """JSON text of ``{"rows", "cols", "row_labels", "col_labels",
+        "cells"}`` with ``cells[r][c] = [u1, u2]``: exactly what
+        ``json.dumps(document, indent=2)`` writes for it."""
+        cells = np.stack([self.payoffs1, self.payoffs2], -1).reshape(-1)
+        # json writes a finite float as float.__repr__ does and spells
+        # the others NaN, Infinity and -Infinity.
+        texts = list(map(float.__repr__, cells.tolist()))
+        for i in np.flatnonzero(~np.isfinite(cells)).tolist():
+            texts[i] = _JSON_NON_FINITE[texts[i]]
+        labels = [
+            json_array(list(map(encode_basestring_ascii, names)), 1)
+            for names in (self.row_labels, self.col_labels)
+        ]
+        row = json_array([_JSON_CELL] * self.cols, 2)
+        table = json_array([row] * self.rows, 1) % tuple(texts)
+        return _BIMATRIX_JSON % (self.rows, self.cols, *labels, table)
 
 
 def _classical_picks() -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,7 @@ import sys
 import types
 from collections.abc import Mapping, Sequence
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,12 +28,15 @@ from qrgames import claims, qstate, reference
 from qrgames.cli import (
     ConfigError,
     _basis_indices,
+    _bimatrix_for,
     _number,
     _parse_terms,
     _plain_terms,
+    load_config,
     main,
     parse_config,
 )
+from qrgames.equilibria import strictly_dominated
 from qrgames.qstate import PureState, tensor_all
 from qrgames.repeated10 import RepGame, rep_bimatrix
 from qrgames.stagegames import Bimatrix, classical_twice_repeated, make_pd
@@ -790,6 +794,83 @@ def test_dominance_lists_every_dominated_pair(tmp_path, capsys):
     ]
 
 
+def dominance_oracle(protocol: str, bm: Bimatrix) -> str:
+    """The dominance report as first written: one dict per pair through
+    json.dumps(indent=2), and the newline the CLI adds."""
+    document = {"protocol": protocol}
+    for player, own_labels in ((1, bm.row_labels), (2, bm.col_labels)):
+        document[f"player{player}"] = [
+            {
+                "dominated": a,
+                "dominated_label": own_labels[a],
+                "dominating": b,
+                "dominating_label": own_labels[b],
+            }
+            for a, b in strictly_dominated(bm, player)
+        ]
+    return json.dumps(document, indent=2) + "\n"
+
+
+# Tables up to 4x4: the first rows*cols cells are player 1's, the next
+# rows*cols player 2's.  Labels: four for the rows, four for the columns.
+_TIED = [1] * 32
+_ONLY_PLAYER_1 = [1, 1, 0, 0] + [2] * 28
+_DILEMMA = [3, 0, 5, 1, 3, 5, 0, 1] + [0] * 24
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    protocol=st.sampled_from(["mw10", "iqbal-toor", "classical"]),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    cells=st.lists(st.integers(0, 2), min_size=32, max_size=32),
+    labels=st.lists(st.text(max_size=3), min_size=8, max_size=8),
+)
+@example(protocol="mw10", shape=(2, 2), cells=_TIED, labels=list("abcdefgh"))
+@example(protocol="mw10", shape=(2, 2), cells=_ONLY_PLAYER_1, labels=list("abcdefgh"))
+@example(
+    protocol="classical", shape=(2, 2), cells=_DILEMMA,
+    labels=['"C"', "D\\", "\x00", "\u00e9", "C", "D", "\t", "\U0001f600"],
+)
+def test_dominance_text_equals_json_dumps_of_the_pair_objects(
+    tmp_path_factory, protocol, shape, cells, labels
+):
+    rows, cols = shape
+    u1, u2 = np.reshape(cells[: 2 * rows * cols], (2, rows, cols)).astype(float)
+    bm = Bimatrix(u1, u2, labels[:rows], labels[4 : 4 + cols])
+    path = tmp_path_factory.mktemp("dominance") / "config.json"
+    path.write_text(json.dumps({**mw10_document(), "protocol": protocol}))
+    out = io.StringIO()
+    with mock.patch("qrgames.cli._bimatrix_for", lambda config: bm):
+        with redirect_stdout(out):
+            code = main(["dominance", "--config", str(path)])
+    assert code == 0
+    assert out.getvalue() == dominance_oracle(protocol, bm)
+
+
+def _dominance_documents(name: str) -> dict:
+    pair = {"pair_product": [_PAIR_TERMS] * 5}
+    return {
+        "dense-2026": _dense_start_document(2026),
+        "dense-29": _dense_start_document(29),
+        "mw10": mw10_document(pair),
+        "iqbal-toor": {**mw10_document("ghz(0.3)"), "protocol": "iqbal-toor"},
+        "classical": {**mw10_document(), "protocol": "classical"},
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name", ["dense-2026", "dense-29", "mw10", "iqbal-toor", "classical"]
+)
+def test_dominance_on_each_protocol_equals_json_dumps(tmp_path, capsys, name):
+    config = write_config(tmp_path, _dominance_documents(name))
+    code, out, err = run_cli(capsys, "dominance", "--config", config)
+    assert (code, err) == (0, "")
+    parsed = load_config(config, None)
+    assert out == dominance_oracle(parsed.protocol, _bimatrix_for(parsed))
+    doc = json.loads(out)
+    assert doc["player1"] and doc["player2"]
+
+
 # ---------------------------------------------------------------------------
 # protocol comparison
 
@@ -1317,9 +1398,9 @@ def _numbers_in(command: str, out: str) -> list[float]:
     return found
 
 
-def _dense_start_document() -> dict:
+def _dense_start_document(seed: int = 2026) -> dict:
     """A seeded random ten-qubit start given as all 1024 terms."""
-    amplitudes = np.random.default_rng(2026).standard_normal((1024, 2))
+    amplitudes = np.random.default_rng(seed).standard_normal((1024, 2))
     amplitudes /= np.linalg.norm(amplitudes)
     terms = [
         {"basis": format(index, "010b"), "re": re, "im": im}

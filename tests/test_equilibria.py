@@ -243,6 +243,30 @@ def test_dominance_on_32x32_tables_with_exact_ties(table, pairs):
         assert len(got) == pairs
 
 
+def per_row_dominated(bm, player):
+    """strictly_dominated as first written: one argwhere row at a time."""
+    own_by_row = bm.payoffs1 if player == 1 else bm.payoffs2.T
+    beats = (own_by_row[None, :, :] > own_by_row[:, None, :]).all(axis=2)
+    np.fill_diagonal(beats, False)
+    return [(int(a), int(b)) for a, b in np.argwhere(beats)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    shape=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dominated_pairs_are_python_int_tuples_of_the_per_row_loop(shape, seed):
+    rng = np.random.default_rng(seed)
+    u1, u2 = rng.integers(0, 3, (2, *shape)).astype(float)
+    bm = Bimatrix(u1, u2, ("r",) * shape[0], ("c",) * shape[1])
+    for player in (1, 2):
+        got = strictly_dominated(bm, player)
+        assert got == per_row_dominated(bm, player)
+        assert all(type(pair) is tuple and len(pair) == 2 for pair in got)
+        assert all(type(index) is int for pair in got for index in pair)
+
+
 def test_classical_repeated_equilibria_all_pay_double_defection():
     """Equilibrium payoffs are pinned even though off-path bits are free."""
     report = pure_nash(classical_twice_repeated(PD))

@@ -249,15 +249,21 @@ SPECIAL_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (32, 32), (0, 3), (2, 0), (0, 0)])
-def test_bimatrix_csv_equals_the_per_cell_writer(shape):
-    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+def special_tables(shape, seed):
+    """Two seeded tables over 40 decades, about 30% of cells special values."""
+    rng = np.random.default_rng(seed)
     tables = []
     for _ in range(2):
         values = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
         special = rng.random(shape) < 0.3
         values[special] = rng.choice(SPECIAL_VALUES, size=int(special.sum()))
         tables.append(values)
+    return tables
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (32, 32), (0, 3), (2, 0), (0, 0)])
+def test_bimatrix_csv_equals_the_per_cell_writer(shape):
+    tables = special_tables(shape, seed=shape[0] * 100 + shape[1])
     names = [
         "plain", "a,b", 'say "hi"', "", " pad ", "x;y",
         "two\nlines", "carriage\rreturn", "crlf\r\n", '"lead',
@@ -280,6 +286,38 @@ def test_bimatrix_csv_quotes_labels_with_separators_and_quotes():
     )
     assert bm.to_csv() == ',"a,b",c\n"r""1""",-0;inf,nan;1e+17\n'
     assert bm.to_csv() == csv_oracle(bm)
+
+
+def json_oracle(bm: Bimatrix) -> str:
+    """The JSON writer as first written: per-cell lists through json.dumps."""
+    document = {
+        "rows": bm.rows,
+        "cols": bm.cols,
+        "row_labels": list(bm.row_labels),
+        "col_labels": list(bm.col_labels),
+        "cells": [
+            [[bm.payoffs1[r, c], bm.payoffs2[r, c]] for c in range(bm.cols)]
+            for r in range(bm.rows)
+        ],
+    }
+    return json.dumps(document, indent=2)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (32, 32), (0, 3), (2, 0), (0, 0)])
+def test_bimatrix_json_equals_json_dumps(shape):
+    tables = special_tables(shape, seed=shape[0] * 100 + shape[1] + 1)
+    names = [
+        "plain", 'say "hi"', "back\\slash", "tab\tbell\x07nul\x00",
+        "caf\u00e9", "\u2603\U0001f600", "", "%s%d", "\x7f\u2028",
+    ]
+    rows = [names[i % len(names)] for i in range(shape[0])]
+    cols = [names[(i + 4) % len(names)] for i in range(shape[1])]
+    bm = Bimatrix(tables[0], tables[1], rows, cols)
+    text = bm.to_json()
+    assert text == json_oracle(bm)
+    if shape == (32, 32):
+        for spelling in ("NaN,", "Infinity,", "-Infinity", "-0.0"):
+            assert spelling in text
 
 
 def test_bimatrix_json_round_trip():

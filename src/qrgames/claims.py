@@ -62,6 +62,7 @@ from .stagegames import (
     StageGame,
     classical_twice_repeated,
     make_pd,
+    payoff_scale,
     qubit_count,
 )
 
@@ -175,7 +176,7 @@ def entangled_second_stage_table(
             float(np.abs(table2 - want2).max()),
         )
         bm = Bimatrix(table1, table2, ("0", "1"), ("0", "1"))
-        equilibria = pure_nash(bm, tol=1e-9).equilibria
+        equilibria = pure_nash(bm, scale=payoff_scale(stage)).equilibria
         sets.add(frozenset((eq.row, eq.col) for eq in equilibria))
     profiles = set().union(*sets)
     ok = (

@@ -28,6 +28,7 @@ from .iqbaltoor import ITGame, it_pure_bimatrix
 from .qstate import PureState, tensor_all
 from .repeated10 import RepGame, example_state, rep_bimatrix
 from .stagegames import (
+    PAYOFF_TOL,
     STRATEGY_LABELS,
     Bimatrix,
     StageGame,
@@ -381,7 +382,7 @@ def cmd_bimatrix(args: argparse.Namespace) -> int:
 def cmd_nash(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.protocol)
     bm = _bimatrix_for(config)
-    report = pure_nash(bm, tol=args.tol)
+    report = pure_nash(bm, tol=args.tol, scale=payoff_scale(config.stage))
     _emit(report.to_json(bm.row_labels, bm.col_labels), args.out)
     return 0
 
@@ -510,12 +511,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nash", help="pure Nash equilibria of the payoff table")
     add_config_flags(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=PAYOFF_TOL)
     p.set_defaults(handler=cmd_nash)
 
     p = sub.add_parser("spe", help="subgame perfect equilibria (a subgame after every outcome)")
     add_config_flags(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=PAYOFF_TOL)
     p.set_defaults(handler=cmd_spe)
 
     p = sub.add_parser("dominance", help="strictly dominated strategies per player")
@@ -532,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_flags(p)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=PAYOFF_TOL)
     p.set_defaults(handler=cmd_compare_protocols)
 
     p = sub.add_parser(

@@ -22,7 +22,7 @@ import numpy as np
 from .mw import stage_weights
 from .qstate import NORM_ATOL, OUTCOMES, sum_in_order
 from .repeated10 import RepGame, start_tables
-from .stagegames import Bimatrix, Payoffs, StageGame
+from .stagegames import PAYOFF_TOL, Bimatrix, Payoffs, StageGame, payoff_bound
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,10 @@ def _nash_masks(
     ``u1`` and ``u2`` are indexed ``[..., row, col]``.  A cell is an
     equilibrium when neither player gains more than ``tol`` by deviating
     within its game, and strict when it is each player's only best
-    response, with no tolerance.
+    response, with no tolerance.  Callers pass ``tol`` in payoff units:
+    ``payoff_bound(stage, tol)``, the tolerance times the stage's payoff
+    scale.  The strict compares are exact, and stay unchanged when the
+    payoffs are multiplied by ``2**k``, which scales every cell exactly.
     """
     best1 = u1.max(axis=-2, keepdims=True)
     best2 = u2.max(axis=-1, keepdims=True)
@@ -89,18 +92,26 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError("tolerance must be nonnegative")
 
 
-def pure_nash(bm: Bimatrix, tol: float = 1e-9) -> EquilibriumReport:
+def pure_nash(
+    bm: Bimatrix, tol: float = PAYOFF_TOL, scale: float = 1.0
+) -> EquilibriumReport:
     """All pure Nash equilibria of a bimatrix.
 
-    A profile is listed when neither player can gain more than ``tol``
-    by a unilateral deviation.  The strict flag additionally demands
-    that every deviation strictly loses, with no tolerance: profiles
-    that tie an alternative best response are equilibria but not strict.
+    A profile is listed when neither player can gain more than
+    ``tol * scale`` by a unilateral deviation.  A bare table has no
+    stage game, so ``scale`` is given by a caller that holds one, as
+    ``payoff_scale(stage)``; the default 1.0 reads ``tol`` in the table's
+    own units.  The strict flag additionally demands that every deviation
+    strictly loses, with no tolerance: profiles that tie an alternative
+    best response are equilibria but not strict.  The report records the
+    raw ``tol``.
     """
     _check_tolerance(tol)
+    if not 0.0 <= scale < math.inf:
+        raise ValueError(f"payoff scale must be finite and nonnegative: {scale!r}")
     if bm.rows == 0 or bm.cols == 0:
         raise ValueError("cannot search an empty bimatrix")
-    at_equilibrium, strict = _nash_masks(bm.payoffs1, bm.payoffs2, tol)
+    at_equilibrium, strict = _nash_masks(bm.payoffs1, bm.payoffs2, tol * scale)
     found = tuple(
         Equilibrium(int(r), int(c), bm.cell(int(r), int(c)), bool(strict[r, c]))
         for r, c in np.argwhere(at_equilibrium)
@@ -112,7 +123,9 @@ def strictly_dominated(bm: Bimatrix, player: int) -> list[tuple[int, int]]:
     """Pairs (a, b): the player's strategy b beats a against everything.
 
     Returned in lexicographic order; an empty list means nothing is
-    strictly dominated.
+    strictly dominated.  The compare is exact, with no tolerance, so
+    payoffs times ``2**k`` give the same pairs; an exact tie that
+    rounding breaks reads as a win.
     """
     if player not in (1, 2):
         raise ValueError(f"player must be 1 or 2, got {player!r}")
@@ -129,7 +142,7 @@ _OUTCOME_ROWS = np.arange(4)[:, None]
 _AFTER_SHIFTS = 3 - _OUTCOME_ROWS
 
 
-def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
+def spe_pair_product(game: RepGame, tol: float = PAYOFF_TOL) -> EquilibriumReport:
     """Subgame perfect equilibria of a twice-played game whose outcomes
     each head a self-contained subgame.
 
@@ -145,7 +158,9 @@ def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
     five-bit strategies, indexed like :func:`~.repeated10.rep_bimatrix`
     rows and columns; payoffs are the two-stage totals.  An equilibrium
     is flagged strict when its stage-1 equilibrium and all four selected
-    continuations are strict.
+    continuations are strict.  Both the subgames and the induced stage-1
+    games admit gains up to ``payoff_bound(game.stage, tol)``, ``tol``
+    times the stage's payoff scale; the strict flags are exact compares.
 
     All four subgames are solved in one :func:`_nash_masks` call, and so
     are the induced games of every selection, stacked in the order of
@@ -164,12 +179,13 @@ def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
                 f"above the bound {tables.bound!r}"
             )
     _check_tolerance(tol)
+    bound = payoff_bound(game.stage, tol)
     # Row k holds both players' stage-1 payoffs at flips k.
     base = tables.stage1.T
     # values[o, player, a]: outcome o's subgame at its flips a = 2*a1 + a2.
     values = np.stack(tables.stage2[0])
     sub_eq, sub_strict = _nash_masks(
-        values[:, 0].reshape(4, 2, 2), values[:, 1].reshape(4, 2, 2), tol
+        values[:, 0].reshape(4, 2, 2), values[:, 1].reshape(4, 2, 2), bound
     )
     hits = [
         [a for a, hit in enumerate(row) if hit] for row in sub_eq.reshape(4, 4).tolist()
@@ -188,7 +204,7 @@ def spe_pair_product(game: RepGame, tol: float = 1e-9) -> EquilibriumReport:
     cells = base + sum_in_order(terms)
     # cells[s, k, player]; the induced game of selection s is u[s, k1, k2].
     u1, u2 = cells.transpose(2, 0, 1).reshape(2, -1, 2, 2)
-    at_equilibrium, strict = _nash_masks(u1, u2, tol)
+    at_equilibrium, strict = _nash_masks(u1, u2, bound)
     # Per selection: each player's contingent strategy bits (the flip after
     # outcome o is bit 3 - o) and whether all four picks are strict.
     after1 = ((selected >> 1) << _AFTER_SHIFTS).sum(axis=0)

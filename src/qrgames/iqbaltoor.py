@@ -18,12 +18,9 @@ import numpy as np
 
 from .equilibria import pure_nash
 from .qstate import PureState
-from .stagegames import Bimatrix, ExpectedPayoffs, StageGame
+from .stagegames import Bimatrix, ExpectedPayoffs, StageGame, payoff_bound, payoff_scale
 from .mw import pair_table
 
-# Largest payoff difference read as equality by the stage-1 pattern's
-# symmetry test and by the no-cooperation check's margins and equilibria.
-PATTERN_TOL = 1e-9
 # Rejection-sampling budget of sample_dilemma_state.
 DILEMMA_DRAWS = 200
 # Per stage, the axis of the (qubits 1-2, qubits 3-4) Born weights that its
@@ -156,16 +153,15 @@ def it_stage1_pattern(game: ITGame) -> Stage1Pattern:
 
     Stage-2 choices are irrelevant here because the stage-1 observables
     act as the identity on qubits 3 and 4: the pattern is the stage-1
-    table of :func:`_stage_tables`.
+    table of :func:`_stage_tables`.  The symmetry test reads entries
+    within ``payoff_bound(game.stage)`` as equal, the bound every
+    equilibrium decision uses; the dilemma ordering is exact.
     """
     e1, e2 = _stage_tables(game)[0].tolist()
     r, s, t, p = e1
-    symmetric = (
-        abs(e2[0] - r) <= PATTERN_TOL
-        and abs(e2[1] - t) <= PATTERN_TOL
-        and abs(e2[2] - s) <= PATTERN_TOL
-        and abs(e2[3] - p) <= PATTERN_TOL
-    )
+    # Player 2's entries at (0,0), (0,1), (1,0), (1,1) against the mirror.
+    mismatch = max(abs(a - b) for a, b in zip(e2, (r, t, s, p)))
+    symmetric = mismatch <= payoff_bound(game.stage)
     ordered = t > r > p > s and 2 * r > t + s
     return Stage1Pattern(
         r=r, s=s, t=t, p=p, symmetric=symmetric, pd_consistent=symmetric and ordered
@@ -203,7 +199,9 @@ def it_no_cooperation_check(game: ITGame) -> NoCooperationVerdict:
     switching one's stage-1 operator from identity to flip strictly
     raises the total payoff against every opponent strategy, that the
     margin depends only on the opponent's stage-1 bit, and that no pure
-    equilibrium of the bimatrix contains a stage-1 identity choice.
+    equilibrium of the bimatrix contains a stage-1 identity choice.  The
+    margins' spread and their match with the pattern, and the equilibria,
+    read ``payoff_bound(game.stage)``; the dominance test is exact.
     """
     pattern = it_stage1_pattern(game)
     if not pattern.pd_consistent:
@@ -212,6 +210,7 @@ def it_no_cooperation_check(game: ITGame) -> NoCooperationVerdict:
             "the no-cooperation argument does not apply"
         )
     bm = it_pure_bimatrix(game)
+    bound = payoff_bound(game.stage)
 
     def gaps_for(player: int) -> tuple[float, float]:
         # Rows are the player's strategies (stage1_bit * 2 + stage2_bit) and
@@ -232,14 +231,14 @@ def it_no_cooperation_check(game: ITGame) -> NoCooperationVerdict:
         ):
             block = first[cols] + second[cols]
             spread = max(block) - min(block)
-            if spread > PATTERN_TOL or abs(block[0] - expected) > PATTERN_TOL:
+            if spread > bound or abs(block[0] - expected) > bound:
                 raise AssertionError(
                     "dominance margin does not match the stage-1 pattern"
                 )
             gaps.append(block[0])
         return (gaps[0], gaps[1])
 
-    report = pure_nash(bm, tol=PATTERN_TOL)
+    report = pure_nash(bm, scale=payoff_scale(game.stage))
     profiles = tuple((eq.row, eq.col) for eq in report.equilibria)
     payoffs = tuple(eq.payoffs for eq in report.equilibria)
     no_stage1_identity = all(row >= 2 and col >= 2 for row, col in profiles)

@@ -20,7 +20,7 @@ from .mw import _XOR_PATTERNS, pair_table
 from .qstate import OUTCOMES, PROB_FLOOR, PureState, sum_in_order
 # The name perfbench/metrics.py traces; ROADMAP item 2 retargets it and drops this.
 from .reference import play_sequential
-from .stagegames import STRATEGY_LABELS, Bimatrix, Payoffs, StageGame, payoff_scale
+from .stagegames import STRATEGY_LABELS, Bimatrix, Payoffs, StageGame, payoff_bound
 
 NUM_QUBITS = 10
 _ACTION_LABELS = ("0", "1")
@@ -39,9 +39,6 @@ for _bits in (_STAGE1_BITS, _AFTER_BITS, _FIRST_PATTERN, _SECOND_PATTERN):
     _bits.setflags(write=False)
 # Second singular value read as zero when ``factor_pairs`` peels a cut.
 SUPPORT_TOL = 1e-9
-# Largest spread of an outcome's continuations, in units of payoff_scale,
-# read as one subgame; rounding leaves spreads near 1e-15 on products.
-SUBGAME_TOL = 1e-9
 # Per outcome o, the pair axes its joint marginal with qubits 1-2 sums away.
 _OTHER_PAIRS = tuple(tuple(a for a in range(1, 5) if a != o + 1) for o in range(4))
 
@@ -372,8 +369,8 @@ def start_tables(game: RepGame) -> StartTables:
     weight (:func:`_pair_marginals`): a (player, ``2*a1 + a2``) table
     under ``pair_table``.  o heads a self-contained subgame
     (``subgames[o]``) when the spread ``gaps[o]`` of its continuations
-    over the kept blocks is at most
-    ``bound = SUBGAME_TOL * payoff_scale(stage)``.  ``stage2[k][o]``
+    over the kept blocks is at most ``bound = payoff_bound(stage)``;
+    rounding leaves spreads near 1e-15 on products.  ``stage2[k][o]``
     is then the first kept block's continuation for every k, on and off
     the path; otherwise block ``k ^ o``'s, or None where it is pruned.
     """
@@ -385,7 +382,7 @@ def start_tables(game: RepGame) -> StartTables:
     # values[o, i]: the continuation of outcome o from block kept[i].
     values = (table @ conditional[..., None, :, None])[..., 0]
     gaps = (values.max(axis=1) - values.min(axis=1)).max(axis=(1, 2))
-    bound = SUBGAME_TOL * payoff_scale(game.stage)
+    bound = payoff_bound(game.stage)
     subgames = tuple((gaps <= bound).tolist())
     reached = [dict(zip(kept.tolist(), rows)) for rows in values]
     stage2 = tuple(

@@ -83,10 +83,27 @@ class StageGame:
         return t > r > p > s and 2 * r > t + s
 
 
+# Default payoff tolerance, in units of payoff_scale.
+PAYOFF_TOL = 1e-9
+
+
 def payoff_scale(stage: StageGame) -> float:
     """``2*max|u|``, the most a two-stage total reaches: the unit of payoff
     tolerances.  A zero game has scale 0.0, so its compares are exact."""
     return 2.0 * float(np.abs(stage.array).max())
+
+
+def payoff_bound(stage: StageGame, tol: float = PAYOFF_TOL) -> float:
+    """``tol * payoff_scale(stage)``: the largest payoff difference every
+    equilibrium decision reads as none.
+
+    A table cell's rounding error is at most a small multiple of the unit
+    roundoff times ``max|u|`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, §3.1), so the bound comes from the stage game,
+    not from the cells searched.  Payoffs times ``2**k`` scale every cell
+    and this bound exactly, so no decision depends on the payoffs' unit.
+    """
+    return tol * payoff_scale(stage)
 
 
 def make_pd(t: float, r: float, p: float, s: float) -> StageGame:

@@ -20,8 +20,11 @@ from qrgames.stagegames import RepStrategy
 
 
 def _exact_marginal(probabilities: np.ndarray, qubits: Sequence[int]) -> list[Fraction]:
-    """The exact Born distribution on ``qubits``, first listed most significant."""
-    probabilities = np.asarray(probabilities, dtype=float)
+    """The exact Born distribution on ``qubits``, first listed most significant.
+
+    ``probabilities`` holds floats or ``Fraction``s; either is read exactly.
+    """
+    probabilities = np.asarray(probabilities)
     n = probabilities.size.bit_length() - 1
     marginal = [Fraction(0)] * 2 ** len(qubits)
     for index, probability in enumerate(probabilities.tolist()):
@@ -135,6 +138,53 @@ def exact_start_tables(
                 conditional = [p / weight for p in joint[4 * b : 4 * b + 4]]
                 continuations[o, b] = _exact_flips(weights, conditional)
     return chance, _exact_flips(weights, blocks), continuations
+
+
+def exact_totals(
+    probabilities: np.ndarray, weights: np.ndarray
+) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """Both players' tables of two-stage totals, ``[row][col]``, exactly:
+    the stages of :func:`exact_pair_tables` added (one stage on two
+    qubits)."""
+    tables = exact_pair_tables(probabilities, weights)
+    return tuple(tables[player].sum(axis=0).tolist() for player in range(2))
+
+
+def exact_nash(
+    u1: Sequence[Sequence[Fraction]],
+    u2: Sequence[Sequence[Fraction]],
+    bound: Fraction = Fraction(0),
+) -> list[tuple[int, int, bool]]:
+    """``(row, col, strict)`` of every pure Nash equilibrium, in order.
+
+    A profile is an equilibrium when no deviation gains more than
+    ``bound`` (read exactly; 0 asks for no gain at all), and strict when
+    every deviation loses, with no tolerance.
+    """
+    rows, cols = range(len(u1)), range(len(u1[0]))
+    best1 = [max(u1[r][c] for r in rows) for c in cols]
+    best2 = [max(u2[r]) for r in rows]
+    found = []
+    for r, c in itertools.product(rows, cols):
+        if best1[c] - u1[r][c] <= bound and best2[r] - u2[r][c] <= bound:
+            # Strict: the profile is each player's one best response.
+            column = [u1[i][c] for i in rows]
+            strict1 = u1[r][c] == best1[c] and column.count(best1[c]) == 1
+            strict2 = u2[r][c] == best2[r] and list(u2[r]).count(best2[r]) == 1
+            found.append((r, c, strict1 and strict2))
+    return found
+
+
+def exact_dominated(own_by_row: Sequence[Sequence[Fraction]]) -> list[tuple[int, int]]:
+    """Pairs (a, b), in order: the player's strategy b pays strictly more
+    than a against every opponent strategy.  ``own_by_row[a]`` lists the
+    player's payoffs of strategy a."""
+    strategies = range(len(own_by_row))
+    return [
+        (a, b)
+        for a, b in itertools.product(strategies, repeat=2)
+        if a != b and all(x > y for x, y in zip(own_by_row[b], own_by_row[a]))
+    ]
 
 
 # Unit roundoff of a double, Higham's u.

@@ -76,8 +76,8 @@ def test_a_family_member_with_its_own_equilibrium_set_fails_the_shared_claim(
     original = claims.pure_nash
     calls = []
 
-    def second_report_drops_its_first(bimatrix, tol):
-        report = original(bimatrix, tol=tol)
+    def second_report_drops_its_first(bimatrix, **keywords):
+        report = original(bimatrix, **keywords)
         calls.append(report)
         if len(calls) == 2:
             return replace(report, equilibria=report.equilibria[1:])

@@ -759,6 +759,55 @@ def test_spe_on_a_phased_pair_product_prints_the_plain_products_report(
     assert [e["row"] for e in json.loads(plain[1])["equilibria"]]
 
 
+# T, R, P, S = 5, 3, 1, 0 in units of 1e-10.
+_TINY_PAYOFFS = {"T": 5e-10, "R": 3e-10, "P": 1e-10, "S": 0}
+_PENNIES_PAIR = [
+    {"basis": "00", "prob": 0.1},
+    {"basis": "11", "prob": 0.4},
+    {"basis": "01", "prob": 0.3},
+    {"basis": "10", "prob": 0.2},
+]
+
+
+def listed_profiles(capsys, command, config, *flags):
+    """``(row, col, strict)`` of each profile a report lists."""
+    code, out, err = run_cli(capsys, command, "--config", config, *flags)
+    assert (code, err) == (0, "")
+    return [(e["row"], e["col"], e["strict"]) for e in json.loads(out)["equilibria"]]
+
+
+@pytest.mark.parametrize("command, count", [("nash", 16), ("spe", 1)])
+def test_tiny_payoffs_list_the_equilibria_of_the_same_game_in_units(
+    tmp_path, capsys, command, count
+):
+    unit = write_config(tmp_path, mw10_document(), name="unit.json")
+    tiny_document = mw10_document(payoffs=_TINY_PAYOFFS)
+    tiny = write_config(tmp_path, tiny_document, name="tiny.json")
+    want = listed_profiles(capsys, command, unit)
+    assert len(want) == count
+    assert listed_profiles(capsys, command, tiny) == want
+
+
+def test_tiny_payoffs_on_the_four_qubit_protocol_list_one_equilibrium(
+    tmp_path, capsys
+):
+    config = write_config(tmp_path, mw10_document(payoffs=_TINY_PAYOFFS))
+    assert listed_profiles(capsys, "nash", config, "--protocol", "iqbal-toor") == [
+        (3, 3, True)
+    ]
+
+
+@pytest.mark.parametrize("command", ["nash", "spe"])
+def test_pennies_on_a_tied_pair_product_list_every_profile(tmp_path, capsys, command):
+    """Every pair weighs 00 and 11 against 01 and 10 equally, so each
+    pennies payoff is 0 up to rounding: every profile ties, none strictly."""
+    pennies = [[[1, -1], [-1, 1]], [[-1, 1], [1, -1]]]
+    document = mw10_document({"pair_product": [_PENNIES_PAIR] * 5}, pennies)
+    profiles = listed_profiles(capsys, command, write_config(tmp_path, document))
+    assert len(profiles) == 1024
+    assert not any(strict for _, _, strict in profiles)
+
+
 def test_spe_rejects_the_four_qubit_protocol(tmp_path, capsys):
     document = {
         "protocol": "iqbal-toor",

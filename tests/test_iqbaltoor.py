@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from exact_eval import exact_pair_tables
+from test_equilibria import scaled_stage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +39,10 @@ PD = make_pd(5, 3, 1, 0)
 # Payoffs whose sums round, so only exact arithmetic keeps ties exact.
 FRACTIONAL = make_pd(5.7, 3.3, 1.1, -0.4)
 SIGNED_ZERO = make_pd(2.5, -0.0, -1.2, -3.1)
+# 0.7 |0000> + 0.3 |0100>: qubits 1-2 read 00 or 01, never 10.
+ASYMMETRIC = PureState.from_terms(
+    4, {"0000": math.sqrt(0.7), "0100": math.sqrt(0.3)}
+)
 
 
 def pd_game(state: PureState) -> ITGame:
@@ -480,6 +487,51 @@ def test_sampled_dilemma_states_always_exclude_cooperation(seed):
     # Every equilibrium has both players flipping in stage 1.
     for row, col in verdict.equilibria:
         assert row >= 2 and col >= 2
+
+
+# ---------------------------------------------------------------------------
+# payoff units
+
+
+def in_units_of(value, k: int):
+    """``value`` with every float in it times ``2**-k``, through tuples."""
+    if isinstance(value, tuple):
+        return tuple(in_units_of(item, k) for item in value)
+    return math.ldexp(value, -k) if isinstance(value, float) else value
+
+
+def four_qubit_decisions(game: ITGame):
+    """The stage-1 pattern and the no-cooperation verdict, or its refusal."""
+    try:
+        verdict = astuple(it_no_cooperation_check(game))
+    except ValueError as err:
+        verdict = str(err)
+    return astuple(it_stage1_pattern(game)), verdict
+
+
+def test_pattern_and_verdict_change_with_no_payoff_unit():
+    """Payoffs times ``2**k`` scale every table entry exactly, so the
+    pattern, its symmetry, the margins and the equilibria must be those
+    of the payoffs themselves, read in units of ``2**k``."""
+    rng = np.random.default_rng(31)
+    starts = [PureState.basis(4, 0), PureState.basis(4, 0b0110), ASYMMETRIC]
+    starts += [sample_dilemma_state(PD, rng) for _ in range(12)]
+    starts += [random_state(4, rng) for _ in range(4)]
+    for stage in (PD, FRACTIONAL):
+        for index, start in enumerate(starts):
+            want = four_qubit_decisions(ITGame(start, stage))
+            for k in range(-40, 41):
+                got = four_qubit_decisions(ITGame(start, scaled_stage(stage, k)))
+                assert in_units_of(got, k) == want, (index, k)
+
+
+def test_an_asymmetric_start_stays_asymmetric_at_tiny_payoffs():
+    """Player 2's stage-1 entries differ from the mirrored ones by
+    0.3 * (T - S): 1.5e-10 at T = 5e-10, far above rounding at any unit."""
+    for stage in (PD, make_pd(5e-10, 3e-10, 1e-10, 0)):
+        pattern = it_stage1_pattern(ITGame(ASYMMETRIC, stage))
+        assert not pattern.symmetric
+        assert not pattern.pd_consistent
 
 
 def test_sampler_rejects_non_dilemma_stage_games():

@@ -86,7 +86,6 @@ from .equilibria import (
     CooperationAnalysis,
     Equilibrium,
     EquilibriumReport,
-    ScanSample,
     cooperation_bound,
     cooperation_scan,
     pure_nash,
@@ -152,7 +151,6 @@ __all__ = [
     "CooperationAnalysis",
     "Equilibrium",
     "EquilibriumReport",
-    "ScanSample",
     "cooperation_bound",
     "cooperation_scan",
     "pure_nash",

@@ -2,10 +2,10 @@
 deviation checks ``qrgames compare-protocols`` runs.
 
 ``qrgames paper-repro`` runs the claims with seed 271828 and the acceptance
-tests with seed 20260501.  Every claim check takes ``(seed, grid_step,
-perturb)`` and returns ``(ok, detail)``: the seed draws the claim's
-random inputs, ``grid_step`` is read by the cooperation scan only, and
-``perturb`` (added to the dilemma's T) by the second-stage table only.
+tests with seed 20260501.  Every claim check takes ``(seed, perturb)``
+and returns ``(ok, detail)``: the seed draws the claim's random inputs,
+and ``perturb`` (added to the dilemma's T) is read by the second-stage
+table only.
 Exact comparisons are used where the computation is a pure index
 permutation and no rounding can occur.
 
@@ -67,7 +67,9 @@ from .stagegames import (
 )
 
 Verdict = tuple[bool, str]
-Check = Callable[[int, float, float], Verdict]
+Check = Callable[[int, float], Verdict]
+# The grid step of the cooperation-threshold claim's scan.
+_SCAN_STEP = 0.01
 
 
 def mw10_deviation(stage: StageGame, samples: int, seed: int) -> tuple[float, int]:
@@ -120,7 +122,7 @@ def it_deviation(stage: StageGame, samples: int, seed: int) -> tuple[float, int]
     return worst, checked
 
 
-def classical_embedding(seed: int, grid_step: float, perturb: float) -> Verdict:
+def classical_embedding(seed: int, perturb: float) -> Verdict:
     """The all-zero start makes the 10-qubit game the classical repeated game."""
     stage = make_pd(5, 3, 1, 0)
     quantum = rep_bimatrix(RepGame(PureState.basis(10, 0), stage))
@@ -132,9 +134,7 @@ def classical_embedding(seed: int, grid_step: float, perturb: float) -> Verdict:
     return deviation <= 1e-9, f"max deviation {deviation:.3e}"
 
 
-def batch_sequential_equivalence(
-    seed: int, grid_step: float, perturb: float
-) -> Verdict:
+def batch_sequential_equivalence(seed: int, perturb: float) -> Verdict:
     """Measuring in the middle pays what one-shot play pays."""
     worst, checked = mw10_deviation(make_pd(5, 3, 1, 0), samples=20, seed=seed)
     return worst <= 1e-9, f"max deviation {worst:.3e} over {checked} profiles"
@@ -153,9 +153,7 @@ def _family_member(w0000: float, w0011: float, phase: float) -> PureState:
     )
 
 
-def entangled_second_stage_table(
-    seed: int, grid_step: float, perturb: float
-) -> Verdict:
+def entangled_second_stage_table(seed: int, perturb: float) -> Verdict:
     """Any split of the 1/3 weight gives one second-stage table, and one
     equilibrium set holding both anti-symmetric profiles.
     """
@@ -189,7 +187,7 @@ def entangled_second_stage_table(
     return ok, f"max deviation {deviation:.3e}, equilibria {sorted(profiles)}{shared}"
 
 
-def four_qubit_no_cooperation(seed: int, grid_step: float, perturb: float) -> Verdict:
+def four_qubit_no_cooperation(seed: int, perturb: float) -> Verdict:
     """Stage-1 flips strictly dominate on every dilemma-consistent state,
     by the pattern's gaps T'-R' and P'-S'.
     """
@@ -210,7 +208,7 @@ def four_qubit_no_cooperation(seed: int, grid_step: float, perturb: float) -> Ve
     return worst <= 1e-9, f"max gap deviation {worst:.3e} over {len(states)} states"
 
 
-def basis_11_relabeling(seed: int, grid_step: float, perturb: float) -> Verdict:
+def basis_11_relabeling(seed: int, perturb: float) -> Verdict:
     """Starting from |11> permutes the table without changing outcomes."""
     t, r, p, s = 5.0, 3.0, 1.0, 0.0
     bm = mw_bimatrix(MWGame(PureState.basis(2, "11"), make_pd(t, r, p, s)))
@@ -219,15 +217,15 @@ def basis_11_relabeling(seed: int, grid_step: float, perturb: float) -> Verdict:
     return exact, "table mismatch" if not exact else ""
 
 
-def cooperation_threshold(seed: int, grid_step: float, perturb: float) -> Verdict:
+def cooperation_threshold(seed: int, perturb: float) -> Verdict:
     """Mutual identity survives while the |00> weight stays under 1/3.
 
     At weight 0.2 the lone subgame perfect profile is all-identity,
     paying (2.8, 2.8).
     """
     stage = make_pd(5, 3, 1, 0)
-    analysis = cooperation_scan(stage, grid_step)
-    bound_ok = abs(analysis.empirical_bound - 1.0 / 3.0) <= grid_step
+    analysis = cooperation_scan(stage, _SCAN_STEP)
+    bound_ok = abs(analysis.empirical_bound - 1.0 / 3.0) <= _SCAN_STEP
     pair = PureState.from_terms(2, {"00": math.sqrt(0.2), "11": math.sqrt(0.8)})
     report = spe_pair_product(RepGame(tensor_all([pair] * 5), stage))
     eqs = report.equilibria
@@ -243,7 +241,7 @@ def cooperation_threshold(seed: int, grid_step: float, perturb: float) -> Verdic
     )
 
 
-def pair_product_two_spe(seed: int, grid_step: float, perturb: float) -> Verdict:
+def pair_product_two_spe(seed: int, perturb: float) -> Verdict:
     """On the example_4_5 start two profiles are subgame perfect, not one."""
     report = spe_pair_product(RepGame(example_state(), make_pd(5, 4, 1, 0)))
     profiles = [(eq.row, eq.col) for eq in report.equilibria]
@@ -256,13 +254,13 @@ def pair_product_two_spe(seed: int, grid_step: float, perturb: float) -> Verdict
     return ok, f"profiles {profiles}, payoffs {payoffs}"
 
 
-def register_size_formula(seed: int, grid_step: float, perturb: float) -> Verdict:
+def register_size_formula(seed: int, perturb: float) -> Verdict:
     """Two qubits per player per reachable history: 2, 10, 42, ..."""
     got = tuple(qubit_count(n) for n in (1, 2, 3))
     return got == (2, 10, 42), f"got {got}"
 
 
-def randomized_invariants(seed: int, grid_step: float, perturb: float) -> Verdict:
+def randomized_invariants(seed: int, perturb: float) -> Verdict:
     """Flips keep the norm and undo themselves, measurement branches are
     normalized, and expectations are linear in the state and observable.
     """
@@ -316,14 +314,12 @@ CLAIMS: tuple[tuple[str, Check], ...] = (
 )
 
 
-def run_claims(
-    seed: int, grid_step: float = 0.01, perturb: float = 0.0
-) -> list[tuple[str, bool, str]]:
+def run_claims(seed: int, perturb: float = 0.0) -> list[tuple[str, bool, str]]:
     """(name, ok, detail) per claim; a check that raises fails with its error."""
     results = []
     for name, check in CLAIMS:
         try:
-            ok, detail = check(seed, grid_step, perturb)
+            ok, detail = check(seed, perturb)
         except Exception as err:
             ok, detail = False, f"raised {type(err).__name__}: {err}"
         results.append((name, ok, detail))

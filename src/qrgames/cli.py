@@ -44,9 +44,6 @@ _GHZ_PATTERN = re.compile(r"^ghz\(([^)]*)\)$")
 _PAYOFF_KEYS = ("T", "R", "P", "S")
 _TERM_KEYS = ("basis", "prob", "re", "im")
 PAPER_REPRO_SEED = 271828
-# The scan accepts steps in (0, 0.5); the floor bounds its time and memory,
-# which grow as 1/step (a few hundred bytes per grid point).
-_GRID_STEP_RANGE = (1e-4, 0.5)
 
 
 class ConfigError(Exception):
@@ -178,47 +175,33 @@ def _checked_terms(
     checks are the only code that writes a term's error message."""
     rows, amplitudes = [], []
     for position, term in enumerate(raw):
+        at = f"{where} term {position}"
         if not isinstance(term, dict) and not isinstance(term, Mapping):
-            raise ConfigError(f"{where} term {position} must be an object")
+            raise ConfigError(f"{at} must be an object")
         basis = term.get("basis")
         index = indices.get(basis) if isinstance(basis, str) else None
         if index is None:
             raise ConfigError(
-                f"{where} term {position}: basis must be a {num_qubits}-bit "
-                f"string, got {basis!r}"
+                f"{at}: basis must be a {num_qubits}-bit string, got {basis!r}"
             )
         # Each branch counts the keys it reads against ``len(term)``, so a
         # misspelled key is refused without a per-term set.
         if "prob" in term:
             if len(term) != 2:
                 if "re" in term or "im" in term:
-                    raise ConfigError(
-                        f"{where} term {position}: give either prob or re/im, not both"
-                    )
-                _refuse_unknown_keys(term, _TERM_KEYS, f"{where} term {position}")
-            # JSON floats pass as they are; ``_number`` converts ints and
-            # refuses the rest by name, bools and strings included.
-            prob = term["prob"]
-            if prob.__class__ is float:
-                probability = prob
-            else:
-                probability = _number(prob, f"{where} term {position}: prob")
+                    raise ConfigError(f"{at}: give either prob or re/im, not both")
+                _refuse_unknown_keys(term, _TERM_KEYS, at)
+            probability = _number(term["prob"], f"{at}: prob")
             if probability < 0:
-                raise ConfigError(f"{where} term {position}: prob must be nonnegative")
+                raise ConfigError(f"{at}: prob must be nonnegative")
             amplitude = complex(math.sqrt(probability))
         else:
-            # A missing re or im reads as the int 0, which fails the float
-            # test: on the fast path both are given, and basis is the third.
-            re, im = term.get("re", 0), term.get("im", 0)
-            if re.__class__ is float and im.__class__ is float and len(term) == 3:
-                amplitude = complex(re, im)
-            else:
-                if len(term) != 1 + ("re" in term) + ("im" in term):
-                    _refuse_unknown_keys(term, _TERM_KEYS, f"{where} term {position}")
-                amplitude = complex(
-                    _number(re, f"{where} term {position}: re"),
-                    _number(im, f"{where} term {position}: im"),
-                )
+            if len(term) != 1 + ("re" in term) + ("im" in term):
+                _refuse_unknown_keys(term, _TERM_KEYS, at)
+            amplitude = complex(
+                _number(term.get("re", 0), f"{at}: re"),
+                _number(term.get("im", 0), f"{at}: im"),
+            )
         rows.append(index)
         amplitudes.append(amplitude)
     return rows, amplitudes
@@ -471,9 +454,7 @@ def cmd_compare_protocols(args: argparse.Namespace) -> int:
 
 def cmd_paper_repro(args: argparse.Namespace) -> int:
     results = run_claims(
-        seed=PAPER_REPRO_SEED,
-        grid_step=args.grid_step,
-        perturb=1e-6 if args.selftest_perturb else 0.0,
+        seed=PAPER_REPRO_SEED, perturb=1e-6 if args.selftest_perturb else 0.0
     )
     lines = [
         f"PASS {name}" if ok else f"FAIL {name}: {detail}"
@@ -541,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the built-in verification battery and print pass/fail lines",
     )
     p.add_argument("--out", help="write the report to this file instead of stdout")
-    p.add_argument("--grid-step", type=float, default=0.01)
     p.add_argument(
         "--selftest-perturb", action="store_true", help=argparse.SUPPRESS
     )
@@ -558,17 +538,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args: argparse.Namespace) -> None:
-    """Refuse a --tol, --seed or --grid-step no analysis can use, before any work."""
+    """Refuse a --tol or --seed no analysis can use, before any work."""
     tol = getattr(args, "tol", 0.0)
     if not 0.0 <= tol < math.inf:
         raise ConfigError(f"--tol must be finite and nonnegative, got {tol!r}")
     seed = getattr(args, "seed", 0)
     if seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {seed}")
-    low, high = _GRID_STEP_RANGE
-    step = getattr(args, "grid_step", low)
-    if not low <= step < high:
-        raise ConfigError(f"--grid-step must lie in [{low:g}, {high:g}), got {step!r}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -19,8 +19,8 @@ from itertools import product
 
 import numpy as np
 
-from .mw import stage_weights
-from .qstate import NORM_ATOL, OUTCOMES, sum_in_order
+from .mw import pair_table
+from .qstate import OUTCOMES, sum_in_order
 from .repeated10 import RepGame, start_tables
 from .stagegames import PAYOFF_TOL, Bimatrix, Payoffs, StageGame, payoff_bound
 
@@ -243,28 +243,11 @@ def cooperation_bound(stage: StageGame) -> float:
 
 
 @dataclass(frozen=True)
-class ScanSample:
-    """One grid point of a cooperation scan.
-
-    ``unique_cooperative_ne`` records whether the mutual-identity
-    profile was the only pure equilibrium of the induced 2x2 game at
-    this x; ``stage_payoff`` is its per-stage value x*R + (1-x)*P.
-    """
-
-    x: float
-    unique_cooperative_ne: bool
-    stage_payoff: float
-
-
-@dataclass(frozen=True)
 class CooperationAnalysis:
     """Closed-form threshold cross-checked against a grid scan."""
 
-    payoffs: tuple[float, float, float, float]
     closed_form_bound: float
     empirical_bound: float
-    grid_step: float
-    samples: tuple[ScanSample, ...]
 
 
 def cooperation_scan(stage: StageGame, grid_step: float) -> CooperationAnalysis:
@@ -272,57 +255,48 @@ def cooperation_scan(stage: StageGame, grid_step: float) -> CooperationAnalysis:
 
     For each grid point x in (0, 1) the shared pair state
     sqrt(x)|00> + sqrt(1-x)|11> induces a 2x2 game over the flip
-    choices; the sample is flagged when (identity, identity) is its
+    choices; the point is flagged when (identity, identity) is its
     unique pure equilibrium.  The empirical bound is the largest flagged
     x (0.0 if none), and the closed form must agree within one grid
-    step or the scan fails loudly.  Every flagged sample must also beat
+    step or the scan fails loudly.  Every flagged point must also beat
     mutual defection: x*R + (1-x)*P > P.
 
-    All grid points are evaluated at once: the induced cell at flip
-    pattern f is W[f]*p00 + W[f^3]*p11, with the Born weights rounded as
-    :class:`~.qstate.PureState` rounds them and equilibria by the rule
-    :func:`pure_nash` reads (:func:`_nash_masks`), at ``tol=0``.
+    All grid points are read at once, as :func:`~.mw.mw_bimatrix` reads
+    one: ``pair_table(stage) @ marginal`` on each point's Born marginal
+    (rounded as :class:`~.qstate.PureState` rounds it), with equilibria
+    by the rule :func:`pure_nash` reads (:func:`_nash_masks`), at
+    ``tol=0``.
     """
     if not stage.is_pd:
         raise ValueError("cooperation scan is defined for dilemma payoffs only")
     if not 0.0 < grid_step < 0.5:
         raise ValueError("grid step must lie in (0, 0.5)")
-    t, r, p, s = stage.pd_values
+    _, r, p, _ = stage.pd_values
     closed_form = cooperation_bound(stage)
     grid = np.arange(1, math.ceil(1.0 / grid_step) + 2) * grid_step
     xs = grid[grid < 1.0]
-    p00, p11 = np.abs(np.sqrt(xs)) ** 2, np.abs(np.sqrt(1.0 - xs)) ** 2
-    unnormalized = (p00 + p11)[~(np.abs(p00 + p11 - 1.0) <= NORM_ATOL)]
-    if unnormalized.size:
-        total = float(unnormalized[0])
-        raise ValueError(f"state is not normalized: sum |amp|^2 = {total!r}")
-    weights = stage_weights(stage)[:, None, :]
-    cells = weights * p00[:, None] + weights[..., ::-1] * p11[:, None]
-    u1, u2 = cells.reshape(2, -1, 2, 2)
+    marginals = np.zeros((xs.size, 4))
+    marginals[:, 0] = np.abs(np.sqrt(xs)) ** 2
+    marginals[:, 3] = np.abs(np.sqrt(1.0 - xs)) ** 2
+    # cells[point, player, f]: the induced game at flips f = 2*k1 + k2.
+    cells = (pair_table(stage) @ marginals[:, None, :, None])[..., 0]
+    u1, u2 = cells.reshape(-1, 2, 2, 2).swapaxes(0, 1)
     at_equilibrium, _ = _nash_masks(u1, u2, 0.0)
     only_identity = np.array([[True, False], [False, False]])
-    flags = (at_equilibrium == only_identity).all(axis=(1, 2))
-    samples = []
-    empirical = 0.0
-    for x, unique in zip(xs.tolist(), flags.tolist()):
-        q = x * r + (1.0 - x) * p
-        if unique:
-            empirical = x
-            if not q > p:
-                raise AssertionError(
-                    f"stage payoff {q} fails to beat mutual defection at x={x}"
-                )
-        samples.append(ScanSample(x=x, unique_cooperative_ne=unique, stage_payoff=q))
+    flagged = xs[(at_equilibrium == only_identity).all(axis=(1, 2))]
+    stage_payoffs = flagged * r + (1.0 - flagged) * p
+    beaten = stage_payoffs > p
+    if not beaten.all():
+        k = int(beaten.argmin())
+        raise AssertionError(
+            f"stage payoff {float(stage_payoffs[k])} fails to beat mutual "
+            f"defection at x={float(flagged[k])}"
+        )
+    empirical = float(flagged[-1]) if flagged.size else 0.0
     # The slack forgives rounding only: a bound on a grid point is a tie
     # there, so the last flagged point sits one step below it.
     if abs(closed_form - empirical) > grid_step * (1 + 1e-9):
         raise AssertionError(
             f"scan bound {empirical} disagrees with closed form {closed_form}"
         )
-    return CooperationAnalysis(
-        payoffs=(t, r, p, s),
-        closed_form_bound=closed_form,
-        empirical_bound=empirical,
-        grid_step=float(grid_step),
-        samples=tuple(samples),
-    )
+    return CooperationAnalysis(closed_form_bound=closed_form, empirical_bound=empirical)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .mw import _XOR_PATTERNS, pair_table
 from .qstate import OUTCOMES, PROB_FLOOR, PureState, sum_in_order
-# The name perfbench/metrics.py traces; ROADMAP item 2 retargets it and drops this.
+# The name perfbench/metrics.py traces; ROADMAP item 14 retargets it and drops this.
 from .reference import play_sequential
 from .stagegames import STRATEGY_LABELS, Bimatrix, Payoffs, StageGame, payoff_bound
 

@@ -27,7 +27,7 @@ SEED = 20260501
 
 @pytest.mark.parametrize("name, check", CLAIMS, ids=[name for name, _ in CLAIMS])
 def test_claim(name, check):
-    ok, detail = check(SEED, 0.01, 0.0)
+    ok, detail = check(SEED, 0.0)
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert ok, detail
 
@@ -95,7 +95,7 @@ def test_a_family_member_with_its_own_equilibrium_set_fails_the_shared_claim(
 
 
 def test_a_raising_check_fails_its_claim_with_the_message(monkeypatch):
-    def broken(seed, grid_step, perturb):
+    def broken(seed, perturb):
         raise np.linalg.LinAlgError("no convergence")
 
     registry = (("broken", broken), claims.CLAIMS[7])

@@ -665,7 +665,7 @@ def test_out_flag_writes_the_file_instead_of_stdout(tmp_path, capsys):
     "command, target",
     [
         (("bimatrix",), "missing/x.csv"),
-        (("paper-repro", "--grid-step", "0.1"), "missing/x.txt"),
+        (("paper-repro",), "missing/x.txt"),
         (("bimatrix",), "."),
     ],
     ids=["missing-directory", "paper-repro-missing-directory", "directory"],
@@ -1143,12 +1143,8 @@ def test_unusable_tolerances_and_refused_analyses_exit_with_two(
 def test_paper_repro_passes_and_is_deterministic(tmp_path, capsys):
     first = tmp_path / "first.txt"
     second = tmp_path / "second.txt"
-    code1, _, _ = run_cli(
-        capsys, "paper-repro", "--grid-step", "0.1", "--out", str(first)
-    )
-    code2, _, _ = run_cli(
-        capsys, "paper-repro", "--grid-step", "0.1", "--out", str(second)
-    )
+    code1, _, _ = run_cli(capsys, "paper-repro", "--out", str(first))
+    code2, _, _ = run_cli(capsys, "paper-repro", "--out", str(second))
     assert code1 == 0 and code2 == 0
     assert first.read_bytes() == second.read_bytes()
 
@@ -1158,19 +1154,18 @@ def test_paper_repro_passes_and_is_deterministic(tmp_path, capsys):
     assert lines[-1] == "9 passed, 0 failed"
 
 
-@pytest.mark.parametrize("grid_step", ["0.7", "0", "nan", "1e-9"])
-def test_paper_repro_refuses_an_unusable_grid_step_before_any_claim(
-    capsys, grid_step
-):
-    code, out, err = run_cli(capsys, "paper-repro", "--grid-step", grid_step)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: --grid-step must lie in [0.0001, 0.5), got ")
+def test_paper_repro_has_no_grid_step_option(capsys):
+    """The claims scan at one fixed step, so argparse refuses the option."""
+    with pytest.raises(SystemExit) as caught:
+        main(["paper-repro", "--grid-step", "0.1"])
+    assert caught.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --grid-step 0.1" in err
 
 
 def test_paper_repro_detects_an_injected_value_drift(capsys):
-    code, out, _ = run_cli(
-        capsys, "paper-repro", "--grid-step", "0.1", "--selftest-perturb"
-    )
+    code, out, _ = run_cli(capsys, "paper-repro", "--selftest-perturb")
     assert code == 1
     lines = out.splitlines()
     failing = [line for line in lines if line.startswith("FAIL")]
@@ -1209,7 +1204,6 @@ def _pinned_cases():
     """Command line and config document (None: no config) per case."""
     cases = {
         "paper-repro": (("paper-repro",), None),
-        "paper-repro-grid-step-0.7": (("paper-repro", "--grid-step", "0.7"), None),
         "nash-tol-nan": (("nash", "--tol", "nan"), mw10_document()),
     }
     for state, (protocol, initial) in _PINNED_STATES.items():
@@ -1277,7 +1271,6 @@ _PINNED = {
     "mw10-zero-pd-spe": (0, "d3a9098ba959d83abc87a464aae1fee9c3a5596c89f0916be58f6a4454c345e9"),
     "nash-tol-nan": (2, "c70bb27d201d805ef54d2aa6d1f2a63e5e99c864bef1bd56a9d8bb0144542ab2"),
     "paper-repro": (0, "1dd045778052c10b0ee97c795748c1348382043351d33850b59073b733c9e66e"),
-    "paper-repro-grid-step-0.7": (2, "ecf047527032297eeddf71038bc5ebadb9c29596cd18440594d0ac10bc3c8a38"),
 }
 
 

@@ -26,11 +26,9 @@ from .qstate import (
     OUTCOMES,
     DiagonalObservable,
     Ensemble,
-    FlipLayer,
     PureState,
     apply_flips,
     basis_index,
-    bits_of,
     expectation,
     measure_pair,
     random_state,
@@ -99,11 +97,9 @@ __all__ = [
     "OUTCOMES",
     "DiagonalObservable",
     "Ensemble",
-    "FlipLayer",
     "PureState",
     "apply_flips",
     "basis_index",
-    "bits_of",
     "expectation",
     "measure_pair",
     "random_state",

@@ -47,7 +47,6 @@ from .mw import MWGame, mw_bimatrix
 from .qstate import (
     DiagonalObservable,
     Ensemble,
-    FlipLayer,
     PureState,
     apply_flips,
     expectation,
@@ -268,11 +267,11 @@ def randomized_invariants(seed: int, perturb: float) -> Verdict:
     for _ in range(1000):
         n = int(rng.integers(1, 6))
         state = random_state(n, rng)
-        layer = FlipLayer({q: int(rng.integers(0, 2)) for q in range(1, n + 1)})
-        flipped = apply_flips(state, layer)
+        flips = {q: int(rng.integers(0, 2)) for q in range(1, n + 1)}
+        flipped = apply_flips(state, flips)
         if abs(float(flipped.probabilities.sum()) - 1.0) > 1e-12:
             return False, "flip broke normalization"
-        if not np.array_equal(apply_flips(flipped, layer).amplitudes, state.amplitudes):
+        if not np.array_equal(apply_flips(flipped, flips).amplitudes, state.amplitudes):
             return False, "flip applied twice is not the identity"
         if n >= 2:
             qubits = rng.choice(np.arange(1, n + 1), size=2, replace=False)

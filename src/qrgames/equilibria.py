@@ -21,7 +21,7 @@ import numpy as np
 
 from .mw import pair_table
 from .qstate import OUTCOMES, sum_in_order
-from .repeated10 import RepGame, start_tables
+from .repeated10 import RepGame, start_tables, strategy_index
 from .stagegames import PAYOFF_TOL, Bimatrix, Payoffs, StageGame, payoff_bound
 
 
@@ -136,10 +136,8 @@ def strictly_dominated(bm: Bimatrix, player: int) -> list[tuple[int, int]]:
     return list(map(tuple, np.argwhere(beats).tolist()))
 
 
-# The outcomes o as a (4, 1) column that indexes per-outcome rows, and the
-# bit ``3 - o`` of a five-bit strategy that holds the flip after o.
+# The outcomes o as a (4, 1) column that indexes per-outcome rows.
 _OUTCOME_ROWS = np.arange(4)[:, None]
-_AFTER_SHIFTS = 3 - _OUTCOME_ROWS
 
 
 def spe_pair_product(game: RepGame, tol: float = PAYOFF_TOL) -> EquilibriumReport:
@@ -205,18 +203,17 @@ def spe_pair_product(game: RepGame, tol: float = PAYOFF_TOL) -> EquilibriumRepor
     # cells[s, k, player]; the induced game of selection s is u[s, k1, k2].
     u1, u2 = cells.transpose(2, 0, 1).reshape(2, -1, 2, 2)
     at_equilibrium, strict = _nash_masks(u1, u2, bound)
-    # Per selection: each player's contingent strategy bits (the flip after
-    # outcome o is bit 3 - o) and whether all four picks are strict.
-    after1 = ((selected >> 1) << _AFTER_SHIFTS).sum(axis=0)
-    after2 = ((selected & 1) << _AFTER_SHIFTS).sum(axis=0)
+    # Per selection: whether all four picks are strict.
     strict_picks = sub_strict.reshape(4, 4)[_OUTCOME_ROWS, selected].all(axis=0)
+    # Selection s picks a = 2*a1 + a2 after each outcome, so player 1's
+    # contingent flips are a >> 1 and player 2's a & 1.
     s, k1, k2 = np.nonzero(at_equilibrium)
     found = sorted(
         (
             Equilibrium(row, col, (p1, p2), flag)
             for row, col, p1, p2, flag in zip(
-                ((k1 << 4) + after1[s]).tolist(),
-                ((k2 << 4) + after2[s]).tolist(),
+                strategy_index(k1, selected[:, s] >> 1).tolist(),
+                strategy_index(k2, selected[:, s] & 1).tolist(),
                 u1[s, k1, k2].tolist(),
                 u2[s, k1, k2].tolist(),
                 (strict[s, k1, k2] & strict_picks[s]).tolist(),

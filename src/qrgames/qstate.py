@@ -1,10 +1,10 @@
 """Minimal state-vector core for small qubit registers.
 
 Every protocol in this package reduces to three primitives on dense
-complex amplitude vectors: tensor-factor bit flips (pure index
-permutations), projective measurement of a qubit pair in the
-computational basis, and expectations of observables that are diagonal
-in that basis.  Flips only permute amplitudes, so the protocols read
+complex amplitude vectors: bit flips, ``apply_flips(state, {qubit: bit})``
+as one XOR index permutation, projective measurement of a qubit pair in
+the computational basis, and expectations of observables that are
+diagonal in that basis.  Flips only permute amplitudes, so the protocols read
 their production tables off a qubit pair's Born marginal
 (:func:`~.mw.pair_table`).  The dense primitives here serve only the
 independent paths of :mod:`.reference` and the checks of :mod:`.claims`.
@@ -35,11 +35,6 @@ def basis_index(bits: str) -> int:
     if not bits or any(c not in "01" for c in bits):
         raise ValueError(f"invalid basis bit string: {bits!r}")
     return int(bits, 2)
-
-
-def bits_of(index: int, num_qubits: int) -> str:
-    """Basis label of ``index`` on ``num_qubits`` qubits."""
-    return format(index, f"0{num_qubits}b")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,22 +97,15 @@ class PureState:
         """Value of 1-based ``qubit`` in basis index ``index``."""
         return (index >> (self.num_qubits - qubit)) & 1
 
-    def tensor(self, other: "PureState") -> "PureState":
-        """Tensor product with ``self`` as the more significant factor."""
-        return PureState(
-            self.num_qubits + other.num_qubits,
-            np.kron(self.amplitudes, other.amplitudes),
-        )
-
 
 def tensor_all(factors: Sequence[PureState]) -> PureState:
     """Tensor product of several registers, first factor most significant."""
     if not factors:
         raise ValueError("need at least one factor")
-    state = factors[0]
+    amplitudes = factors[0].amplitudes
     for factor in factors[1:]:
-        state = state.tensor(factor)
-    return state
+        amplitudes = np.kron(amplitudes, factor.amplitudes)
+    return PureState(sum(factor.num_qubits for factor in factors), amplitudes)
 
 
 def random_state(num_qubits: int, rng: np.random.Generator) -> PureState:
@@ -127,70 +115,33 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> PureState:
     return PureState(num_qubits, amps / np.linalg.norm(amps))
 
 
-def _is_index(value) -> bool:
-    """True for a Python or numpy integer that is not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class FlipLayer:
-    """Bit-flip assignment: qubit index (1-based) -> operator bit.
-
-    Bit 0 is the identity and bit 1 the flip; unlisted qubits are left
-    alone.  The layer is just an XOR mask in disguise.
-    """
-
-    flips: Mapping[int, int]
-
-    def __post_init__(self) -> None:
-        clean = {}
-        for qubit, bit in dict(self.flips).items():
-            if bit not in (0, 1):
-                raise ValueError(f"operator bit must be 0 or 1, got {bit!r}")
-            if not _is_index(qubit) or qubit < 1:
-                raise ValueError(f"qubit indices are 1-based integers, got {qubit!r}")
-            clean[int(qubit)] = int(bit)
-        object.__setattr__(self, "flips", clean)
-
-    def mask(self, num_qubits: int) -> int:
-        """XOR mask over basis indices for a register of ``num_qubits``."""
-        mask = 0
-        for qubit, bit in self.flips.items():
-            if qubit > num_qubits:
-                raise ValueError(
-                    f"qubit {qubit} out of range for {num_qubits}-qubit state"
-                )
-            mask |= bit << (num_qubits - qubit)
-        return mask
-
-    def merge(self, other: "FlipLayer") -> "FlipLayer":
-        """Union of two layers acting on disjoint qubits."""
-        overlap = self.flips.keys() & other.flips.keys()
-        if overlap:
-            raise ValueError(f"layers overlap on qubits {sorted(overlap)}")
-        return FlipLayer({**self.flips, **other.flips})
-
-
 def _check_qubit(qubit: int, num_qubits: int) -> None:
-    """Refuse a qubit that is not a 1-based integer index into the register."""
-    if not _is_index(qubit):
+    """Refuse a qubit that is not a 1-based, non-bool integer index into the state."""
+    if not isinstance(qubit, (int, np.integer)) or isinstance(qubit, bool):
         raise ValueError(f"qubit indices are 1-based integers, got {qubit!r}")
     if not 1 <= qubit <= num_qubits:
         raise ValueError(f"qubit {qubit} out of range for {num_qubits}-qubit state")
 
 
-def apply_flips(state: PureState, layer: FlipLayer) -> PureState:
-    """Apply identity/flip operators qubit-wise to a state.
+def apply_flips(state: PureState, flips: Mapping[int, int]) -> PureState:
+    """Apply the identity (bit 0) or the flip (bit 1) to each listed qubit.
 
     The result holds, at basis index ``x``, the input amplitude at
-    ``x XOR m`` where ``m`` is the layer's mask.  No arithmetic touches
-    the amplitudes, so the norm is preserved exactly.
+    ``x XOR m``, where mask ``m`` holds qubit ``j``'s bit at ``n - j``.
+    No arithmetic touches the amplitudes, so the norm is preserved
+    exactly; when nothing flips, the input itself comes back.
     """
-    mask = layer.mask(state.num_qubits)
+    n = state.num_qubits
+    mask = 0
+    for qubit, bit in flips.items():
+        if bit not in (0, 1):
+            raise ValueError(f"operator bit must be 0 or 1, got {bit!r}")
+        _check_qubit(qubit, n)
+        mask |= int(bit) << (n - int(qubit))
     if mask == 0:
         return state
     indices = np.arange(state.amplitudes.shape[0]) ^ mask
-    return PureState(state.num_qubits, state.amplitudes[indices])
+    return PureState(n, state.amplitudes[indices])
 
 
 def measure_pair(
@@ -266,10 +217,6 @@ class Ensemble:
             raise ValueError(f"mixed register sizes in ensemble: {sorted(sizes)}")
         object.__setattr__(self, "members", members)
 
-    @classmethod
-    def pure(cls, state: PureState) -> "Ensemble":
-        return cls(((1.0, state),))
-
     @property
     def num_qubits(self) -> int:
         return self.members[0][1].num_qubits
@@ -301,7 +248,7 @@ def expectation(source: Ensemble | PureState, obs: DiagonalObservable) -> float:
     the terms added in member order by :func:`sum_in_order`.
     """
     if isinstance(source, PureState):
-        source = Ensemble.pure(source)
+        source = Ensemble(((1.0, source),))
     if source.num_qubits != obs.num_qubits:
         raise ValueError(
             f"observable acts on {obs.num_qubits} qubits, "

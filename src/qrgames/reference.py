@@ -26,7 +26,6 @@ from .qstate import (
     OUTCOMES,
     DiagonalObservable,
     Ensemble,
-    FlipLayer,
     PureState,
     apply_flips,
     expectation,
@@ -76,14 +75,14 @@ def _it_observables(stage: StageGame) -> tuple[DiagonalObservable, ...]:
 
 
 def it_batch_expected(game, k1: int, k2: int, k3: int, k4: int) -> ExpectedPayoffs:
-    """Pure-profile payoffs of a four-qubit game read densely: one combined
-    flip layer on all four qubits, then the four payoff observables.
+    """Pure-profile payoffs of a four-qubit game read densely: one
+    flip map over all four qubits, then the four payoff observables.
 
     This path builds the flipped state and never reads a marginal, so it
     is the independent check on :func:`~.iqbaltoor.it_pure_bimatrix` and
     :func:`~.iqbaltoor.it_expected` (see :func:`~.claims.it_deviation`).
     """
-    final = apply_flips(game.initial, FlipLayer({1: k1, 2: k2, 3: k3, 4: k4}))
+    final = apply_flips(game.initial, {1: k1, 2: k2, 3: k3, 4: k4})
     return _expected_from(final, _it_observables(game.stage))
 
 
@@ -97,11 +96,12 @@ def outcome_qubit_pair(outcome: tuple[int, int]) -> tuple[int, int]:
     return (2 * o + 3, 2 * o + 4)
 
 
-def strategy_qubit_map(player: int, strat: RepStrategy) -> FlipLayer:
+def strategy_qubit_map(player: int, strat: RepStrategy) -> dict[int, int]:
     """Spread a five-bit strategy over the player's five qubits.
 
     Player 1 writes (stage1, after_00, after_01, after_10, after_11) to
-    qubits (1, 3, 5, 7, 9); player 2 writes to (2, 4, 6, 8, 10).
+    qubits (1, 3, 5, 7, 9); player 2 writes to (2, 4, 6, 8, 10).  The
+    result is the ``{qubit: bit}`` map :func:`~.qstate.apply_flips` reads.
     """
     if player not in (1, 2):
         raise ValueError(f"player must be 1 or 2, got {player!r}")
@@ -110,7 +110,7 @@ def strategy_qubit_map(player: int, strat: RepStrategy) -> FlipLayer:
     for outcome in OUTCOMES:
         pair = outcome_qubit_pair(outcome)
         flips[pair[side]] = strat.after(outcome)
-    return FlipLayer(flips)
+    return flips
 
 
 def _observables(stage: StageGame) -> tuple[DiagonalObservable, ...]:
@@ -162,8 +162,9 @@ def _block_weights_of(payoffs: bytes) -> np.ndarray:
 
 def play_batch(game, t1: RepStrategy, t2: RepStrategy) -> ExpectedPayoffs:
     """Expected payoffs with all ten flips applied before any readout."""
-    layer = strategy_qubit_map(1, t1).merge(strategy_qubit_map(2, t2))
-    return _expected_from(apply_flips(game.initial, layer), _observables(game.stage))
+    # Player 1 owns the odd qubits and player 2 the even ones.
+    flips = {**strategy_qubit_map(1, t1), **strategy_qubit_map(2, t2)}
+    return _expected_from(apply_flips(game.initial, flips), _observables(game.stage))
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ def _measure_stage1(
     Returns the ``measure_pair`` branches: outcomes at or below
     ``PROB_FLOOR`` are pruned, the rest carry their post states.
     """
-    after_first = apply_flips(game.initial, FlipLayer({1: k1, 2: k2}))
+    after_first = apply_flips(game.initial, {1: k1, 2: k2})
     return measure_pair(after_first, 1, 2)
 
 
@@ -210,7 +211,7 @@ def _continue(
 ) -> PureState:
     """Apply the stage-2 flips (a1, a2) to the pair reserved for ``outcome``."""
     qubit_a, qubit_b = outcome_qubit_pair(outcome)
-    return apply_flips(post, FlipLayer({qubit_a: a1, qubit_b: a2}))
+    return apply_flips(post, {qubit_a: a1, qubit_b: a2})
 
 
 def _stage1_chance(game) -> tuple[np.ndarray, list[PureState | None]]:

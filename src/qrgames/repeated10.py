@@ -29,8 +29,17 @@ _OUTCOME_LABELS = tuple(f"{o[0]}{o[1]}" for o in OUTCOMES)
 _COMPONENT_KEYS = ((1, 1), (1, 2), (2, 1), (2, 2))
 # The five-bit strategy encoding, indexed like the rows of every 32x32
 # table: bit 4 is the stage-1 flip, bit ``3 - o`` the flip after outcome o.
-_STAGE1_BITS = np.arange(32) >> 4
-_AFTER_BITS = (np.arange(32) >> (3 - np.arange(4))[:, None]) & 1
+_STAGE1_SHIFT = 4
+_AFTER_SHIFTS = 3 - np.arange(4)[:, None]
+
+
+def strategy_index(stage1: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Five-bit strategy indices of stage-1 flips and the flips ``after[o]`` after o."""
+    return (stage1 << _STAGE1_SHIFT) + (after << _AFTER_SHIFTS).sum(axis=0)
+
+
+_STAGE1_BITS = np.arange(32) >> _STAGE1_SHIFT
+_AFTER_BITS = (np.arange(32) >> _AFTER_SHIFTS) & 1
 # Per profile, the flips of the pairs a payoff reads: ``k = 2*k1 + k2`` on
 # qubits 1-2, and ``4*k + 2*a1 + a2`` with a = (a1, a2) on outcome o's pair.
 _FIRST_PATTERN = 2 * _STAGE1_BITS[:, None] + _STAGE1_BITS

@@ -1333,14 +1333,22 @@ def test_a_too_deeply_nested_config_exits_with_two(tmp_path, capsys):
 
 
 def test_module_entry_point_prints_usage():
-    result = subprocess.run(
-        [sys.executable, "-m", "qrgames.cli", "--help"],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0
-    for name in ("bimatrix", "nash", "spe", "dominance", "compare-protocols"):
-        assert name in result.stdout
+    for module in ("qrgames.cli", "qrgames"):
+        result = subprocess.run(
+            [sys.executable, "-m", module, "--help"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0
+        for name in ("bimatrix", "nash", "spe", "dominance", "compare-protocols"):
+            assert name in result.stdout
+        # The exit code main() returns reaches the shell.
+        refused = subprocess.run(
+            [sys.executable, "-m", module, "nash", "--config", "/nonexistent/c.json"],
+            capture_output=True,
+            text=True,
+        )
+        assert refused.returncode == 2
 
 
 # ---------------------------------------------------------------------------

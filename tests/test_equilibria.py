@@ -34,7 +34,6 @@ from qrgames.mw import MWGame, mw_bimatrix, stage_weights
 from qrgames.qstate import (
     OUTCOMES,
     PROB_FLOOR,
-    FlipLayer,
     PureState,
     apply_flips,
     random_state,
@@ -398,7 +397,7 @@ def scalar_spe_oracle(game):
         np.stack([bm.payoffs1.ravel(), bm.payoffs2.ravel()]) for bm in tables
     ]
     chance = [
-        apply_flips(factors[0], FlipLayer({1: k >> 1, 2: k & 1})).probabilities
+        apply_flips(factors[0], {1: k >> 1, 2: k & 1}).probabilities
         for k in range(4)
     ]
     return scalar_spe_fold(stage1, chance, values, payoff_bound(game.stage))

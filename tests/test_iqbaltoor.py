@@ -26,7 +26,7 @@ from qrgames.iqbaltoor import (
     sample_dilemma_state,
 )
 from qrgames.mw import stage_weights
-from qrgames.qstate import Ensemble, FlipLayer, PureState, apply_flips, random_state
+from qrgames.qstate import Ensemble, PureState, apply_flips, random_state
 from qrgames.reference import (
     _expected_from,
     _it_observables,
@@ -90,16 +90,16 @@ def ensemble_oracle(game, s1, s2):
     observables are read on every member.
     """
     stage1_members = [
-        (p1 * p2, FlipLayer({1: k1, 2: k2}))
+        (p1 * p2, {1: k1, 2: k2})
         for p1, k1 in _mix(s1.stage1_flip_prob)
         for p2, k2 in _mix(s2.stage1_flip_prob)
     ]
     members = []
-    for weight, first_layer in stage1_members:
-        mid = apply_flips(game.initial, first_layer)
+    for weight, first_flips in stage1_members:
+        mid = apply_flips(game.initial, first_flips)
         for p3, k3 in _mix(s1.stage2_flip_prob):
             for p4, k4 in _mix(s2.stage2_flip_prob):
-                final = apply_flips(mid, FlipLayer({3: k3, 4: k4}))
+                final = apply_flips(mid, {3: k3, 4: k4})
                 members.append((weight * p3 * p4, final))
     return _expected_from(Ensemble(tuple(members)), _it_observables(game.stage))
 

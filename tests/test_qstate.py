@@ -27,11 +27,9 @@ from qrgames.qstate import (
     PROB_FLOOR,
     DiagonalObservable,
     Ensemble,
-    FlipLayer,
     PureState,
     apply_flips,
     basis_index,
-    bits_of,
     expectation,
     measure_pair,
     random_state,
@@ -53,12 +51,7 @@ def seeded_state(num_qubits: int, seed: int) -> PureState:
 @given(st.integers(min_value=1, max_value=8), st.data())
 def test_basis_label_round_trip(num_qubits, data):
     index = data.draw(st.integers(min_value=0, max_value=2**num_qubits - 1))
-    assert basis_index(bits_of(index, num_qubits)) == index
-
-
-def test_bits_of_pads_to_register_width():
-    assert bits_of(5, 4) == "0101"
-    assert bits_of(0, 3) == "000"
+    assert basis_index(format(index, f"0{num_qubits}b")) == index
 
 
 @pytest.mark.parametrize("label", ["", "012", "ab", "10 1"])
@@ -154,15 +147,18 @@ def test_tensor_concatenates_basis_labels():
     left = PureState.basis(1, "1")
     right = PureState.basis(2, "01")
     assert np.array_equal(
-        left.tensor(right).amplitudes, PureState.basis(3, "101").amplitudes
+        tensor_all([left, right]).amplitudes, PureState.basis(3, "101").amplitudes
     )
 
 
 def test_tensor_all_matches_pairwise_tensor():
     rng = np.random.default_rng(7)
     factors = [random_state(2, rng) for _ in range(3)]
-    chained = factors[0].tensor(factors[1]).tensor(factors[2])
-    assert np.allclose(tensor_all(factors).amplitudes, chained.amplitudes)
+    first, second, third = (factor.amplitudes for factor in factors)
+    chained = np.kron(np.kron(first, second), third)
+    product = tensor_all(factors)
+    assert product.num_qubits == 6
+    assert np.allclose(product.amplitudes, chained)
 
 
 def test_tensor_all_needs_a_factor():
@@ -180,45 +176,33 @@ def test_random_state_is_normalized_and_seed_stable():
 
 
 # ---------------------------------------------------------------------------
-# flip layers
+# flips: a {qubit: bit} map
 
 
 def test_flip_layer_validates_entries():
+    state = PureState.basis(4, 0)
     with pytest.raises(ValueError, match="must be 0 or 1"):
-        FlipLayer({1: 2})
-    for qubit in (0, 1.5):
-        with pytest.raises(ValueError, match="1-based"):
-            FlipLayer({qubit: 1})
-    assert FlipLayer({np.int64(3): 1}).flips == {3: 1}
+        apply_flips(state, {1: 2})
+    with pytest.raises(ValueError, match="1-based"):
+        apply_flips(state, {1.5: 1})
+    with pytest.raises(ValueError, match="qubit 0 out of range"):
+        apply_flips(state, {0: 1})
+    flipped = apply_flips(state, {np.int64(3): 1})
+    assert np.array_equal(flipped.amplitudes, PureState.basis(4, "0010").amplitudes)
 
 
 @pytest.mark.parametrize("qubit", [True, False])
 def test_flip_layer_refuses_a_bool_qubit(qubit):
     """True == 1, but a bool names no qubit: it would flip qubit 1."""
     with pytest.raises(ValueError, match=f"1-based integers, got {qubit}"):
-        FlipLayer({qubit: 1})
+        apply_flips(PureState.basis(2, 0), {qubit: 1})
 
 
 def test_mask_places_qubit_one_at_the_top_bit():
-    assert FlipLayer({1: 1}).mask(4) == 0b1000
-    assert FlipLayer({4: 1}).mask(4) == 0b0001
-    assert FlipLayer({1: 1, 3: 1}).mask(4) == 0b1010
-    assert FlipLayer({2: 0}).mask(4) == 0
-
-
-def test_mask_rejects_out_of_range_qubit():
-    with pytest.raises(ValueError, match="out of range"):
-        FlipLayer({5: 1}).mask(4)
-
-
-def test_merge_joins_disjoint_layers():
-    merged = FlipLayer({1: 1}).merge(FlipLayer({3: 0, 4: 1}))
-    assert merged.flips == {1: 1, 3: 0, 4: 1}
-
-
-def test_merge_rejects_overlap():
-    with pytest.raises(ValueError, match="overlap"):
-        FlipLayer({1: 1, 2: 0}).merge(FlipLayer({2: 1}))
+    start = PureState.basis(4, 0)
+    for flips, index in (({1: 1}, 0b1000), ({4: 1}, 0b0001), ({1: 1, 3: 1}, 0b1010)):
+        flipped = apply_flips(start, flips)
+        assert np.array_equal(flipped.amplitudes, PureState.basis(4, index).amplitudes)
 
 
 @settings(max_examples=60)
@@ -237,9 +221,9 @@ def test_apply_flips_is_an_xor_permutation(num_qubits, seed, data):
             max_size=num_qubits,
         )
     )
-    layer = FlipLayer(dict(enumerate(bits, start=1)))
-    mask = layer.mask(num_qubits)
-    flipped = apply_flips(state, layer)
+    flips = dict(enumerate(bits, start=1))
+    mask = int("".join(map(str, bits)), 2)
+    flipped = apply_flips(state, flips)
 
     indices = np.arange(state.amplitudes.shape[0])
     assert np.array_equal(flipped.amplitudes, state.amplitudes[indices ^ mask])
@@ -248,18 +232,19 @@ def test_apply_flips_is_an_xor_permutation(num_qubits, seed, data):
         np.sort(flipped.probabilities), np.sort(state.probabilities)
     )
     assert abs(flipped.probabilities.sum() - 1.0) <= 1e-12
-    twice = apply_flips(flipped, layer)
+    twice = apply_flips(flipped, flips)
     assert np.array_equal(twice.amplitudes, state.amplitudes)
 
 
 def test_apply_flips_identity_layer_returns_input_unchanged():
     state = seeded_state(3, 99)
-    assert apply_flips(state, FlipLayer({})) is state
+    assert apply_flips(state, {}) is state
+    assert apply_flips(state, {1: 0, 3: 0}) is state
 
 
 def test_apply_flips_range_check():
-    with pytest.raises(ValueError, match="out of range"):
-        apply_flips(PureState.basis(2, 0), FlipLayer({3: 1}))
+    with pytest.raises(ValueError, match="qubit 3 out of range for 2-qubit state"):
+        apply_flips(PureState.basis(2, 0), {3: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +451,7 @@ def test_ensemble_validation():
         Ensemble(((0.7, state),))
     with pytest.raises(ValueError, match="register sizes"):
         Ensemble(((0.5, state), (0.5, PureState.basis(3, 0))))
-    assert Ensemble.pure(state).num_qubits == 2
+    assert Ensemble(((1.0, state),)).num_qubits == 2
 
 
 def test_observable_validation():
@@ -583,8 +568,7 @@ def test_pair_table_matches_flipping_then_reading_every_pair(num_qubits):
         for state in (dense, basis):
             values = table @ pair_marginal(state, qubit_a, qubit_b)
             for flips in range(4):
-                layer = FlipLayer({qubit_a: flips >> 1, qubit_b: flips & 1})
-                final = apply_flips(state, layer)
+                final = apply_flips(state, {qubit_a: flips >> 1, qubit_b: flips & 1})
                 read = [expectation(final, obs) for obs in observables]
                 if state is basis:
                     assert values[:, flips].tolist() == read

@@ -23,7 +23,6 @@ DENSE = {
     "expectation",
     "Ensemble",
     "DiagonalObservable",
-    "FlipLayer",
 }
 # The modules whose tables the reference paths check, and their callers.
 CHECKED = {"repeated10", "iqbaltoor", "mw", "equilibria", "claims", "cli"}

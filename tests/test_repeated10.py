@@ -21,7 +21,6 @@ from qrgames.qstate import (
     OUTCOMES,
     PROB_FLOOR,
     DiagonalObservable,
-    FlipLayer,
     PureState,
     apply_flips,
     expectation,
@@ -52,6 +51,7 @@ from qrgames.repeated10 import (
     rep_bimatrix,
     rep_component_tables,
     start_tables,
+    strategy_index,
 )
 from qrgames.stagegames import (
     STRATEGY_LABELS,
@@ -84,6 +84,12 @@ def ghz_game(weight: float = 0.3) -> RepGame:
     return pd_game(state)
 
 
+def flip_mask(flips: dict[int, int]) -> int:
+    """XOR mask of a ten-qubit ``{qubit: bit}`` map, qubit 1 the top bit,
+    computed here so that no oracle goes through ``apply_flips``."""
+    return sum(bit << (10 - qubit) for qubit, bit in flips.items())
+
+
 def batch_oracle(game: RepGame, s1: RepStrategy, s2: RepStrategy) -> np.ndarray:
     """Direct Born-rule sweep over the final basis distribution.
 
@@ -91,7 +97,7 @@ def batch_oracle(game: RepGame, s1: RepStrategy, s2: RepStrategy) -> np.ndarray:
     pair reserved for whichever first-stage outcome the basis string
     carries, which is exactly what the gated observables add up to.
     """
-    mask = strategy_qubit_map(1, s1).merge(strategy_qubit_map(2, s2)).mask(10)
+    mask = flip_mask({**strategy_qubit_map(1, s1), **strategy_qubit_map(2, s2)})
     state = game.initial
     acc = np.zeros(4)
     for index, weight in enumerate(state.probabilities):
@@ -134,10 +140,16 @@ def test_outcome_pairs_partition_the_tail_of_the_register():
 
 def test_strategy_qubit_map_routes_bits_to_owned_qubits():
     strat = RepStrategy(stage1=1, after_00=0, after_01=1, after_10=0, after_11=1)
-    assert strategy_qubit_map(1, strat).flips == {1: 1, 3: 0, 5: 1, 7: 0, 9: 1}
-    assert strategy_qubit_map(2, strat).flips == {2: 1, 4: 0, 6: 1, 8: 0, 10: 1}
+    assert strategy_qubit_map(1, strat) == {1: 1, 3: 0, 5: 1, 7: 0, 9: 1}
+    assert strategy_qubit_map(2, strat) == {2: 1, 4: 0, 6: 1, 8: 0, 10: 1}
     with pytest.raises(ValueError, match="player must be 1 or 2"):
         strategy_qubit_map(3, strat)
+
+
+def test_strategy_index_is_the_index_of_the_five_bits():
+    """The index ``spe_pair_product`` names its equilibria by, on all 32."""
+    bits = np.array([[t.stage1, *(t.after(o) for o in OUTCOMES)] for t in ALL]).T
+    assert strategy_index(bits[0], bits[1:]).tolist() == [t.index for t in ALL]
 
 
 def test_game_requires_ten_qubits():
@@ -276,8 +288,8 @@ def gather_tables(game: RepGame) -> dict[tuple[int, int], np.ndarray]:
     """
     indices = np.arange(1024)
     first, second = (indices >> 9) & 1, (indices >> 8) & 1
-    masks1 = np.array([strategy_qubit_map(1, t).mask(10) for t in ALL])
-    masks2 = np.array([strategy_qubit_map(2, t).mask(10) for t in ALL])
+    masks1 = np.array([flip_mask(strategy_qubit_map(1, t)) for t in ALL])
+    masks2 = np.array([flip_mask(strategy_qubit_map(2, t)) for t in ALL])
     probs = game.initial.probabilities
     tables = {}
     for player in (1, 2):
@@ -567,7 +579,7 @@ def full_register_gather() -> np.ndarray:
         for k in range(4):
             for a in range(4):
                 flips = {1: k >> 1, 2: k & 1, qubit_a: a >> 1, qubit_b: a & 1}
-                rows.append(1024 * (o ^ k) + (x ^ FlipLayer(flips).mask(10)))
+                rows.append(1024 * (o ^ k) + (x ^ flip_mask(flips)))
     return np.array(rows)
 
 
@@ -1018,7 +1030,7 @@ def product_tree_oracle(game: RepGame):
     distributions = {}
     for k1 in (0, 1):
         for k2 in (0, 1):
-            flipped = apply_flips(factors[0], FlipLayer({1: k1, 2: k2}))
+            flipped = apply_flips(factors[0], {1: k1, 2: k2})
             weights = flipped.probabilities.tolist()
             distributions[(k1, k2)] = {o: weights[2 * o[0] + o[1]] for o in OUTCOMES}
     subgames = {

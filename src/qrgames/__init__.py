@@ -24,7 +24,6 @@ played twice through bit-flip protocols on small qubit registers:
 
 from .qstate import (
     OUTCOMES,
-    DiagonalObservable,
     Ensemble,
     PureState,
     apply_flips,
@@ -95,7 +94,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "OUTCOMES",
-    "DiagonalObservable",
     "Ensemble",
     "PureState",
     "apply_flips",

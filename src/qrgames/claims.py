@@ -45,7 +45,6 @@ from .iqbaltoor import (
 )
 from .mw import MWGame, mw_bimatrix
 from .qstate import (
-    DiagonalObservable,
     Ensemble,
     PureState,
     apply_flips,
@@ -80,9 +79,8 @@ def mw10_deviation(stage: StageGame, samples: int, seed: int) -> tuple[float, in
         game = RepGame(random_state(10, rng), stage)
         batch = rep_component_tables(game)
         sequential = sequential_component_tables(game)
-        for key, table in batch.items():
-            worst = max(worst, float(np.abs(table - sequential[key]).max()))
-        checked += batch[(1, 1)].size
+        worst = max(worst, float(np.abs(batch - sequential).max()))
+        checked += batch[0].size
     return worst, checked
 
 
@@ -285,15 +283,12 @@ def randomized_invariants(seed: int, perturb: float) -> Verdict:
         weights_b = rng.standard_normal(2 ** n)
         alpha, beta = rng.uniform(), float(rng.uniform(-2, 2))
         mixed = Ensemble(((alpha, state), (1.0 - alpha, other)))
-        obs_a = DiagonalObservable(n, weights_a)
-        combined = DiagonalObservable(n, weights_a + beta * weights_b)
-        mix_linear = expectation(mixed, obs_a) - (
-            alpha * expectation(state, obs_a)
-            + (1.0 - alpha) * expectation(other, obs_a)
+        mix_linear = expectation(mixed, weights_a) - (
+            alpha * expectation(state, weights_a)
+            + (1.0 - alpha) * expectation(other, weights_a)
         )
-        obs_linear = expectation(state, combined) - (
-            expectation(state, obs_a)
-            + beta * expectation(state, DiagonalObservable(n, weights_b))
+        obs_linear = expectation(state, weights_a + beta * weights_b) - (
+            expectation(state, weights_a) + beta * expectation(state, weights_b)
         )
         if abs(mix_linear) > 1e-9 or abs(obs_linear) > 1e-9:
             return False, "expectation is not multilinear"

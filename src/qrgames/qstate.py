@@ -93,10 +93,6 @@ class PureState:
             amps[int(index)] += amp
         return cls(num_qubits, amps)
 
-    def bit(self, index: int, qubit: int) -> int:
-        """Value of 1-based ``qubit`` in basis index ``index``."""
-        return (index >> (self.num_qubits - qubit)) & 1
-
 
 def tensor_all(factors: Sequence[PureState]) -> PureState:
     """Tensor product of several registers, first factor most significant."""
@@ -222,40 +218,24 @@ class Ensemble:
         return self.members[0][1].num_qubits
 
 
-@dataclass(frozen=True, eq=False)
-class DiagonalObservable:
-    """Observable diagonal in the computational basis, one weight per basis state."""
+def expectation(source: Ensemble | PureState, weights: np.ndarray) -> float:
+    """Expectation value of the diagonal observable with these weights.
 
-    num_qubits: int
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = 2 ** self.num_qubits
-        dense = np.asarray(self.weights, dtype=float)
-        if dense.shape != (n,):
-            raise ValueError(f"expected {n} weights, got shape {dense.shape}")
-        if not np.all(np.isfinite(dense)):
-            raise ValueError("observable weights must be finite")
-        dense.setflags(write=False)
-        object.__setattr__(self, "weights", dense)
-
-
-def expectation(source: Ensemble | PureState, obs: DiagonalObservable) -> float:
-    """Expectation value of a diagonal observable.
-
-    For an ensemble this is ``sum_k p_k <psi_k|X|psi_k>``, i.e. exactly
+    ``weights[x]`` is the observable's value on basis state x.  For an
+    ensemble this is ``sum_k p_k <psi_k|X|psi_k>``, i.e. exactly
     ``tr(X rho)`` for the density operator the ensemble represents, with
     the terms added in member order by :func:`sum_in_order`.
     """
     if isinstance(source, PureState):
         source = Ensemble(((1.0, source),))
-    if source.num_qubits != obs.num_qubits:
+    n = source.num_qubits
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (2 ** n,):
         raise ValueError(
-            f"observable acts on {obs.num_qubits} qubits, "
-            f"ensemble has {source.num_qubits}"
+            f"expected {2 ** n} weights for {n} qubits, got shape {weights.shape}"
         )
     return sum_in_order(
-        p * float(obs.weights @ state.probabilities) for p, state in source.members
+        p * float(weights @ state.probabilities) for p, state in source.members
     )
 
 

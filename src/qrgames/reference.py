@@ -4,10 +4,10 @@ are checked.  A game is read by ``.initial`` and ``.stage`` alone, so none
 of those modules is imported.  ``it_batch_expected`` reads four qubits.
 
 Two ten-qubit paths are provided.  The batch path applies all ten flips
-up front and reads one dense payoff observable per player and stage off
-the final state.  The sequential path plays the game in real time: flip
-the first pair, measure it, then flip only the pair matching the
-observed outcome.  Both yield identical expected payoffs on every
+up front and dots the final state's Born weights with one payoff weight
+vector per player and stage.  The sequential path plays the game in real
+time: flip the first pair, measure it, then flip only the pair matching
+the observed outcome.  Both yield identical expected payoffs on every
 initial state, entangled or not, and the tests exercise that
 equivalence heavily.  The sequential path has a per-profile form
 (``play_sequential``, with its transcript) and a whole-table form
@@ -24,7 +24,6 @@ import numpy as np
 
 from .qstate import (
     OUTCOMES,
-    DiagonalObservable,
     Ensemble,
     PureState,
     apply_flips,
@@ -37,14 +36,13 @@ from .stagegames import ExpectedPayoffs, Payoffs, RepStrategy, StageGame, all_st
 NUM_QUBITS = 10
 # Basis states per value of qubits 1-2: the block a stage-1 outcome keeps.
 _BLOCK = 2 ** (NUM_QUBITS - 2)
-# (player, stage) keys of the component tables, in ExpectedPayoffs order.
-_COMPONENT_KEYS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 def payoff_observable(
     stage: StageGame, player: int, num_qubits: int, qubit_pair: tuple[int, int]
-) -> DiagonalObservable:
-    """Diagonal observable reading one player's stage payoff off two qubits.
+) -> np.ndarray:
+    """Weight vector of the diagonal observable reading one player's stage
+    payoff off two qubits.
 
     The weight at basis index x is the player's payoff at the actions
     spelled by the two qubits, and every other qubit is ignored (the
@@ -54,23 +52,23 @@ def payoff_observable(
     indices = np.arange(2 ** num_qubits)
     bits_a = (indices >> (num_qubits - qubit_a)) & 1
     bits_b = (indices >> (num_qubits - qubit_b)) & 1
-    table = stage.payoff_table(player)
-    return DiagonalObservable(num_qubits, table[bits_a, bits_b])
+    return stage.payoff_table(player)[bits_a, bits_b]
 
 
-def _expected_from(
-    source: Ensemble | PureState, observables: tuple[DiagonalObservable, ...]
-) -> ExpectedPayoffs:
-    """Expectations of four payoff observables, given in ExpectedPayoffs order."""
-    return ExpectedPayoffs(*(expectation(source, obs) for obs in observables))
+def _expected_from(source: Ensemble | PureState, rows: np.ndarray) -> ExpectedPayoffs:
+    """Expectations of four weight vectors, the rows in ExpectedPayoffs order."""
+    return ExpectedPayoffs(*(expectation(source, weights) for weights in rows))
 
 
-def _it_observables(stage: StageGame) -> tuple[DiagonalObservable, ...]:
-    """Four-qubit observables in ExpectedPayoffs order; stages read qubits 1-2, 3-4."""
-    return tuple(
-        payoff_observable(stage, player, 4, pair)
-        for player in (1, 2)
-        for pair in ((1, 2), (3, 4))
+def _it_observables(stage: StageGame) -> np.ndarray:
+    """Four-qubit weight vectors, (4, 16) rows in ExpectedPayoffs order;
+    stages read qubits 1-2, 3-4."""
+    return np.array(
+        [
+            payoff_observable(stage, player, 4, pair)
+            for player in (1, 2)
+            for pair in ((1, 2), (3, 4))
+        ]
     )
 
 
@@ -113,12 +111,14 @@ def strategy_qubit_map(player: int, strat: RepStrategy) -> dict[int, int]:
     return flips
 
 
-def _observables(stage: StageGame) -> tuple[DiagonalObservable, ...]:
-    """The four ten-qubit payoff observables of a stage, in ExpectedPayoffs order.
+def _observables(stage: StageGame) -> np.ndarray:
+    """The weight vectors of a stage's four ten-qubit payoff observables,
+    as the rows of one read-only (4, 1024) array in ExpectedPayoffs order.
 
-    The stage-1 observable reads qubits 1-2.  The stage-2 observable reads
-    the pair reserved for the outcome that qubits 1-2 spell: at basis
-    index x that is outcome ``x >> 8``, read as a 2-bit number.
+    The stage-1 row reads qubits 1-2.  The stage-2 row reads the pair
+    reserved for the outcome that qubits 1-2 spell: at basis index x that
+    is outcome ``x >> 8``, read as a 2-bit number.  Read-only, since the
+    cache hands the same array to every caller.
     """
     # -0.0 == 0.0, so a cache keyed on the StageGame would hand a stage
     # the weights of an equal one cached first, with other signed zeros.
@@ -128,36 +128,21 @@ def _observables(stage: StageGame) -> tuple[DiagonalObservable, ...]:
 # Each entry holds 32 KB of dense weights.  Sixteen games cover the
 # four stage games of a benchmark pool, so those never evict.
 @lru_cache(maxsize=16)
-def _observables_of(payoffs: bytes) -> tuple[DiagonalObservable, ...]:
+def _observables_of(payoffs: bytes) -> np.ndarray:
     """``_observables`` of the stage whose ``array`` has these bytes."""
     stage = StageGame(np.frombuffer(payoffs).reshape(2, 2, 2).tolist())
     outcome = np.arange(2 ** NUM_QUBITS) >> (NUM_QUBITS - 2)
-    observables = []
+    rows = []
     for player in (1, 2):
-        observables.append(payoff_observable(stage, player, NUM_QUBITS, (1, 2)))
+        rows.append(payoff_observable(stage, player, NUM_QUBITS, (1, 2)))
         pieces = [
-            payoff_observable(stage, player, NUM_QUBITS, outcome_qubit_pair(o)).weights
+            payoff_observable(stage, player, NUM_QUBITS, outcome_qubit_pair(o))
             for o in OUTCOMES
         ]
-        observables.append(DiagonalObservable(NUM_QUBITS, np.choose(outcome, pieces)))
-    return tuple(observables)
-
-
-# Each entry holds 32 KB; built on first use, so only processes that build
-# the sequential table hold any.
-@lru_cache(maxsize=16)
-def _block_weights_of(payoffs: bytes) -> np.ndarray:
-    """Per outcome o, the four ``_observables_of(payoffs)`` weights on block o.
-
-    A (4 outcomes, 4 components, 256) array in ``ExpectedPayoffs`` order,
-    read-only, since the cache hands the same one to every caller.  Keyed
-    on the payoff bytes, as ``_observables_of`` is, so a -0.0 stage keeps
-    its own zeros.
-    """
-    dense = np.stack([obs.weights for obs in _observables_of(payoffs)])
-    blocks = np.ascontiguousarray(dense.reshape(4, 4, _BLOCK).transpose(1, 0, 2))
-    blocks.setflags(write=False)
-    return blocks
+        rows.append(np.choose(outcome, pieces))
+    observables = np.stack(rows)
+    observables.setflags(write=False)
+    return observables
 
 
 def play_batch(game, t1: RepStrategy, t2: RepStrategy) -> ExpectedPayoffs:
@@ -333,7 +318,7 @@ def play_sequential(game, t1: RepStrategy, t2: RepStrategy) -> PlayTranscript:
         # The post state is zero outside the outcome's block, so the whole
         # stage-2 observables read only the outcome's pair.
         stage2 = tuple(
-            expectation(final, obs) for obs in _observables(game.stage)[1::2]
+            expectation(final, weights) for weights in _observables(game.stage)[1::2]
         )
         branches.append(
             OutcomeBranch(outcome, probability, choices, awarded, stage2, final)
@@ -350,7 +335,7 @@ def play_sequential(game, t1: RepStrategy, t2: RepStrategy) -> PlayTranscript:
     )
 
 
-def sequential_component_tables(game) -> dict[tuple[int, int], np.ndarray]:
+def sequential_component_tables(game) -> np.ndarray:
     """The four 32x32 per-stage tables of ``play_sequential``, in one pass.
 
     A sequential play depends on the profile only through the stage-1
@@ -362,7 +347,8 @@ def sequential_component_tables(game) -> dict[tuple[int, int], np.ndarray]:
     four measured blocks' weights (:func:`_sequential_gather`; pruned
     blocks read as zeros).  Their 256 payoff values are one stacked call
     of 1-D dot products of each gathered block with the same 256 entries
-    of the observables ``play_sequential`` reads (:func:`_block_weights_of`).
+    of the weight vectors ``play_sequential`` reads: block o of the rows of
+    :func:`_observables`, read through a view, each block contiguous.
     Such a dot equals the dot over the whole zero-padded register bit for
     bit: the padding adds only signed zeros to a +0.0 sum, and each block
     is a whole number of the BLAS kernel's accumulator lanes.  Each value
@@ -371,7 +357,8 @@ def sequential_component_tables(game) -> dict[tuple[int, int], np.ndarray]:
     ``OUTCOMES`` order: the products and the sum ``play_sequential``
     forms for its ``expected``, so cells equal it bit for bit.  A pruned
     branch adds a zero, which leaves a sum started from 0.0 unchanged.
-    Keys and layout match :func:`~.repeated10.rep_component_tables`.
+    Returns a (4, 32, 32) array in ``ExpectedPayoffs`` order, the layout
+    of :func:`~.repeated10.rep_component_tables`.
     """
     chance, posts = _stage1_chance(game)
     # renormalized[k, o]: the ensemble weight of outcome o after flips k.  A
@@ -392,8 +379,9 @@ def sequential_component_tables(game) -> dict[tuple[int, int], np.ndarray]:
     gathered = blocks.ravel()[_sequential_gather()].reshape(4, 16, 1, _BLOCK, 1)
     # Stacked (1 x n) @ (n x 1) products go to the dot a 1-D ``w @ p`` uses;
     # (1 x n) @ (n x 4) would go to BLAS gemv, which sums in another order.
-    weights = _block_weights_of(game.stage.array.tobytes())
+    # weights[o, c]: block o of component c's weights, 256 contiguous entries.
+    weights = _observables(game.stage).reshape(4, 4, _BLOCK).swapaxes(0, 1)
     values = (weights[:, None, :, None, :] @ gathered).reshape(16, 4, 4)
     weighted = (values * renormalized.T.reshape(16, 1, 1)).reshape(64, 4)
     table = sum_in_order(np.take(weighted, _continuation_rows(), axis=0))
-    return {key: table[:, :, position] for position, key in enumerate(_COMPONENT_KEYS)}
+    return table.transpose(2, 0, 1)

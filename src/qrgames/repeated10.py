@@ -25,8 +25,6 @@ from .stagegames import STRATEGY_LABELS, Bimatrix, Payoffs, StageGame, payoff_bo
 NUM_QUBITS = 10
 _ACTION_LABELS = ("0", "1")
 _OUTCOME_LABELS = tuple(f"{o[0]}{o[1]}" for o in OUTCOMES)
-# (player, stage) keys of the component tables, in ExpectedPayoffs order.
-_COMPONENT_KEYS = ((1, 1), (1, 2), (2, 1), (2, 2))
 # The five-bit strategy encoding, indexed like the rows of every 32x32
 # table: bit 4 is the stage-1 flip, bit ``3 - o`` the flip after outcome o.
 _STAGE1_SHIFT = 4
@@ -86,8 +84,9 @@ def _pair_marginals(start: PureState) -> tuple[np.ndarray, np.ndarray]:
     return blocks, joint
 
 
-def rep_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarray]:
-    """All four 32x32 per-stage payoff tables, computed in one sweep.
+def rep_component_tables(game: RepGame) -> np.ndarray:
+    """All four 32x32 per-stage payoff tables, computed in one sweep, as a
+    (4, 32, 32) array in ``ExpectedPayoffs`` order.
 
     Every payoff reads one qubit pair: stage 1 reads qubits 1-2, and
     stage 2 after outcome o reads o's pair, on the block that the
@@ -111,11 +110,7 @@ def rep_component_tables(game: RepGame) -> dict[tuple[int, int], np.ndarray]:
     pieces = continued.transpose(0, 2, 1, 3).reshape(4, 2, 16)
     picks = zip(pieces, _SECOND_PATTERN)
     second = sum_in_order(np.take(piece, pattern, axis=1) for piece, pattern in picks)
-    by_stage = {1: first, 2: second}
-    return {
-        (player, stage): by_stage[stage][player - 1]
-        for player, stage in _COMPONENT_KEYS
-    }
+    return np.stack((first, second), axis=1).reshape(4, 32, 32)
 
 
 def rep_bimatrix(game: RepGame) -> Bimatrix:
@@ -126,10 +121,7 @@ def rep_bimatrix(game: RepGame) -> Bimatrix:
     """
     tables = rep_component_tables(game)
     return Bimatrix(
-        tables[(1, 1)] + tables[(1, 2)],
-        tables[(2, 1)] + tables[(2, 2)],
-        STRATEGY_LABELS,
-        STRATEGY_LABELS,
+        tables[0] + tables[1], tables[2] + tables[3], STRATEGY_LABELS, STRATEGY_LABELS
     )
 
 

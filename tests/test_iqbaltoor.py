@@ -53,18 +53,18 @@ def batch_oracle(game, k1, k2, k3, k4):
     """Direct Born-rule evaluation of one pure flip assignment.
 
     Stage 1 reads qubits 1 and 2, stage 2 reads qubits 3 and 4; player 1
-    owns the odd qubits and player 2 the even ones.
+    owns the odd qubits and player 2 the even ones.  Qubit q is bit
+    ``4 - q`` of the basis index.
     """
     probs = game.initial.probabilities
-    state = game.initial
     flipped = np.zeros(4)
     for index, weight in enumerate(probs):
         if weight == 0.0:
             continue
-        b1 = state.bit(index, 1) ^ k1
-        b2 = state.bit(index, 2) ^ k2
-        b3 = state.bit(index, 3) ^ k3
-        b4 = state.bit(index, 4) ^ k4
+        b1 = ((index >> 3) & 1) ^ k1
+        b2 = ((index >> 2) & 1) ^ k2
+        b3 = ((index >> 1) & 1) ^ k3
+        b4 = (index & 1) ^ k4
         flipped += weight * np.array(
             [
                 game.stage.payoff(1, b1, b2),
@@ -323,8 +323,8 @@ def test_bimatrix_matches_the_xor_gather(seed):
     bm = it_pure_bimatrix(ITGame(state, FRACTIONAL))
     indices = np.arange(16)
     for player, table in ((1, bm.payoffs1), (2, bm.payoffs2)):
-        stage1 = payoff_observable(FRACTIONAL, player, 4, (1, 2)).weights
-        stage2 = payoff_observable(FRACTIONAL, player, 4, (3, 4)).weights
+        stage1 = payoff_observable(FRACTIONAL, player, 4, (1, 2))
+        stage2 = payoff_observable(FRACTIONAL, player, 4, (3, 4))
         for row, s1 in enumerate(IT_PURE_STRATEGIES):
             for col, s2 in enumerate(IT_PURE_STRATEGIES):
                 mask = (

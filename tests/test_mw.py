@@ -18,19 +18,19 @@ FRACTIONAL = make_pd(5.7, 3.3, 1.1, -0.4)
 
 
 def test_payoff_observable_reads_the_designated_pair():
-    obs = payoff_observable(PD, 1, num_qubits=2, qubit_pair=(1, 2))
-    assert obs.weights.tolist() == [3.0, 0.0, 5.0, 1.0]
+    weights = payoff_observable(PD, 1, num_qubits=2, qubit_pair=(1, 2))
+    assert weights.tolist() == [3.0, 0.0, 5.0, 1.0]
     other = payoff_observable(PD, 2, num_qubits=2, qubit_pair=(1, 2))
-    assert other.weights.tolist() == [3.0, 5.0, 0.0, 1.0]
+    assert other.tolist() == [3.0, 5.0, 0.0, 1.0]
 
 
 def test_payoff_observable_ignores_spectator_qubits():
     # On a wider register the weight depends only on the pair's bits.
-    obs = payoff_observable(PD, 1, num_qubits=4, qubit_pair=(2, 3))
+    weights = payoff_observable(PD, 1, num_qubits=4, qubit_pair=(2, 3))
     for index in range(16):
         a = (index >> 2) & 1
         b = (index >> 1) & 1
-        assert obs.weights[index] == PD.payoff(1, a, b)
+        assert weights[index] == PD.payoff(1, a, b)
 
 
 def test_game_requires_two_qubits():
@@ -127,7 +127,7 @@ def test_bimatrix_matches_the_xor_gather(seed):
     probs = state.probabilities
     bm = mw_bimatrix(MWGame(state, FRACTIONAL))
     for player, table in ((1, bm.payoffs1), (2, bm.payoffs2)):
-        weights = payoff_observable(FRACTIONAL, player, 2, (1, 2)).weights
+        weights = payoff_observable(FRACTIONAL, player, 2, (1, 2))
         for k1 in (0, 1):
             for k2 in (0, 1):
                 gathered = weights[np.arange(4) ^ (2 * k1 + k2)] @ probs

@@ -25,7 +25,6 @@ from qrgames.mw import MWGame, mw_bimatrix, pair_table, stage_weights
 from qrgames.qstate import (
     OUTCOMES,
     PROB_FLOOR,
-    DiagonalObservable,
     Ensemble,
     PureState,
     apply_flips,
@@ -132,11 +131,6 @@ def test_probabilities_are_the_squared_amplitudes_and_read_only():
     assert np.array_equal(state.probabilities, np.abs(state.amplitudes) ** 2)
     with pytest.raises(ValueError):
         state.probabilities[0] = 0.0
-
-
-def test_bit_uses_one_based_most_significant_order():
-    state = PureState.basis(4, "0110")
-    assert [state.bit(6, q) for q in (1, 2, 3, 4)] == [0, 1, 1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +273,13 @@ def test_measure_pair_matches_direct_marginals(seed):
     )
     qubit_a, qubit_b = int(qubit_a), int(qubit_b)
 
+    def pair_bits(index: int) -> tuple[int, int]:
+        return tuple((index >> (num_qubits - q)) & 1 for q in (qubit_a, qubit_b))
+
     weights = state.probabilities
     marginal = {outcome: 0.0 for outcome in OUTCOMES}
     for index, weight in enumerate(weights):
-        key = (state.bit(index, qubit_a), state.bit(index, qubit_b))
-        marginal[key] += float(weight)
+        marginal[pair_bits(index)] += float(weight)
 
     branches = measure_pair(state, qubit_a, qubit_b)
     assert abs(sum(p for _, p, _ in branches) - 1.0) <= 1e-12
@@ -293,7 +289,7 @@ def test_measure_pair_matches_direct_marginals(seed):
         assert abs(post.probabilities.sum() - 1.0) <= 1e-12
         # The post state only keeps amplitudes consistent with the outcome.
         for index in np.nonzero(post.probabilities > 0)[0]:
-            assert (state.bit(int(index), qubit_a), state.bit(int(index), qubit_b)) == outcome
+            assert pair_bits(int(index)) == outcome
         reassembled += probability * post.probabilities
     assert np.allclose(reassembled, weights, atol=1e-12)
 
@@ -454,19 +450,11 @@ def test_ensemble_validation():
     assert Ensemble(((1.0, state),)).num_qubits == 2
 
 
-def test_observable_validation():
-    with pytest.raises(ValueError, match="expected 4 weights"):
-        DiagonalObservable(2, np.zeros(3))
-    with pytest.raises(ValueError, match="finite"):
-        DiagonalObservable(1, np.array([np.inf, 0.0]))
-
-
 def test_expectation_is_the_weighted_probability_sum():
     state = seeded_state(3, 5)
     rng = np.random.default_rng(6)
     weights = rng.standard_normal(8)
-    obs = DiagonalObservable(3, weights)
-    assert abs(expectation(state, obs) - weights @ state.probabilities) <= 1e-12
+    assert abs(expectation(state, weights) - weights @ state.probabilities) <= 1e-12
 
 
 @settings(max_examples=40)
@@ -478,25 +466,25 @@ def test_expectation_is_affine_in_the_mixture(alpha, seed):
     rng = np.random.default_rng(seed)
     first = random_state(2, rng)
     second = random_state(2, rng)
-    obs = DiagonalObservable(2, rng.standard_normal(4))
+    weights = rng.standard_normal(4)
     mixed = Ensemble(((alpha, first), (1.0 - alpha, second)))
-    blend = alpha * expectation(first, obs) + (1.0 - alpha) * expectation(
-        second, obs
+    blend = alpha * expectation(first, weights) + (1.0 - alpha) * expectation(
+        second, weights
     )
-    assert abs(expectation(mixed, obs) - blend) <= 1e-12
+    assert abs(expectation(mixed, weights) - blend) <= 1e-12
 
 
 def test_expectation_adds_the_members_left_to_right_from_zero():
     """One term of 1.0 and two of 1e-16: adding left to right, each small
     term rounds away, while a compensated sum (builtin ``sum`` on Python
     3.12 and later, ``math.fsum``) keeps their total and rounds up."""
-    obs = DiagonalObservable(1, np.array([2.0, 4e-16]))
+    weights = np.array([2.0, 4e-16])
     zero, one = PureState.basis(1, 0), PureState.basis(1, 1)
     ensemble = Ensemble(((0.5, zero), (0.25, one), (0.25, one)))
     terms = [1.0, 1e-16, 1e-16]
     assert math.fsum(terms) != (terms[0] + terms[1]) + terms[2]
-    assert expectation(ensemble, obs) == (0.0 + terms[0] + terms[1]) + terms[2]
-    assert expectation(ensemble, obs) == 1.0
+    assert expectation(ensemble, weights) == (0.0 + terms[0] + terms[1]) + terms[2]
+    assert expectation(ensemble, weights) == 1.0
 
 
 def test_sum_in_order_adds_left_to_right_from_zero():
@@ -513,8 +501,9 @@ def test_sum_in_order_adds_left_to_right_from_zero():
 
 
 def test_expectation_checks_register_sizes():
-    with pytest.raises(ValueError, match="acts on 3 qubits"):
-        expectation(PureState.basis(2, 0), DiagonalObservable(3, np.zeros(8)))
+    message = r"expected 4 weights for 2 qubits, got shape \(8,\)"
+    with pytest.raises(ValueError, match=message):
+        expectation(PureState.basis(2, 0), np.zeros(8))
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +558,7 @@ def test_pair_table_matches_flipping_then_reading_every_pair(num_qubits):
             values = table @ pair_marginal(state, qubit_a, qubit_b)
             for flips in range(4):
                 final = apply_flips(state, {qubit_a: flips >> 1, qubit_b: flips & 1})
-                read = [expectation(final, obs) for obs in observables]
+                read = [expectation(final, weights) for weights in observables]
                 if state is basis:
                     assert values[:, flips].tolist() == read
                 else:
@@ -581,7 +570,7 @@ def production_tables(state: PureState, stage: StageGame) -> list:
     on four qubits the one stage is ``it_pure_bimatrix``'s totals."""
     if state.num_qubits == 10:
         tables = rep_component_tables(RepGame(state, stage))
-        return [[tables[(p, s)].tolist() for s in (1, 2)] for p in (1, 2)]
+        return tables.reshape(2, 2, 32, 32).tolist()
     if state.num_qubits == 2:
         bm = mw_bimatrix(MWGame(state, stage))
     else:

@@ -17,13 +17,7 @@ from qrgames import reference, repeated10
 
 SOURCE = Path(qrgames.__file__).parent
 # The qstate names that build, measure or read whole registers.
-DENSE = {
-    "apply_flips",
-    "measure_pair",
-    "expectation",
-    "Ensemble",
-    "DiagonalObservable",
-}
+DENSE = {"apply_flips", "measure_pair", "expectation", "Ensemble"}
 # The modules whose tables the reference paths check, and their callers.
 CHECKED = {"repeated10", "iqbaltoor", "mw", "equilibria", "claims", "cli"}
 PRODUCTION = ("mw", "iqbaltoor", "repeated10", "equilibria", "stagegames")

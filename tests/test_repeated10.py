@@ -20,7 +20,6 @@ from qrgames import qstate, reference, repeated10
 from qrgames.qstate import (
     OUTCOMES,
     PROB_FLOOR,
-    DiagonalObservable,
     PureState,
     apply_flips,
     expectation,
@@ -104,9 +103,9 @@ def batch_oracle(game: RepGame, s1: RepStrategy, s2: RepStrategy) -> np.ndarray:
         if weight == 0.0:
             continue
         final = index ^ mask
-        b1, b2 = state.bit(final, 1), state.bit(final, 2)
+        b1, b2 = (final >> 9) & 1, (final >> 8) & 1
         qa, qb = outcome_qubit_pair((b1, b2))
-        c1, c2 = state.bit(final, qa), state.bit(final, qb)
+        c1, c2 = (final >> (10 - qa)) & 1, (final >> (10 - qb)) & 1
         acc += weight * np.array(
             [
                 game.stage.payoff(1, b1, b2),
@@ -118,13 +117,13 @@ def batch_oracle(game: RepGame, s1: RepStrategy, s2: RepStrategy) -> np.ndarray:
     return acc
 
 
-def gated_stage2(stage, player: int, outcome) -> DiagonalObservable:
-    """The player's stage-2 payoff on the outcome's pair, zero unless
-    qubits 1-2 spell the outcome."""
+def gated_stage2(stage, player: int, outcome) -> np.ndarray:
+    """Weights of the player's stage-2 payoff on the outcome's pair, zero
+    unless qubits 1-2 spell the outcome."""
     indices = np.arange(1024)
     gate = ((indices >> 9) & 1 == outcome[0]) & ((indices >> 8) & 1 == outcome[1])
     ungated = payoff_observable(stage, player, 10, outcome_qubit_pair(outcome))
-    return DiagonalObservable(10, np.where(gate, ungated.weights, 0.0))
+    return np.where(gate, ungated, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -190,19 +189,21 @@ def test_observable_cache_stays_bounded_and_rebuilds_equal_results():
 @pytest.mark.parametrize("first_sign", [1.0, -1.0])
 def test_observables_do_not_depend_on_call_history(first_sign):
     """-0.0 == 0.0, yet each stage reads its own signed zeros, whichever of
-    two such stages was cached first."""
+    two such stages was cached first; the cached array refuses writes."""
     stages = {sign: make_pd(5, 3, 1, sign * 0.0) for sign in (1.0, -1.0)}
     fresh = {}
     for sign, stage in stages.items():
         _observables_of.cache_clear()
-        fresh[sign] = [obs.weights for obs in _observables(stage)]
+        fresh[sign] = _observables(stage)
     assert np.signbit(fresh[-1.0][1]).any() and not np.signbit(fresh[1.0][1]).any()
     _observables_of.cache_clear()
     for sign in (first_sign, -first_sign):
-        got = [obs.weights for obs in _observables(stages[sign])]
-        for weights, want in zip(got, fresh[sign]):
-            assert np.array_equal(weights, want)
-            assert np.array_equal(np.signbit(weights), np.signbit(want))
+        got = _observables(stages[sign])
+        assert got.shape == (4, 1024)
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 1.0
+        assert np.array_equal(got, fresh[sign])
+        assert np.array_equal(np.signbit(got), np.signbit(fresh[sign]))
     assert _observables_of.cache_info().currsize == 2
 
 
@@ -220,20 +221,20 @@ def test_dense_observables_sum_the_gated_stage_two_pieces(stage):
     """The stage-2 observable is the sum of the gated pieces, and each
     reachable branch of a sequential play reads exactly its own piece."""
     observables = _observables(stage)
-    assert len(observables) == 4
+    assert observables.shape == (4, 1024)
     for player in (1, 2):
         first, second = observables[2 * player - 2 : 2 * player]
-        want = payoff_observable(stage, player, 10, (1, 2)).weights
-        assert np.array_equal(first.weights, want)
-        pieces = [gated_stage2(stage, player, o).weights for o in OUTCOMES]
-        assert np.array_equal(second.weights, sum(pieces))
+        want = payoff_observable(stage, player, 10, (1, 2))
+        assert np.array_equal(first, want)
+        pieces = [gated_stage2(stage, player, o) for o in OUTCOMES]
+        assert np.array_equal(second, sum(pieces))
     rng = np.random.default_rng(20261020)
     game = RepGame(random_state(10, rng), stage)
     for i, j in rng.integers(0, 32, (8, 2)):
         for branch in play_sequential(game, ALL[i], ALL[j]).branches:
             assert branch.reachable
             gated = [gated_stage2(stage, p, branch.outcome) for p in (1, 2)]
-            want = [expectation(branch.post_state, obs) for obs in gated]
+            want = [expectation(branch.post_state, weights) for weights in gated]
             assert np.array_equal(branch.stage2_payoffs, want)
 
 
@@ -271,16 +272,15 @@ def test_component_tables_agree_with_single_runs():
     rng = np.random.default_rng(24)
     game = pd_game(random_state(10, rng))
     tables = rep_component_tables(game)
-    assert set(tables) == {(1, 1), (1, 2), (2, 1), (2, 2)}
-    assert tables[(1, 1)].shape == (32, 32)
+    assert tables.shape == (4, 32, 32)
     for i, j in rng.integers(0, 32, (10, 2)):
         single = play_batch(game, ALL[int(i)], ALL[int(j)]).as_array()
-        for position, key in enumerate(TABLE_KEYS):
-            assert abs(tables[key][i, j] - single[position]) <= 1e-12
+        assert np.abs(tables[:, i, j] - single).max() <= 1e-12
 
 
-def gather_tables(game: RepGame) -> dict[tuple[int, int], np.ndarray]:
-    """The four tables by the 1024x1024 XOR gather, one row at a time.
+def gather_tables(game: RepGame) -> np.ndarray:
+    """The four tables by the 1024x1024 XOR gather, one row at a time, in
+    ``ExpectedPayoffs`` order.
 
     Profile mask m gives sum_y W[y ^ m] p[y] for the dense observable W:
     stage 1 reads qubits 1-2, stage 2 sums the outcome pairs' payoffs
@@ -291,37 +291,36 @@ def gather_tables(game: RepGame) -> dict[tuple[int, int], np.ndarray]:
     masks1 = np.array([flip_mask(strategy_qubit_map(1, t)) for t in ALL])
     masks2 = np.array([flip_mask(strategy_qubit_map(2, t)) for t in ALL])
     probs = game.initial.probabilities
-    tables = {}
+    tables = []
     for player in (1, 2):
-        dense = {
-            1: payoff_observable(game.stage, player, 10, (1, 2)).weights,
-            2: sum(
+        dense = (
+            payoff_observable(game.stage, player, 10, (1, 2)),
+            sum(
                 np.where(
                     (first == outcome[0]) & (second == outcome[1]),
                     payoff_observable(
                         game.stage, player, 10, outcome_qubit_pair(outcome)
-                    ).weights,
+                    ),
                     0.0,
                 )
                 for outcome in OUTCOMES
             ),
-        }
-        for stage_index, weights in dense.items():
-            tables[(player, stage_index)] = np.array(
+        )
+        for weights in dense:
+            tables.append(
                 [
                     weights[indices[None, :] ^ (m1 | masks2)[:, None]] @ probs
                     for m1 in masks1
                 ]
             )
-    return tables
+    return np.array(tables)
 
 
 @pytest.mark.parametrize("seed", [41, 42, 43])
 def test_component_tables_match_the_xor_gather(seed):
     game = RepGame(random_state(10, np.random.default_rng(seed)), FRACTIONAL)
     got = rep_component_tables(game)
-    for key, table in gather_tables(game).items():
-        assert np.abs(got[key] - table).max() <= 1e-12
+    assert np.abs(got - gather_tables(game)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("index", [0, SEEDED_BASIS_INDEX])
@@ -361,8 +360,8 @@ def test_full_bimatrix_sums_the_component_tables():
     tables = rep_component_tables(game)
     assert bm.rows == 32 and bm.cols == 32
     assert bm.row_labels == tuple(s.bits for s in ALL)
-    assert np.allclose(bm.payoffs1, tables[(1, 1)] + tables[(1, 2)], atol=1e-12)
-    assert np.allclose(bm.payoffs2, tables[(2, 1)] + tables[(2, 2)], atol=1e-12)
+    assert np.allclose(bm.payoffs1, tables[0] + tables[1], atol=1e-12)
+    assert np.allclose(bm.payoffs2, tables[2] + tables[3], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +438,6 @@ def test_sequential_play_on_basis_start_has_one_branch():
 # ---------------------------------------------------------------------------
 # sequential table
 
-TABLE_KEYS = ((1, 1), (1, 2), (2, 1), (2, 2))
-
-
 def assert_table_matches_sequential_play(
     game: RepGame, seed: int, count: int = 64
 ) -> None:
@@ -451,7 +447,7 @@ def assert_table_matches_sequential_play(
     for profile in rng.choice(1024, size=count, replace=False):
         i, j = divmod(int(profile), 32)
         expected = play_sequential(game, ALL[i], ALL[j]).expected.as_array()
-        cell = np.array([tables[key][i, j] for key in TABLE_KEYS])
+        cell = tables[:, i, j]
         assert np.array_equal(cell, expected), (i, j, cell - expected)
         assert np.array_equal(np.signbit(cell), np.signbit(expected)), (i, j)
 
@@ -617,8 +613,8 @@ def test_sequential_gather_rows_are_the_flips_of_a_sequential_play():
 
 
 def test_only_the_sequential_table_builds_the_sequential_gather():
-    """The batch table leaves the 128 KB gather and the 32 KB observable
-    blocks unbuilt in a fresh process."""
+    """The batch table leaves the 128 KB gather and the 32 KB dense
+    observables unbuilt in a fresh process."""
     script = (
         "import numpy as np\n"
         "from qrgames import reference as ref, repeated10 as r\n"
@@ -628,10 +624,10 @@ def test_only_the_sequential_table_builds_the_sequential_gather():
         "game = r.RepGame(state, make_pd(5, 3, 1, 0))\n"
         "r.rep_component_tables(game)\n"
         "print(ref._sequential_gather.cache_info().misses)\n"
-        "print(ref._block_weights_of.cache_info().misses)\n"
+        "print(ref._observables_of.cache_info().misses)\n"
         "ref.sequential_component_tables(game)\n"
         "print(ref._sequential_gather.cache_info().misses)\n"
-        "print(ref._block_weights_of.cache_info().misses)\n"
+        "print(ref._observables_of.cache_info().misses)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
@@ -757,42 +753,6 @@ def test_one_sequential_table_allocates_no_whole_register_per_continuation():
     assert peak < 512 * 1024
 
 
-def test_block_weight_cache_stays_bounded_and_rebuilds_equal_results():
-    state = random_state(10, np.random.default_rng(72))
-    stages = [
-        make_pd(5 + k, 3 + k / 7, 1 - k / 11, -k / 13) for k in range(40)
-    ]
-    reference._block_weights_of.cache_clear()
-    first = [sequential_component_tables(RepGame(state, stage)) for stage in stages]
-    assert reference._block_weights_of.cache_info().currsize <= 16
-    for stage, got in zip(stages, first):
-        reference._block_weights_of.cache_clear()
-        fresh = sequential_component_tables(RepGame(state, stage))
-        for key in TABLE_KEYS:
-            assert fresh[key].tobytes() == got[key].tobytes()
-
-
-@pytest.mark.parametrize("first_sign", [1.0, -1.0])
-def test_block_weights_are_the_observables_own_blocks(first_sign):
-    """Read-only, and each stage keeps its own signed zeros, whichever of
-    two stages equal up to the sign of zero was cached first."""
-    stages = {sign: make_pd(5, 3, 1, sign * 0.0) for sign in (first_sign, -first_sign)}
-    reference._block_weights_of.cache_clear()
-    for sign, stage in stages.items():
-        blocks = reference._block_weights_of(np.array(stage.outcomes).tobytes())
-        assert blocks.shape == (4, 4, 256)
-        assert not blocks.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            blocks[0, 0, 0] = 1.0
-        dense = [obs.weights for obs in _observables(stage)]
-        for o in range(4):
-            for component, weights in enumerate(dense):
-                want = weights[256 * o : 256 * (o + 1)]
-                assert blocks[o, component].tobytes() == want.tobytes()
-        assert np.signbit(blocks).any() == (sign < 0)
-    assert reference._block_weights_of.cache_info().currsize == 2
-
-
 @pytest.mark.parametrize(
     "make_game",
     [
@@ -805,10 +765,8 @@ def test_sequential_table_matches_the_batch_tables(make_game):
     game = make_game()
     batch = rep_component_tables(game)
     sequential = sequential_component_tables(game)
-    assert sequential.keys() == batch.keys()
-    for key in TABLE_KEYS:
-        assert sequential[key].shape == (32, 32)
-        assert np.abs(sequential[key] - batch[key]).max() <= 1e-9
+    assert batch.shape == sequential.shape == (4, 32, 32)
+    assert np.abs(sequential - batch).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -1252,8 +1210,8 @@ def every_output(game: RepGame) -> list:
         tables.stage1.tobytes(),
         stage2,
         tables.gaps,
-        [batch[key].tobytes() for key in TABLE_KEYS],
-        [sequential[key].tobytes() for key in TABLE_KEYS],
+        batch.tobytes(),
+        sequential.tobytes(),
         build_extensive(game).to_json(),
         pure_nash(rep_bimatrix(game)).to_json(STRATEGY_LABELS, STRATEGY_LABELS),
         spe_or_refusal(game),

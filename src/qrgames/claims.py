@@ -51,6 +51,7 @@ from .qstate import (
     expectation,
     measure_pair,
     random_state,
+    sum_in_order,
     tensor_all,
 )
 from .reference import it_batch_expected, sequential_component_tables
@@ -275,7 +276,7 @@ def randomized_invariants(seed: int, perturb: float) -> Verdict:
             qubits = rng.choice(np.arange(1, n + 1), size=2, replace=False)
             branches = measure_pair(state, int(qubits[0]), int(qubits[1]))
             totals = [float(post.probabilities.sum()) for _, _, post in branches]
-            totals.append(sum(probability for _, probability, _ in branches))
+            totals.append(sum_in_order(probability for _, probability, _ in branches))
             if max(abs(total - 1.0) for total in totals) > 1e-9:
                 return False, "measurement branches are not normalized"
         other = random_state(n, rng)

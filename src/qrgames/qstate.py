@@ -203,7 +203,7 @@ class Ensemble:
         members = tuple((float(p), state) for p, state in self.members)
         if not members:
             raise ValueError("ensemble needs at least one member")
-        total = sum(p for p, _ in members)
+        total = sum_in_order(p for p, _ in members)
         if any(p < 0 for p, _ in members):
             raise ValueError("ensemble probabilities must be nonnegative")
         if not abs(total - 1.0) <= NORM_ATOL:

@@ -274,7 +274,7 @@ class PlayTranscript:
     expected: ExpectedPayoffs
 
     def __post_init__(self) -> None:
-        _check_branch_total(sum(branch.probability for branch in self.branches))
+        _check_branch_total(sum_in_order(b.probability for b in self.branches))
 
     @property
     def outcome_distribution(self) -> tuple[tuple[tuple[int, int], float], ...]:

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,8 +148,7 @@ def factor_pairs(state: PureState) -> tuple[PureState, ...] | None:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     """One node of the extensive form.
 
     ``kind`` is "decision", "chance", or "terminal".  Decision nodes
@@ -156,7 +156,8 @@ class TreeNode:
     nodes carry a probability per child; terminals carry the total
     payoff pair, or None on branches that cannot occur and have no
     defined continuation.  ``reachable`` is False exactly on nodes below
-    a probability-zero chance edge.
+    a probability-zero chance edge.  A node is a tuple of these nine
+    fields: it equals and hashes like that plain tuple.
     """
 
     node_id: int
@@ -169,30 +170,6 @@ class TreeNode:
     payoffs: Payoffs | None
     reachable: bool = True
 
-    @classmethod
-    def _terminal(
-        cls, node_id: int, payoffs: Payoffs | None, reachable: bool
-    ) -> "TreeNode":
-        """``TreeNode(node_id, "terminal", None, None, (), (), None, payoffs,
-        reachable)``, filled into the instance ``__dict__`` without the frozen
-        ``__init__`` and its nine ``object.__setattr__`` calls.  The class
-        has no ``__post_init__``, so the shortcut skips no check; the node is
-        as frozen, equal and hashable as one built the usual way.
-        """
-        node = object.__new__(cls)
-        node.__dict__.update(
-            node_id=node_id,
-            kind="terminal",
-            owner=None,
-            info_set=None,
-            actions=(),
-            children=(),
-            probabilities=None,
-            payoffs=payoffs,
-            reachable=reachable,
-        )
-        return node
-
 
 @dataclass(frozen=True)
 class ExtensiveTree:
@@ -204,7 +181,7 @@ class ExtensiveTree:
     def __post_init__(self) -> None:
         for node in self.nodes:
             if node.kind == "chance":
-                total = sum(node.probabilities)
+                total = sum_in_order(node.probabilities)
                 if not abs(total - 1.0) <= 1e-9:
                     raise ValueError(
                         f"chance node {node.node_id} probabilities sum to {total!r}"
@@ -310,10 +287,8 @@ def _assemble_tree(stage: StageGame, chance: np.ndarray, stage2) -> ExtensiveTre
     of :func:`start_tables`; terminals add a continuation to the outcome's
     own payoffs.  Nodes below a zero chance weight are the skeleton's
     unreachable ones.  Only the four chance nodes and the terminals with
-    payoffs are built here, the terminals by :meth:`TreeNode._terminal`;
-    every other node is :func:`_tree_skeleton`'s.
+    payoffs are built here; every other node is :func:`_tree_skeleton`'s.
     """
-    terminal = TreeNode._terminal
     unreachable, reachable = _tree_skeleton()
     nodes = list(reachable)
     # Python floats add as float64 arrays do, so the totals keep their bits.
@@ -341,7 +316,10 @@ def _assemble_tree(stage: StageGame, chance: np.ndarray, stage2) -> ExtensiveTre
                 continue
             for offset, u1, u2 in zip(_LEAF_OFFSETS, *table.tolist()):
                 leaf_id = first + offset
-                nodes[leaf_id] = terminal(leaf_id, (own1 + u1, own2 + u2), live)
+                total = (own1 + u1, own2 + u2)
+                nodes[leaf_id] = TreeNode(
+                    leaf_id, "terminal", None, None, (), (), None, total, live
+                )
     return ExtensiveTree(tuple(nodes), 0)
 
 

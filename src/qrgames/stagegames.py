@@ -126,6 +126,11 @@ def make_bos(alpha: float, beta: float, gamma: float) -> StageGame:
     )
 
 
+def _is_integer(value: object) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, order=True)
 class RepStrategy:
     """Pure strategy for the twice-repeated game.
@@ -145,7 +150,7 @@ class RepStrategy:
     def __post_init__(self) -> None:
         for name, value in self.fields().items():
             # 1.0 == 1, but a float bit would make ``bits`` fail to format.
-            if not isinstance(value, (int, np.integer)) or value not in (0, 1):
+            if not _is_integer(value) or value not in (0, 1):
                 raise ValueError(f"{name} must be 0 or 1, got {value!r}")
 
     def fields(self) -> dict[str, int]:
@@ -173,7 +178,7 @@ class RepStrategy:
 
     @classmethod
     def from_index(cls, index: int) -> "RepStrategy":
-        if not isinstance(index, (int, np.integer)) or not 0 <= index < 32:
+        if not _is_integer(index) or not 0 <= index < 32:
             raise ValueError(f"strategy index out of range: {index}")
         bits = format(index, "05b")
         return cls(*(int(b) for b in bits))
@@ -366,6 +371,6 @@ def qubit_count(n_stages: int) -> int:
     ``2**(2j - 1)`` qubits, so the total grows exponentially: 2, 10, 42,
     and so on.
     """
-    if int(n_stages) != n_stages or n_stages < 1:
+    if not _is_integer(n_stages) or n_stages < 1:
         raise ValueError(f"number of stages must be a positive integer: {n_stages!r}")
     return sum(2 ** (2 * j - 1) for j in range(1, int(n_stages) + 1))

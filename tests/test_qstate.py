@@ -445,6 +445,9 @@ def test_ensemble_validation():
         Ensemble(((-0.5, state), (1.5, state)))
     with pytest.raises(ValueError, match="sum to"):
         Ensemble(((0.7, state),))
+    # Added left to right on every Python; builtin sum() gives 0.9 from 3.12 on.
+    with pytest.raises(ValueError, match=r"sum to 0\.9000000000000001, not 1"):
+        Ensemble(tuple((p, state) for p in (0.1, 0.2, 0.3, 0.3)))
     with pytest.raises(ValueError, match="register sizes"):
         Ensemble(((0.5, state), (0.5, PureState.basis(3, 0))))
     assert Ensemble(((1.0, state),)).num_qubits == 2

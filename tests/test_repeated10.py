@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -425,6 +427,14 @@ def test_transcript_refuses_branches_that_do_not_sum_to_one():
     )
     with pytest.raises(ValueError, match="branch probabilities sum to 0.5, not 1"):
         dataclasses.replace(transcript, branches=halved)
+    # Added left to right on every Python, as the tree's chance check adds.
+    skewed = tuple(
+        dataclasses.replace(branch, probability=probability)
+        for branch, probability in zip(transcript.branches, (0.1, 0.2, 0.3, 0.3))
+    )
+    message = r"branch probabilities sum to 0\.9000000000000001, not 1"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(transcript, branches=skewed)
 
 
 def test_sequential_play_on_basis_start_has_one_branch():
@@ -913,7 +923,7 @@ def callback_tree(stage, distributions, stage2_fn) -> ExtensiveTree:
         return len(nodes) - 1
 
     def adopt(parent, children):
-        nodes[parent] = dataclasses.replace(nodes[parent], children=tuple(children))
+        nodes[parent] = nodes[parent]._replace(children=tuple(children))
 
     root = node("decision", 1, "1:stage1", _ACTION_LABELS)
     seconds = []
@@ -1294,12 +1304,16 @@ def test_tree_refuses_a_chance_node_that_does_not_sum_to_one():
     nodes = list(tree.nodes)
     chance_id = nodes[tree.nodes[tree.root].children[0]].children[0]
     assert nodes[chance_id].probabilities == (1.0, 0.0, 0.0, 0.0)
-    nodes[chance_id] = dataclasses.replace(
-        nodes[chance_id], probabilities=(0.5, 0.0, 0.0, 0.0)
-    )
-    message = f"chance node {chance_id} probabilities sum to 0.5"
-    with pytest.raises(ValueError, match=message):
-        ExtensiveTree(tuple(nodes), tree.root)
+    # Added left to right, 0.1 + 0.2 + 0.3 + 0.3 is 0.9000000000000001 on
+    # every Python; builtin sum() gives 0.9 from 3.12 on.
+    for probabilities, total in [
+        ((0.5, 0.0, 0.0, 0.0), "0.5"),
+        ((0.1, 0.2, 0.3, 0.3), "0.9000000000000001"),
+    ]:
+        nodes[chance_id] = tree.nodes[chance_id]._replace(probabilities=probabilities)
+        message = f"chance node {chance_id} probabilities sum to {total}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            ExtensiveTree(tuple(nodes), tree.root)
 
 
 def test_tree_skeleton_is_built_once_per_process():
@@ -1342,26 +1356,8 @@ def test_trees_share_their_decision_nodes():
     "payoffs, live",
     [((3.5, -0.0), True), (None, False), ((-5e-324, 1e300), False), (None, True)],
 )
-def test_the_terminal_shortcut_builds_the_constructors_node(payoffs, live):
-    fast = TreeNode._terminal(17, payoffs, live)
-    slow = TreeNode(17, "terminal", None, None, (), (), None, payoffs, live)
-    assert type(fast) is TreeNode
-    assert fast == slow and hash(fast) == hash(slow) and repr(fast) == repr(slow)
-    assert list(vars(fast).items()) == list(vars(slow).items())
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        fast.payoffs = (0.0, 0.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        del fast.kind
-    moved = dataclasses.replace(fast, payoffs=(1.0, 2.0), reachable=True)
-    assert moved == dataclasses.replace(slow, payoffs=(1.0, 2.0), reachable=True)
-    assert dataclasses.replace(fast) == slow
-
-
-def test_tree_nodes_have_nothing_the_terminal_shortcut_would_skip():
-    """``TreeNode._terminal`` bypasses ``__init__``: a ``__post_init__``
-    check or a tenth field would be silently skipped on every terminal."""
-    assert not hasattr(TreeNode, "__post_init__")
-    assert [f.name for f in dataclasses.fields(TreeNode)] == [
+def test_a_tree_node_is_a_named_tuple_of_nine_fields(payoffs, live):
+    assert TreeNode._fields == (
         "node_id",
         "kind",
         "owner",
@@ -1371,7 +1367,34 @@ def test_tree_nodes_have_nothing_the_terminal_shortcut_would_skip():
         "probabilities",
         "payoffs",
         "reachable",
-    ]
+    )
+    assert TreeNode(3, "decision", 1, "1:x", ("0", "1"), (4, 5), None, None).reachable
+    node = TreeNode(17, "terminal", None, None, (), (), None, payoffs, live)
+    with pytest.raises(AttributeError):
+        node.payoffs = (0.0, 0.0)
+    other = TreeNode(17, "chance", None, None, (), (), (1.0,), (1.0, 2.0), not live)
+    built = other._replace(
+        kind="terminal", probabilities=None, payoffs=payoffs, reachable=live
+    )
+    assert built == node and hash(built) == hash(node) and repr(built) == repr(node)
+    assert node == tuple(node) and hash(node) == hash(tuple(node))
+
+
+# sha256 of ``build_extensive(...).to_json()`` on basis starts under the
+# 5, 3, 1, 0 dilemma.  Basis starts have 0/1 Born weights and integer
+# payoffs, so every number in the tree is exact on any BLAS core.  435 is
+# 0b0110110011: its pairs read 01, 10, 11, 00 and 11.
+@pytest.mark.parametrize(
+    "start, digest",
+    [
+        (0, "d93615828d41f27b3d229d745d0a0a5748ae048e7f7171b8664126bed2447e19"),
+        (435, "47c6c3592fb9b1f309c92113e026e6da70400cc42147d44dd1d622ba28c01e59"),
+        (1023, "4be925dec14df3fab9e1e46da297ee506bec6211e4a4069366166054a09a0ac1"),
+    ],
+)
+def test_basis_start_trees_keep_their_bytes(start, digest):
+    tree = build_extensive(pd_game(PureState.basis(10, start)))
+    assert hashlib.sha256(tree.to_json().encode()).hexdigest() == digest
 
 
 def test_a_pruned_two_term_start_uses_the_unreachable_variants():

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ def test_strategy_validation():
         RepStrategy.from_index(-1)
 
 
-@pytest.mark.parametrize("bit", [1.0, 0.0, 0.5, "1", None])
+@pytest.mark.parametrize("bit", [1.0, 0.0, 0.5, "1", None, True])
 def test_strategy_refuses_a_bit_that_is_not_an_integer(bit):
     with pytest.raises(ValueError, match=r"stage1 must be 0 or 1, got"):
         RepStrategy(bit, 0, 0, 0, 0)
@@ -162,7 +163,7 @@ def test_strategy_refuses_a_bit_that_is_not_an_integer(bit):
         RepStrategy(0, 0, 0, 0, bit)
 
 
-@pytest.mark.parametrize("index", [1.0, 16.0, 2.5, "3"])
+@pytest.mark.parametrize("index", [1.0, 16.0, 2.5, "3", True])
 def test_strategy_from_index_refuses_a_non_integer(index):
     with pytest.raises(ValueError, match="strategy index out of range"):
         RepStrategy.from_index(index)
@@ -416,10 +417,11 @@ def test_classical_twice_repeated_on_a_coordination_game():
 def test_qubit_count_grows_with_outcome_histories():
     assert tuple(qubit_count(n) for n in (1, 2, 3)) == (2, 10, 42)
     assert qubit_count(4) == 170
+    assert qubit_count(np.int64(2)) == qubit_count(np.uint8(2)) == 10
 
 
 def test_qubit_count_rejects_nonpositive_stage_counts():
-    with pytest.raises(ValueError, match="positive integer"):
-        qubit_count(0)
-    with pytest.raises(ValueError, match="positive integer"):
-        qubit_count(-1)
+    # Integers as ``RepStrategy.from_index`` takes them: no bool, no float.
+    for n_stages in (0, -1, True, 2.0, 2.5, math.inf, math.nan, "2", None):
+        with pytest.raises(ValueError, match="positive integer"):
+            qubit_count(n_stages)
